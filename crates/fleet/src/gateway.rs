@@ -1,57 +1,39 @@
-//! The HTTP front end: one reactor thread, every client connection.
+//! The HTTP front end: an HTTP/1.1 codec on `lca-serve`'s reactor core,
+//! plus the worker pool that runs the blocking backend round trips.
 //!
-//! Same shape as the serve crate's reactor — nonblocking sockets over
-//! [`lca_serve::sys::Poller`] readiness, a slab of generation-tagged
-//! connection slots, a worker pool doing the blocking work, and a
-//! coalesced completion queue handing finished responses back — but the
-//! framing is HTTP/1.1 ([`crate::http`]) and the work is a fleet round
-//! trip ([`crate::router::Fleet`]) instead of a local query.
+//! The gateway owns no connection machinery. [`lca_serve::reactor`]
+//! multiplexes every client socket — generation-tagged slab, coalesced
+//! completion wakes, `writev` with exact short-write accounting, bounded
+//! drain, the reactor counters — and this module supplies only the
+//! [`Codec`]: [`http::try_parse`] framing, endpoint routing, the
+//! `400`-then-close answer to unframeable bytes, and the fleet work
+//! ([`crate::router::Fleet`]) deferred to the pool.
 //!
 //! ```text
-//!  HTTP clients ──readiness──► gateway reactor ──admit──► worker pool
-//!       ▲                           ▲                      │ (blocking
-//!       │                           │                      │  backend
-//!       └────────write bufs─────────┴── completions ◄──────┘  round trip)
+//!  HTTP clients ──► reactor core ──HTTP codec──► worker pool ──► Fleet
+//!       ▲                ▲                           │ (blocking backend
+//!       └─write queues───┴────── completions ◄───────┘  round trip)
 //! ```
 //!
 //! **Responses stay in request order.** HTTP/1.1 pipelining requires it,
-//! so each connection runs *sequentially*: while a deferred request is in
-//! flight its connection parses nothing further — later pipelined bytes
-//! wait in the read buffer until the response delivers. Concurrency comes
-//! from many connections, not from reordering one connection's requests
-//! (the load generator's open-loop mode drives one pipelined connection
-//! per sender thread and relies on exactly this ordering).
+//! so the codec is not [`Codec::PIPELINED`]: while a deferred request is
+//! in flight its connection frames nothing further — later pipelined bytes
+//! wait in the read buffer until the response is staged. Concurrency comes
+//! from many connections, not from reordering one connection's requests.
 
 #![warn(clippy::unwrap_used)]
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::io;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
+use lca_serve::metrics::{reactor_stats_fields, ReactorMetrics};
 use lca_serve::pool::{RejectReason, WorkerPool};
-use lca_serve::sys::{Event, Poller, Waker};
+use lca_serve::reactor::{Codec, Deliver, Framed, Outcome};
+use serde::Json;
 
 use crate::http::{self, HttpRequest, ParseOutcome};
-use crate::router::Fleet;
-
-/// Registration token of the listener; connection tokens (slab index in
-/// the low 32 bits, generation above) never collide with it.
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
-
-/// A connection buffering more than this has stopped reading its
-/// responses and is dropped.
-const MAX_WRITE_BUFFER: usize = 16 << 20;
-
-/// Upper bound on one `wait`: drain-progress and lost-wake recovery
-/// latency (completions wake the poller immediately).
-const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// How long a drain tolerates connections that will not accept their
-/// remaining bytes before force-closing them.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
+use crate::router::{Fleet, FleetReply};
 
 /// Sizing knobs for a [`Gateway`].
 #[derive(Debug, Clone)]
@@ -85,6 +67,9 @@ pub struct Gateway {
     draining: AtomicBool,
     /// HTTP requests answered (any status), across all connections.
     requests: AtomicU64,
+    /// The reactor core's client-side counters: the `gateway` object of
+    /// `GET /v1/stats`.
+    metrics: ReactorMetrics,
 }
 
 impl Gateway {
@@ -95,6 +80,7 @@ impl Gateway {
             pool: WorkerPool::new(config.workers, config.queue_capacity),
             draining: AtomicBool::new(false),
             requests: AtomicU64::new(0),
+            metrics: ReactorMetrics::default(),
         })
     }
 
@@ -117,527 +103,124 @@ impl Gateway {
     /// gateway. One reactor thread owns every socket; pool workers own
     /// every backend round trip.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        let result = Reactor::run(self.clone(), listener);
+        let result = lca_serve::reactor::run(self.clone(), listener);
         self.pool.shutdown();
         result
     }
-}
 
-/// Worker→reactor handoff of rendered HTTP response bytes. Wakes are
-/// coalesced exactly like the serve reactor's: only the empty→nonempty
-/// transition writes the wake pipe.
-struct Completions {
-    queue: Mutex<Vec<(u64, Vec<u8>)>>,
-    waker: Waker,
-}
-
-impl Completions {
-    fn push(&self, token: u64, response: Vec<u8>) {
-        let was_empty = {
-            // lint:allow(panic) — poisoned queue means a worker already panicked; propagate
-            let mut queue = self.queue.lock().expect("completion queue poisoned");
-            let was_empty = queue.is_empty();
-            queue.push((token, response));
-            was_empty
-        };
-        if was_empty {
-            self.waker.wake();
-        }
-    }
-
-    fn drain(&self) -> Vec<(u64, Vec<u8>)> {
-        // lint:allow(panic) — poisoned queue means a worker already panicked; propagate
-        std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
-    }
-}
-
-/// One HTTP connection's state machine.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet framed into a complete request.
-    read_buf: Vec<u8>,
-    /// How far into `read_buf` the head scan has already looked
-    /// ([`http::try_parse`]'s resume cursor); reset to 0 whenever consumed
-    /// bytes are drained from the front.
-    scanned: usize,
-    /// Rendered responses awaiting socket space.
-    write_buf: VecDeque<u8>,
-    /// A deferred request is in flight; parse nothing further until its
-    /// response delivers (the ordering rule in the module docs).
-    busy: bool,
-    /// EOF seen from the peer; flush what we owe, then close.
-    peer_closed: bool,
-    /// Close once the write buffer flushes (after a framing-error 400).
-    close_after_flush: bool,
-    /// Whether the poller watches this fd for write readiness.
-    want_write: bool,
-}
-
-struct Slot {
-    gen: u32,
-    conn: Option<Conn>,
-}
-
-fn token_of(idx: usize, gen: u32) -> u64 {
-    ((gen as u64) << 32) | idx as u64
-}
-
-fn split_token(token: u64) -> (usize, u32) {
-    ((token & u32::MAX as u64) as usize, (token >> 32) as u32)
-}
-
-struct Reactor {
-    gateway: Arc<Gateway>,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    completions: Arc<Completions>,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    /// Deferred jobs admitted and not yet delivered, across all
-    /// connections (including ones that died while the job ran).
-    in_flight: usize,
-    open: usize,
-    drain_started: Option<std::time::Instant>,
-}
-
-impl Reactor {
-    fn run(gateway: Arc<Gateway>, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, false)?;
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            waker: poller.waker(),
-        });
-        let mut reactor = Reactor {
-            gateway,
-            poller,
-            listener: Some(listener),
-            completions,
-            slots: Vec::new(),
-            free: Vec::new(),
-            in_flight: 0,
-            open: 0,
-            drain_started: None,
-        };
-        let result = reactor.event_loop();
-        for idx in 0..reactor.slots.len() {
-            reactor.close_conn(idx);
-        }
-        result
-    }
-
-    fn event_loop(&mut self) -> io::Result<()> {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            self.poller.wait(&mut events, WAIT_TIMEOUT)?;
-            self.deliver_completions();
-            for &ev in &events {
-                if ev.token == LISTENER_TOKEN {
-                    if ev.readable {
-                        self.accept_ready();
-                    }
-                } else {
-                    self.conn_ready(ev);
-                }
-            }
-            if self.gateway.draining() {
-                self.stop_accepting();
-                let drain_started = *self
-                    .drain_started
-                    .get_or_insert_with(std::time::Instant::now);
-                let grace_expired = drain_started.elapsed() >= DRAIN_GRACE;
-                for idx in 0..self.slots.len() {
-                    let done = matches!(
-                        self.conn_ref(idx),
-                        Some(c) if !c.busy && (grace_expired || c.write_buf.is_empty())
-                    );
-                    if done {
-                        self.close_conn(idx);
-                    }
-                }
-                if self.open == 0 && self.in_flight == 0 {
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    fn stop_accepting(&mut self) {
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd(), LISTENER_TOKEN);
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if self.gateway.draining() {
-                        continue;
-                    }
-                    self.register_conn(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(1));
-                    return;
-                }
-            }
-        }
-    }
-
-    fn register_conn(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.slots.push(Slot { gen: 0, conn: None });
-                self.slots.len() - 1
-            }
-        };
-        let Some(token) = self.token_at(idx) else {
-            return;
-        };
-        if self
-            .poller
-            .register(stream.as_raw_fd(), token, false)
-            .is_err()
-        {
-            self.free.push(idx);
-            return;
-        }
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
-        slot.conn = Some(Conn {
-            stream,
-            read_buf: Vec::new(),
-            scanned: 0,
-            write_buf: VecDeque::new(),
-            busy: false,
-            peer_closed: false,
-            close_after_flush: false,
-            want_write: false,
-        });
-        self.open += 1;
-    }
-
-    fn close_conn(&mut self, idx: usize) {
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
-        let token = token_of(idx, slot.gen);
-        let Some(conn) = slot.conn.take() else {
-            return;
-        };
-        slot.gen = slot.gen.wrapping_add(1);
-        let _ = self.poller.deregister(conn.stream.as_raw_fd(), token);
-        self.free.push(idx);
-        self.open -= 1;
-    }
-
-    fn live(&self, token: u64) -> Option<usize> {
-        let (idx, gen) = split_token(token);
-        match self.slots.get(idx) {
-            Some(slot) if slot.gen == gen && slot.conn.is_some() => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// The live connection at `idx`, if any — an already-closed slot (a
-    /// dispatch or flush raced a close) is `None`, never a panic.
-    fn conn_ref(&self, idx: usize) -> Option<&Conn> {
-        self.slots.get(idx).and_then(|slot| slot.conn.as_ref())
-    }
-
-    /// Mutable variant of [`Reactor::conn_ref`].
-    fn conn_mut(&mut self, idx: usize) -> Option<&mut Conn> {
-        self.slots.get_mut(idx).and_then(|slot| slot.conn.as_mut())
-    }
-
-    /// The poll token currently naming `idx`, if the slot exists.
-    fn token_at(&self, idx: usize) -> Option<u64> {
-        self.slots.get(idx).map(|slot| token_of(idx, slot.gen))
-    }
-
-    fn deliver_completions(&mut self) {
-        for (token, response) in self.completions.drain() {
-            self.in_flight -= 1;
-            let Some(idx) = self.live(token) else {
-                continue;
-            };
-            let Some(conn) = self.conn_mut(idx) else {
-                continue;
-            };
-            conn.busy = false;
-            conn.write_buf.extend(response);
-            self.flush_conn(idx);
-            // The response freed the connection: pipelined requests
-            // buffered behind it can now run.
-            if self.conn_ref(idx).is_some() {
-                self.process_buffer(idx);
-            }
-        }
-    }
-
-    fn conn_ready(&mut self, ev: Event) {
-        let Some(idx) = self.live(ev.token) else {
-            return;
-        };
-        if ev.readable {
-            self.read_ready(idx);
-        }
-        if ev.writable && self.conn_ref(idx).is_some() {
-            self.flush_conn(idx);
-        }
-    }
-
-    fn read_ready(&mut self, idx: usize) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(k) => {
-                    conn.read_buf
-                        .extend_from_slice(chunk.get(..k).unwrap_or(&[]));
-                    if conn.read_buf.len() > http::MAX_HEAD + http::MAX_BODY {
-                        self.close_conn(idx);
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(idx);
-                    return;
-                }
-            }
-        }
-        self.process_buffer(idx);
-        if self.conn_ref(idx).is_some() {
-            self.maybe_close_finished(idx);
-        }
-    }
-
-    /// Frames and dispatches buffered requests until the connection goes
-    /// busy (a deferred request in flight), runs dry, or dies.
-    fn process_buffer(&mut self, idx: usize) {
-        loop {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            if conn.busy || conn.close_after_flush {
-                return;
-            }
-            match http::try_parse(&conn.read_buf, &mut conn.scanned) {
-                ParseOutcome::Incomplete => return,
-                ParseOutcome::Error(msg) => {
-                    // This connection is about to be dropped after the
-                    // flush: the response must say so, not keep-alive.
-                    let body = format!(r#"{{"error":"bad-request","message":"{msg}"}}"#);
-                    conn.write_buf
-                        .extend(http::render_close_response(400, &body));
-                    conn.close_after_flush = true;
-                    self.gateway.requests.fetch_add(1, Ordering::Relaxed);
-                    self.flush_conn(idx);
-                    return;
-                }
-                ParseOutcome::Request(request, consumed) => {
-                    let Some(conn) = self.conn_mut(idx) else {
-                        return;
-                    };
-                    conn.read_buf.drain(..consumed);
-                    conn.scanned = 0;
-                    self.gateway.requests.fetch_add(1, Ordering::Relaxed);
-                    self.dispatch(idx, request);
-                    if self.conn_ref(idx).is_none() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Routes one framed request: control endpoints answer inline, the
-    /// fleet endpoints defer to the worker pool (a blocking backend round
-    /// trip never runs on the reactor thread).
-    fn dispatch(&mut self, idx: usize, request: HttpRequest) {
-        let inline: (u16, String) = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/query") => match String::from_utf8(request.body) {
-                Ok(body) => {
-                    let gateway = self.gateway.clone();
-                    return self.defer(idx, move || {
-                        let reply = gateway.fleet.query(&body);
-                        http::render_response(reply.status, &reply.body)
-                    });
-                }
-                Err(_) => (
-                    400,
-                    r#"{"error":"bad-request","message":"body is not UTF-8"}"#.to_owned(),
-                ),
-            },
-            ("GET", "/v1/stats") => {
-                let gateway = self.gateway.clone();
-                return self.defer(idx, move || {
-                    let reply = gateway.fleet.stats();
-                    http::render_response(reply.status, &reply.body)
+    /// Admits `job` to the worker pool; its reply comes back rendered
+    /// through `deliver`. Pool-full answers the typed `overloaded` error
+    /// inline — the same admission control the backends apply, enforced
+    /// again at the HTTP tier.
+    fn defer(
+        self: &Arc<Self>,
+        deliver: Deliver<Vec<u8>>,
+        job: impl FnOnce(&Gateway) -> FleetReply + Send + 'static,
+    ) -> Outcome {
+        let gateway = self.clone();
+        let admitted = self.pool.try_execute(move || {
+            // A panicking round trip still owes its connection a response.
+            let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&gateway)))
+                .unwrap_or_else(|_| FleetReply {
+                    status: 500,
+                    body: r#"{"error":"internal","message":"gateway worker panicked"}"#.to_owned(),
                 });
-            }
-            ("GET", "/v1/sessions") => {
-                let gateway = self.gateway.clone();
-                return self.defer(idx, move || {
-                    let reply = gateway.fleet.sessions();
-                    http::render_response(reply.status, &reply.body)
-                });
-            }
-            ("POST", "/v1/shutdown") => {
-                self.gateway.draining.store(true, Ordering::SeqCst);
-                (200, r#"{"ok":true,"draining":true}"#.to_owned())
-            }
-            (_, "/v1/query" | "/v1/stats" | "/v1/sessions" | "/v1/shutdown") => (
-                405,
-                r#"{"error":"bad-request","message":"method not allowed"}"#.to_owned(),
-            ),
-            _ => (
-                404,
-                r#"{"error":"bad-request","message":"unknown path"}"#.to_owned(),
-            ),
-        };
-        let (status, body) = inline;
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        conn.write_buf.extend(http::render_response(status, &body));
-        self.flush_conn(idx);
-    }
-
-    /// Admits `job` to the worker pool for this connection; the rendered
-    /// response bytes come back through the completion queue. Pool-full
-    /// answers the typed `overloaded` error inline — the same admission
-    /// control the backends apply, enforced again at the HTTP tier.
-    fn defer(&mut self, idx: usize, job: impl FnOnce() -> Vec<u8> + Send + 'static) {
-        let Some(token) = self.token_at(idx) else {
-            return;
-        };
-        let completions = self.completions.clone();
-        match self
-            .gateway
-            .pool
-            .try_execute(move || completions.push(token, job()))
-        {
-            Ok(()) => {
-                // Count in_flight unconditionally: the job was handed to
-                // the pool and its completion drains either way.
-                self.in_flight += 1;
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.busy = true;
-                }
-            }
+            deliver.send(http::render_response(reply.status, &reply.body));
+        });
+        match admitted {
+            Ok(()) => Outcome::Deferred,
             Err(reject) => {
                 let (status, code) = match reject {
                     RejectReason::Full => (429, "overloaded"),
                     RejectReason::ShuttingDown => (503, "draining"),
                 };
                 let body = format!(r#"{{"error":"{code}","message":"gateway admission queue"}}"#);
-                let Some(conn) = self.conn_mut(idx) else {
-                    return;
-                };
-                conn.write_buf.extend(http::render_response(status, &body));
-                self.flush_conn(idx);
+                Outcome::Inline(http::render_response(status, &body))
             }
-        }
-    }
-
-    fn flush_conn(&mut self, idx: usize) {
-        let mut close = false;
-        let mut interest = None;
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
-        let gen = slot.gen;
-        let Some(conn) = slot.conn.as_mut() else {
-            return;
-        };
-        while !conn.write_buf.is_empty() {
-            let (head, _) = conn.write_buf.as_slices();
-            match conn.stream.write(head) {
-                Ok(0) => {
-                    close = true;
-                    break;
-                }
-                Ok(k) => {
-                    conn.write_buf.drain(..k);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    close = true;
-                    break;
-                }
-            }
-        }
-        if conn.write_buf.len() > MAX_WRITE_BUFFER {
-            close = true;
-        }
-        if conn.close_after_flush && conn.write_buf.is_empty() {
-            close = true;
-        }
-        if !close {
-            let needs_write = !conn.write_buf.is_empty();
-            if needs_write != conn.want_write {
-                conn.want_write = needs_write;
-                interest = Some((conn.stream.as_raw_fd(), needs_write));
-            }
-        }
-        if close {
-            self.close_conn(idx);
-            return;
-        }
-        if let Some((fd, needs_write)) = interest {
-            let _ = self
-                .poller
-                .set_writable(fd, token_of(idx, gen), needs_write);
-        }
-        self.maybe_close_finished(idx);
-    }
-
-    fn maybe_close_finished(&mut self, idx: usize) {
-        let done = matches!(
-            self.conn_ref(idx),
-            Some(c) if c.peer_closed && !c.busy && c.write_buf.is_empty()
-        );
-        if done {
-            self.close_conn(idx);
         }
     }
 }
 
-#[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap IS the assertion
-mod tests {
-    use super::*;
+/// HTTP/1.1 on the reactor core: one request in flight per connection.
+impl Codec for Gateway {
+    /// [`http::try_parse`]'s scan cursor over the unframed tail.
+    type Conn = usize;
+    /// A parsed request, or why the bytes cannot be one.
+    type Request = Result<HttpRequest, &'static str>;
+    /// A rendered HTTP response.
+    type Completion = Vec<u8>;
+    const PIPELINED: bool = false;
+    const MAX_READ_BUFFER: usize = http::MAX_HEAD + http::MAX_BODY;
 
-    #[test]
-    fn tokens_round_trip_and_generations_differ() {
-        for (idx, gen) in [(0usize, 0u32), (7, 3), (u32::MAX as usize, u32::MAX)] {
-            let t = token_of(idx, gen);
-            assert_eq!(split_token(t), (idx, gen));
-            assert_ne!(t, LISTENER_TOKEN);
+    fn metrics(&self) -> &ReactorMetrics {
+        &self.metrics
+    }
+
+    fn draining(&self) -> bool {
+        Gateway::draining(self)
+    }
+
+    fn frame(&self, scanned: &mut usize, buf: &[u8], _eof: bool) -> Framed<Self::Request> {
+        match http::try_parse(buf, scanned) {
+            ParseOutcome::Incomplete => Framed::Incomplete,
+            ParseOutcome::Request(request, len) => {
+                *scanned = 0;
+                Framed::Request(Ok(request), len)
+            }
+            // Nothing after a framing error can be framed either.
+            ParseOutcome::Error(msg) => Framed::Request(Err(msg), buf.len()),
         }
-        assert_ne!(token_of(5, 1), token_of(5, 2));
+    }
+
+    /// Routes one request: control endpoints answer inline, the fleet
+    /// endpoints defer to the worker pool (a blocking backend round trip
+    /// never runs on the reactor thread).
+    fn handle(
+        self: &Arc<Self>,
+        _: &mut usize,
+        _raw: &[u8],
+        request: Self::Request,
+        deliver: Deliver<Vec<u8>>,
+    ) -> Outcome {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let request = match request {
+            Ok(request) => request,
+            Err(msg) => {
+                // This connection is dropped after the flush: the response
+                // must say so, not keep-alive.
+                let body = format!(r#"{{"error":"bad-request","message":"{msg}"}}"#);
+                return Outcome::InlineThenClose(http::render_close_response(400, &body));
+            }
+        };
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/v1/query") => match String::from_utf8(request.body) {
+                Ok(body) => return self.defer(deliver, move |gw| gw.fleet.query(&body)),
+                Err(_) => (
+                    400,
+                    r#"{"error":"bad-request","message":"body is not UTF-8"}"#,
+                ),
+            },
+            ("GET", "/v1/stats") => {
+                return self.defer(deliver, |gw| {
+                    let counters = Json::Obj(reactor_stats_fields(&gw.metrics));
+                    gw.fleet.stats(vec![("gateway".to_owned(), counters)])
+                })
+            }
+            ("GET", "/v1/sessions") => return self.defer(deliver, |gw| gw.fleet.sessions()),
+            ("POST", "/v1/shutdown") => {
+                self.draining.store(true, Ordering::SeqCst);
+                (200, r#"{"ok":true,"draining":true}"#)
+            }
+            (_, "/v1/query" | "/v1/stats" | "/v1/sessions" | "/v1/shutdown") => (
+                405,
+                r#"{"error":"bad-request","message":"method not allowed"}"#,
+            ),
+            _ => (404, r#"{"error":"bad-request","message":"unknown path"}"#),
+        };
+        Outcome::Inline(http::render_response(status, body))
+    }
+
+    fn render(&self, _: &usize, response: Vec<u8>) -> Vec<u8> {
+        response
     }
 }

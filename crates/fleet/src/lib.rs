@@ -22,12 +22,11 @@
 //!   once (queries are idempotent) then answer the typed
 //!   `backend-unavailable`; `stats` aggregates per-backend snapshots
 //!   into a fleet rollup.
-//! * **Gateway reactor** ([`gateway`]) — the serve crate's event-driven
-//!   front end, re-instantiated for HTTP: one thread multiplexes every
-//!   client connection ([`lca_serve::sys`]), a bounded worker pool
-//!   ([`lca_serve::pool`]) does the blocking backend round trips, and
-//!   per-connection sequencing keeps HTTP/1.1 pipelined responses in
-//!   request order.
+//! * **Gateway** ([`gateway`]) — an HTTP/1.1 codec on the serve crate's
+//!   reactor core ([`lca_serve::reactor`]): the core multiplexes every
+//!   client connection, a bounded worker pool ([`lca_serve::pool`]) does
+//!   the blocking backend round trips, and the codec's one-in-flight rule
+//!   keeps HTTP/1.1 pipelined responses in request order.
 //! * **MCP adapter** ([`mcp`]) — `lca_query`/`lca_stats` tools over
 //!   newline JSON-RPC stdio, for MCP hosts.
 //!

@@ -163,7 +163,7 @@ pub fn handle_message(fleet: &Fleet, line: &str) -> Option<String> {
                     Some(tool_result(id, &reply.body, reply.status != 200))
                 }
                 "lca_stats" => {
-                    let reply = fleet.stats();
+                    let reply = fleet.stats(Vec::new());
                     Some(tool_result(id, &reply.body, reply.status != 200))
                 }
                 _ => Some(rpc_error(id, -32602, "unknown tool")),

@@ -317,8 +317,9 @@ impl Fleet {
 
     /// The `GET /v1/stats` reply: every backend's `stats` snapshot plus
     /// the fleet rollup (counter sums; cache totals summed with the
-    /// `CacheStats` addition built for exactly this).
-    pub fn stats(&self) -> FleetReply {
+    /// `CacheStats` addition built for exactly this), followed by the
+    /// caller's `extra` top-level fields (the gateway's own counters).
+    pub fn stats(&self, extra: Vec<(String, Json)>) -> FleetReply {
         let results = self.fan_out("{\"op\":\"stats\"}");
         let mut backends_up = 0usize;
         let mut requests = 0u64;
@@ -431,12 +432,13 @@ impl Fleet {
             ("spec_cache_entries".to_owned(), num(spec_entries)),
             ("spec_cache_evictions".to_owned(), num(spec_evictions)),
         ]);
-        let mut body = String::new();
-        Json::Obj(vec![
+        let mut fields = vec![
             ("fleet".to_owned(), fleet),
             ("backends".to_owned(), Json::Arr(per_backend)),
-        ])
-        .render(&mut body);
+        ];
+        fields.extend(extra);
+        let mut body = String::new();
+        Json::Obj(fields).render(&mut body);
         FleetReply { status: 200, body }
     }
 

@@ -13,12 +13,13 @@
 //! * **Sessions** ([`session`]) — lazily built, pinned
 //!   `(kind, family, n, seed)` instances, each owning an algorithm over a
 //!   `CountingOracle → CachedOracle → implicit oracle` stack.
-//! * **Reactor** ([`reactor`], [`sys`]) — the event-driven TCP front end:
-//!   one thread multiplexes every connection over nonblocking sockets and
-//!   a readiness loop (epoll on Linux via a thin `extern "C"` layer, a
-//!   portable poll-with-timeout sweep elsewhere). No per-connection
-//!   threads at any load; thousands of open connections cost buffers, not
-//!   stacks.
+//! * **Reactor** ([`reactor`], [`sys`]) — the event-driven TCP core: one
+//!   thread multiplexes every connection over nonblocking sockets and a
+//!   readiness loop (epoll on Linux via a thin `extern "C"` layer, a
+//!   portable poll-with-timeout sweep elsewhere), generic over a wire
+//!   [`reactor::Codec`] — this crate's newline-JSON protocol, and the
+//!   fleet gateway's HTTP/1.1. No per-connection threads at any load;
+//!   thousands of open connections cost buffers, not stacks.
 //! * **Admission** ([`pool`]) — a fixed worker pool behind a bounded queue;
 //!   a full queue answers `overloaded` instead of buffering unboundedly.
 //!   Workers return responses to the reactor through a completion queue
@@ -56,7 +57,7 @@ pub mod loadgen;
 pub mod metrics;
 pub mod pool;
 pub mod proto;
-pub(crate) mod reactor;
+pub mod reactor;
 pub mod server;
 pub mod session;
 pub mod sys;

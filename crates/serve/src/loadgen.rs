@@ -7,6 +7,8 @@
 //! * **Open loop** (`rate`): targets an offered load in requests/second; a
 //!   per-connection reader thread matches responses to requests by `id`,
 //!   so slow responses queue instead of slowing the arrival process.
+//!   Latency runs from each request's scheduled send time, and the report's
+//!   `send_lag_p99_us` says how far the sender itself fell behind.
 //! * **Fan-in** (`connections > 0`): the high-fan-in C10k probe. A few
 //!   sender threads hold *many* sockets open at once (one in-flight
 //!   request per socket, sends issued across a thread's whole socket set
@@ -184,6 +186,12 @@ pub struct LoadReport {
     pub p99_us: u64,
     /// Mean response latency, microseconds.
     pub mean_us: f64,
+    /// 99th-percentile lag of actual behind scheduled send time in open
+    /// loop, microseconds — how far the generator fell behind its own
+    /// arrival schedule (0 in closed loop, which has no schedule).
+    /// Latencies are timed from the scheduled send, so this lag is
+    /// included in them rather than hidden.
+    pub send_lag_p99_us: u64,
 }
 
 /// A finished run: the report plus the server's own `stats` object,
@@ -308,6 +316,7 @@ struct Tally {
     mismatches: u64,
     probes: u64,
     latencies_us: Vec<u64>,
+    send_lags_us: Vec<u64>,
 }
 
 impl Tally {
@@ -320,6 +329,7 @@ impl Tally {
         self.mismatches += other.mismatches;
         self.probes += other.probes;
         self.latencies_us.extend(other.latencies_us);
+        self.send_lags_us.extend(other.send_lags_us);
     }
 
     /// Classifies one response line; `expected` is the locally recomputed
@@ -779,6 +789,7 @@ fn open_loop_worker(
 
         let mut next_send = Instant::now();
         let mut my_sends: u64 = 0;
+        let mut send_lags_us = Vec::new();
         let mut send_result: io::Result<()> = Ok(());
         loop {
             let i = counter.fetch_add(1, Ordering::Relaxed);
@@ -791,11 +802,16 @@ fn open_loop_worker(
             if next_send > now {
                 std::thread::sleep(next_send - now);
             }
+            // Time the request from its *scheduled* send: a sender running
+            // behind charges its lag to the requests it delayed instead of
+            // hiding it (no coordinated omission).
+            let scheduled = next_send;
             next_send += gap;
+            send_lags_us.push(scheduled.elapsed().as_micros() as u64);
             in_flight
                 .lock()
                 .expect("poisoned")
-                .insert(i as u64, Instant::now());
+                .insert(i as u64, scheduled);
             if let Err(e) = write_request(&mut writer, &request, cfg.http) {
                 send_result = Err(e);
                 break;
@@ -807,7 +823,8 @@ fn open_loop_worker(
         sent.store(my_sends, Ordering::Release);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = stream.shutdown(std::net::Shutdown::Write);
-        let tally = reader_handle.join().expect("loadgen reader panicked");
+        let mut tally = reader_handle.join().expect("loadgen reader panicked");
+        tally.send_lags_us = send_lags_us;
         send_result.map(|()| tally)
     })?;
     Ok(tally)
@@ -896,13 +913,13 @@ pub fn run(addr: &str, cfg: &LoadgenConfig) -> io::Result<LoadRun> {
         total.merge(tally?);
     }
     total.latencies_us.sort_unstable();
-    let pct = |q: f64| -> u64 {
-        if total.latencies_us.is_empty() {
+    total.send_lags_us.sort_unstable();
+    let pct = |sorted: &[u64], q: f64| -> u64 {
+        if sorted.is_empty() {
             return 0;
         }
-        let rank = ((q * total.latencies_us.len() as f64).ceil() as usize)
-            .clamp(1, total.latencies_us.len());
-        total.latencies_us[rank - 1]
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
     };
     let mean_us = if total.latencies_us.is_empty() {
         0.0
@@ -929,9 +946,10 @@ pub fn run(addr: &str, cfg: &LoadgenConfig) -> io::Result<LoadRun> {
         } else {
             0.0
         },
-        p50_us: pct(0.5),
-        p99_us: pct(0.99),
+        p50_us: pct(&total.latencies_us, 0.5),
+        p99_us: pct(&total.latencies_us, 0.99),
         mean_us,
+        send_lag_p99_us: pct(&total.send_lags_us, 0.99),
     };
     let server_stats = match mid_run_stats {
         Some(stats) => Some(stats),

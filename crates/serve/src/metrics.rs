@@ -148,25 +148,19 @@ impl SessionMetrics {
     }
 }
 
-/// Whole-process counters (everything not attributable to one session).
-#[derive(Debug)]
-pub struct GlobalMetrics {
-    /// Requests parsed off the wire (any op).
-    pub requests: AtomicU64,
-    /// Lines that failed to parse.
-    pub parse_errors: AtomicU64,
-    /// Query requests bounced with `overloaded`.
-    pub overloaded: AtomicU64,
-    /// Query requests failed on a tripped probe budget or deadline.
-    pub budget_exhausted: AtomicU64,
-    /// Connections accepted over TCP since the process started.
+/// The reactor core's counters, declared once for every codec it serves:
+/// `lca-serve` renders them flat in its `stats` object, the gateway as the
+/// `gateway` object of `GET /v1/stats` — both through
+/// [`reactor_stats_fields`].
+#[derive(Debug, Default)]
+pub struct ReactorMetrics {
+    /// Connections accepted since the process started.
     pub connections: AtomicU64,
     /// Connections currently open (a gauge: the reactor increments on
     /// accept and decrements on close — the C10k witness in `stats`).
     pub connections_open: AtomicU64,
     /// Times the reactor was woken by a worker completion (the wake-pipe
-    /// side of the readiness loop; a coarse proxy for response batching —
-    /// fewer wakeups per response means better batching).
+    /// side of the readiness loop).
     pub reactor_wakeups: AtomicU64,
     /// Worker completions pulled off the completion queue, across all
     /// drains. Divided by `reactor_wakeups` this is `completions_per_wake`
@@ -183,29 +177,23 @@ pub struct GlobalMetrics {
     /// exact under short writes, because the reactor adds precisely what
     /// each syscall returned.
     pub bytes_written: AtomicU64,
-    /// Coarse mutation stamp for the stats snapshot cache: bumped whenever
-    /// serving state that feeds `stats` changes — request dispatch, worker
-    /// completions, connection lifecycle, drain. Read-only requests
-    /// (ping/stats/sessions) do not bump it, so an idle dashboard polling
-    /// `stats` is served the cached snapshot without re-rendering. Pure-IO
-    /// counters (`write_syscalls`, `bytes_written`, `reactor_wakeups`) and
-    /// the uptime clock intentionally do not bump it either: the cached
-    /// snapshot may lag those until the next mutation, which is the
-    /// accepted coarseness of the cache.
-    pub mutations: AtomicU64,
-    /// Stats snapshots built from scratch (cache misses).
-    pub stats_renders: AtomicU64,
-    /// Stats requests answered from the cached snapshot.
-    pub stats_served_cached: AtomicU64,
-    /// Process start, for uptime/qps.
-    pub started: Instant,
 }
 
-impl GlobalMetrics {
-    /// Bumps the mutation stamp, invalidating the cached stats snapshot.
-    pub fn mark_mutation(&self) {
-        self.mutations.fetch_add(1, Ordering::Relaxed);
-    }
+/// Whole-process counters (everything not attributable to one session).
+#[derive(Debug)]
+pub struct GlobalMetrics {
+    /// Requests parsed off the wire (any op).
+    pub requests: AtomicU64,
+    /// Lines that failed to parse.
+    pub parse_errors: AtomicU64,
+    /// Query requests bounced with `overloaded`.
+    pub overloaded: AtomicU64,
+    /// Query requests failed on a tripped probe budget or deadline.
+    pub budget_exhausted: AtomicU64,
+    /// The TCP front end's connection and write-path counters.
+    pub reactor: ReactorMetrics,
+    /// Process start, for uptime/qps.
+    pub started: Instant,
 }
 
 impl Default for GlobalMetrics {
@@ -215,16 +203,7 @@ impl Default for GlobalMetrics {
             parse_errors: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            completions_delivered: AtomicU64::new(0),
-            write_syscalls: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            mutations: AtomicU64::new(0),
-            stats_renders: AtomicU64::new(0),
-            stats_served_cached: AtomicU64::new(0),
+            reactor: ReactorMetrics::default(),
             started: Instant::now(),
         }
     }
@@ -339,7 +318,7 @@ pub struct GlobalSnapshot {
 pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json {
     let uptime_s = global.started.elapsed().as_secs_f64();
     let requests = global.requests.load(Ordering::Relaxed);
-    Json::Obj(vec![
+    let mut fields = vec![
         ("version".into(), num(crate::proto::PROTOCOL_VERSION)),
         ("backend_id".into(), Json::Str(snap.backend_id.clone())),
         ("uptime_s".into(), Json::Num(uptime_s)),
@@ -368,56 +347,9 @@ pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json 
             "budget_exhausted".into(),
             num(global.budget_exhausted.load(Ordering::Relaxed)),
         ),
-        (
-            "connections".into(),
-            num(global.connections.load(Ordering::Relaxed)),
-        ),
-        (
-            "connections_open".into(),
-            num(global.connections_open.load(Ordering::Relaxed)),
-        ),
-        (
-            "reactor_wakeups".into(),
-            num(global.reactor_wakeups.load(Ordering::Relaxed)),
-        ),
-        (
-            "completions_delivered".into(),
-            num(global.completions_delivered.load(Ordering::Relaxed)),
-        ),
-        (
-            "write_syscalls".into(),
-            num(global.write_syscalls.load(Ordering::Relaxed)),
-        ),
-        (
-            "responses".into(),
-            num(global.responses.load(Ordering::Relaxed)),
-        ),
-        (
-            "bytes_written".into(),
-            num(global.bytes_written.load(Ordering::Relaxed)),
-        ),
-        (
-            "completions_per_wake".into(),
-            Json::Num(ratio(
-                global.completions_delivered.load(Ordering::Relaxed),
-                global.reactor_wakeups.load(Ordering::Relaxed),
-            )),
-        ),
-        (
-            "syscalls_per_response".into(),
-            Json::Num(ratio(
-                global.write_syscalls.load(Ordering::Relaxed),
-                global.responses.load(Ordering::Relaxed),
-            )),
-        ),
-        (
-            "stats_renders".into(),
-            num(global.stats_renders.load(Ordering::Relaxed)),
-        ),
-        (
-            "stats_served_cached".into(),
-            num(global.stats_served_cached.load(Ordering::Relaxed)),
-        ),
+    ];
+    fields.extend(reactor_stats_fields(&global.reactor));
+    fields.extend([
         ("queue_len".into(), num(snap.queue_len as u64)),
         ("sessions".into(), num(snap.sessions as u64)),
         ("registry_shards".into(), num(snap.registry_shards as u64)),
@@ -436,7 +368,38 @@ pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json 
             }),
         ),
         ("draining".into(), Json::Bool(snap.draining)),
-    ])
+    ]);
+    Json::Obj(fields)
+}
+
+/// Renders the reactor counters plus their two derived ratios
+/// (`completions_per_wake`, `syscalls_per_response`) — the one renderer
+/// behind both serve `stats` and the gateway's `gateway` object.
+pub fn reactor_stats_fields(m: &ReactorMetrics) -> Vec<(String, Json)> {
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    vec![
+        ("connections".into(), num(load(&m.connections))),
+        ("connections_open".into(), num(load(&m.connections_open))),
+        ("reactor_wakeups".into(), num(load(&m.reactor_wakeups))),
+        (
+            "completions_delivered".into(),
+            num(load(&m.completions_delivered)),
+        ),
+        ("write_syscalls".into(), num(load(&m.write_syscalls))),
+        ("responses".into(), num(load(&m.responses))),
+        ("bytes_written".into(), num(load(&m.bytes_written))),
+        (
+            "completions_per_wake".into(),
+            Json::Num(ratio(
+                load(&m.completions_delivered),
+                load(&m.reactor_wakeups),
+            )),
+        ),
+        (
+            "syscalls_per_response".into(),
+            Json::Num(ratio(load(&m.write_syscalls), load(&m.responses))),
+        ),
+    ]
 }
 
 #[cfg(test)]

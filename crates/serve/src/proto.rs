@@ -1333,13 +1333,19 @@ mod tests {
         // field survives the round trip with its value intact.
         let global = GlobalMetrics::default();
         global.requests.store(42, Ordering::Relaxed);
-        global.connections.store(1200, Ordering::Relaxed);
-        global.connections_open.store(1024, Ordering::Relaxed);
-        global.reactor_wakeups.store(77, Ordering::Relaxed);
-        global.completions_delivered.store(308, Ordering::Relaxed);
-        global.write_syscalls.store(50, Ordering::Relaxed);
-        global.responses.store(40, Ordering::Relaxed);
-        global.bytes_written.store(9001, Ordering::Relaxed);
+        global.reactor.connections.store(1200, Ordering::Relaxed);
+        global
+            .reactor
+            .connections_open
+            .store(1024, Ordering::Relaxed);
+        global.reactor.reactor_wakeups.store(77, Ordering::Relaxed);
+        global
+            .reactor
+            .completions_delivered
+            .store(308, Ordering::Relaxed);
+        global.reactor.write_syscalls.store(50, Ordering::Relaxed);
+        global.reactor.responses.store(40, Ordering::Relaxed);
+        global.reactor.bytes_written.store(9001, Ordering::Relaxed);
         let snap = GlobalSnapshot {
             backend_id: "b0".into(),
             queue_len: 3,

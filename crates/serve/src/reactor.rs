@@ -1,58 +1,58 @@
-//! The event-driven front end: one thread, every connection.
+//! The reactor core: one thread, every connection, any wire codec.
 //!
-//! The reactor multiplexes thousands of nonblocking `TcpStream`s over the
+//! The core multiplexes thousands of nonblocking `TcpStream`s over the
 //! readiness loop in [`crate::sys`] (epoll on Linux, a portable sweep
 //! elsewhere). Each connection is a small state machine owning its read
-//! buffer (incremental newline framing), its write buffer (responses wait
-//! here, never on a worker), and a count of in-flight pool jobs. The
-//! worker pool stays the execution tier: the reactor admits query work via
-//! [`crate::server::Server::handle_line`], and workers hand finished
-//! responses back through the [`Completions`] queue plus a wake pipe —
-//! the only two points where the two tiers touch.
+//! buffer, its write queue (responses wait here, never on a worker), a
+//! count of in-flight pool jobs, and its [`Codec`]'s per-connection state.
+//! The codec decides what the bytes mean: it frames requests off the read
+//! buffer, answers them inline or defers them to its worker pool, and
+//! renders what workers hand back through the completion queue plus a
+//! wake pipe — the only two points where the tiers touch. Two codecs run
+//! here: `lca-serve`'s newline-JSON protocol (the impl on
+//! [`crate::server::Server`]) and `lca-fleet`'s HTTP/1.1 gateway.
 //!
 //! ```text
-//!  sockets ──readiness──► reactor ──framing──► dispatch ──admit──► pool
-//!     ▲                      ▲                (inline ops answered     │
-//!     │                      │                 straight to write buf)  │
-//!     └──────write bufs──────┴──── completion queue + wake pipe ◄─────┘
+//!  sockets ──readiness──► core ──Codec::frame──► Codec::handle ──defer──► pool
+//!     ▲                     ▲                 (inline answers go straight   │
+//!     │                     │                  to the write queue)          │
+//!     └─────write queues────┴───── completion queue + wake pipe ◄──────────┘
 //! ```
 //!
 //! Invariants the tests lean on:
 //!
 //! * **No worker ever blocks on a socket.** Delivery is a queue push plus
-//!   a wake; a stalled client just grows its own write buffer (bounded —
-//!   past [`MAX_WRITE_BUFFER`] the connection is dropped).
-//! * **One response per request line**, whether inline or deferred, until
-//!   the peer goes away.
-//! * **Drain flushes.** After a shutdown request the reactor stops
-//!   accepting, keeps servicing readiness until every admitted job has
-//!   delivered and every write buffer is empty, then closes and returns.
+//!   a wake; a stalled client just grows its own write queue (bounded —
+//!   past `MAX_WRITE_BUFFER` the connection is dropped).
+//! * **One response per request**, whether inline or deferred, until the
+//!   peer goes away. A codec that cannot reorder ([`Codec::PIPELINED`] is
+//!   `false`) gets at most one request in flight per connection: later
+//!   pipelined bytes wait in the read buffer until the response is staged,
+//!   so responses leave in request order.
+//! * **Drain flushes.** After a shutdown request the core stops accepting,
+//!   keeps servicing readiness until every admitted job has delivered and
+//!   every write queue is empty, then closes and returns.
 
 #![warn(clippy::unwrap_used)]
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::proto::{FrameFormat, Response};
-use crate::server::{LineOutcome, Server};
+use crate::metrics::ReactorMetrics;
 use crate::sys::{self, Event, Poller, Waker};
 
 /// Registration token of the listener (connection tokens never reach it:
 /// they encode a slab index in the low 32 bits and a generation above).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
-/// A connection whose write buffer exceeds this is not reading its
+/// A connection whose write queue exceeds this is not reading its
 /// responses; it is dropped rather than allowed to hold server memory
 /// hostage (the bounded-everything rule, applied to the write side).
 const MAX_WRITE_BUFFER: usize = 16 << 20;
-
-/// A single request line longer than this is answered with nothing and the
-/// connection dropped — no legitimate request is 16 MiB.
-const MAX_LINE: usize = 16 << 20;
 
 /// How long one `wait` may block: the upper bound on drain-progress and
 /// lost-wake recovery latency, not on response latency (completions wake
@@ -64,37 +64,104 @@ const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 /// this; one that has stopped reading (or silently vanished — a TCP
 /// half-open never becomes writable) would otherwise pin the drain loop
 /// forever. Past the grace period its connection is dropped so shutdown
-/// always terminates, matching the old thread-per-connection front end's
-/// bounded drain.
+/// always terminates.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// Worker→reactor handoff: finished responses parked until the reactor
-/// flushes them into per-connection write buffers.
+/// What [`Codec::frame`] found at the front of a read buffer.
+pub enum Framed<R> {
+    /// No complete request yet: read more bytes.
+    Incomplete,
+    /// One request spanning the first `len` (≥ 1) buffered bytes.
+    Request(R, usize),
+}
+
+/// What handling one request produced.
+pub enum Outcome {
+    /// Answered on the spot: queue these bytes.
+    Inline(Vec<u8>),
+    /// Answered on the spot; the connection closes once the bytes flush
+    /// and frames nothing further (after a framing error the codec cannot
+    /// know where the next request starts).
+    InlineThenClose(Vec<u8>),
+    /// Admitted to a worker, whose [`Deliver`] fires exactly once.
+    Deferred,
+    /// No response owed (an empty line).
+    Ignored,
+}
+
+/// A wire protocol served by the reactor core. Implementations are called
+/// on the reactor thread only — everything here must be quick and
+/// nonblocking; blocking work goes to a pool behind [`Outcome::Deferred`].
+pub trait Codec: Send + Sync + Sized + 'static {
+    /// Per-connection protocol state (negotiated framing, parse cursor).
+    type Conn: Default;
+    /// A framed request, passed from [`Codec::frame`] to [`Codec::handle`]
+    /// (`()` when the raw bytes say it all).
+    type Request;
+    /// What a worker hands back through [`Deliver::send`].
+    type Completion: Send + 'static;
+    /// Whether one connection may have more than one request in flight.
+    /// `false` holds later requests in the read buffer until the deferred
+    /// one's response is staged — request order without reordering slots.
+    const PIPELINED: bool;
+    /// A read buffer grown past this many bytes drops the connection.
+    const MAX_READ_BUFFER: usize;
+
+    /// The counters the core maintains for this codec's listener.
+    fn metrics(&self) -> &ReactorMetrics;
+    /// `true` once a drain has begun: the core stops accepting and exits
+    /// when every connection owes nothing.
+    fn draining(&self) -> bool;
+    /// Frames the next request off the nonempty `buf`; `eof` is set once
+    /// the peer has half-closed, so no further bytes will arrive.
+    fn frame(&self, conn: &mut Self::Conn, buf: &[u8], eof: bool) -> Framed<Self::Request>;
+    /// Handles one framed request (`raw` is its bytes).
+    fn handle(
+        self: &Arc<Self>,
+        conn: &mut Self::Conn,
+        raw: &[u8],
+        request: Self::Request,
+        deliver: Deliver<Self::Completion>,
+    ) -> Outcome;
+    /// Renders a worker's completion into the bytes queued for the peer.
+    fn render(&self, conn: &Self::Conn, completion: Self::Completion) -> Vec<u8>;
+}
+
+/// Worker→reactor handoff: finished completions parked until the reactor
+/// stages them into per-connection write queues.
 ///
 /// Wakes are **coalesced**: a push only writes the wake pipe when the
 /// queue transitions empty → nonempty. While the queue is nonempty a wake
 /// is already in flight (the reactor drains the whole queue per wake), so
 /// concurrent completions ride the pending wake instead of issuing one
 /// `write(2)` each — under fan-in load many responses land per reactor
-/// wakeup, which is exactly what the `reactor_wakeups`-per-response ratio
-/// in `stats` witnesses (well below 1.0 when batching works).
-pub(crate) struct Completions {
-    queue: Mutex<Vec<(u64, Response)>>,
+/// wakeup, which is exactly what `completions_per_wake` in `stats`
+/// witnesses.
+pub(crate) struct Completions<T> {
+    queue: Mutex<Vec<(u64, T)>>,
     waker: Waker,
     /// Wake-pipe writes actually issued (tests pin the coalescing here).
-    wakes_issued: std::sync::atomic::AtomicU64,
+    wakes_issued: AtomicU64,
 }
 
-impl Completions {
-    /// Parks a finished response for `token`'s connection and wakes the
-    /// reactor iff no wake is already pending. Called from pool workers;
-    /// never blocks on I/O.
-    fn push(&self, token: u64, response: Response) {
+impl<T> Completions<T> {
+    fn new(waker: Waker) -> Self {
+        Completions {
+            queue: Mutex::new(Vec::new()),
+            waker,
+            wakes_issued: AtomicU64::new(0),
+        }
+    }
+
+    /// Parks `value` for `token`'s connection and wakes the reactor iff no
+    /// wake is already pending. Called from pool workers; never blocks on
+    /// I/O.
+    fn push(&self, token: u64, value: T) {
         let was_empty = {
             // lint:allow(panic) — poisoned queue means a worker already panicked; propagate
             let mut queue = self.queue.lock().expect("completion queue poisoned");
             let was_empty = queue.is_empty();
-            queue.push((token, response));
+            queue.push((token, value));
             was_empty
         };
         if was_empty {
@@ -103,20 +170,35 @@ impl Completions {
         }
     }
 
-    fn drain(&self) -> Vec<(u64, Response)> {
+    fn drain(&self) -> Vec<(u64, T)> {
         // lint:allow(panic) — poisoned queue means a worker already panicked; propagate
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 }
 
+/// A deferred job's one-shot way back to the connection that admitted it.
+pub struct Deliver<T> {
+    completions: Arc<Completions<T>>,
+    token: u64,
+}
+
+impl<T> Deliver<T> {
+    /// Hands `value` to the reactor for rendering and flushing. A value
+    /// for a connection that closed meanwhile is discarded there (stale
+    /// generation), never misdelivered.
+    pub fn send(self, value: T) {
+        self.completions.push(self.token, value);
+    }
+}
+
 /// One connection's state machine.
-struct Conn {
+struct Conn<S> {
     stream: TcpStream,
-    /// Bytes read but not yet framed into a complete line.
+    /// Bytes read but not yet framed into a complete request.
     read_buf: Vec<u8>,
-    /// Rendered wire units (newline-JSON lines or binary frames) awaiting
-    /// socket space, oldest first. Kept as separate buffers so a flush can
-    /// gather many of them into one `writev` without copying.
+    /// Rendered wire units awaiting socket space, oldest first. Kept as
+    /// separate buffers so a flush can gather many of them into one
+    /// `writev` without copying.
     write_queue: VecDeque<Vec<u8>>,
     /// Bytes of the front `write_queue` entry already accepted by the
     /// kernel (a previous short write stopped mid-unit).
@@ -124,32 +206,23 @@ struct Conn {
     /// Unsent bytes across the whole queue (`write_queue` total minus
     /// `write_head`) — the buffer-cap and "owes nothing" bookkeeping.
     queued_bytes: usize,
-    /// Response framing negotiated for this connection (`hello`); starts
-    /// as newline-JSON.
-    frame: FrameFormat,
     /// Pool jobs admitted for this connection whose responses have not yet
-    /// been delivered to `write_queue`.
+    /// been staged into `write_queue`.
     pending: usize,
     /// The peer half-closed its write side (EOF seen); we still flush what
     /// we owe, then close.
     peer_closed: bool,
+    /// [`Outcome::InlineThenClose`] was returned: frame nothing further,
+    /// close once everything owed has flushed.
+    close_after_flush: bool,
     /// Whether the poller currently watches this fd for write readiness.
     want_write: bool,
+    /// The codec's per-connection state.
+    state: S,
 }
 
-impl Conn {
-    /// Renders `response` in the connection's negotiated framing and
-    /// queues it for flushing. Rendering happens exactly once, here — the
-    /// flush path only ever gathers byte slices.
-    fn enqueue(&mut self, response: &Response) {
-        let unit = match self.frame {
-            FrameFormat::Json => {
-                let mut bytes = response.render().into_bytes();
-                bytes.push(b'\n');
-                bytes
-            }
-            FrameFormat::Binary => response.encode_frame(),
-        };
+impl<S> Conn<S> {
+    fn queue(&mut self, unit: Vec<u8>) {
         self.queued_bytes += unit.len();
         self.write_queue.push_back(unit);
     }
@@ -177,9 +250,9 @@ fn advance_write_queue(queue: &mut VecDeque<Vec<u8>>, head: &mut usize, mut writ
     }
 }
 
-struct Slot {
+struct Slot<S> {
     gen: u32,
-    conn: Option<Conn>,
+    conn: Option<Conn<S>>,
 }
 
 fn token_of(idx: usize, gen: u32) -> u64 {
@@ -190,14 +263,30 @@ fn split_token(token: u64) -> (usize, u32) {
     ((token & u32::MAX as u64) as usize, (token >> 32) as u32)
 }
 
-/// The reactor; see the module docs. Constructed and run by
-/// [`Server::serve`].
-pub(crate) struct Reactor {
-    server: Arc<Server>,
+/// Serves `codec` on `listener` until the codec's drain completes: accepting
+/// stops, admitted jobs finish, every connection's pending responses are
+/// flushed (or a 5 s grace for peers that stopped reading expires),
+/// sockets close. The listener is
+/// consumed; the codec's worker pool is left running for the caller to
+/// shut down.
+pub fn run<C: Codec>(codec: Arc<C>, listener: TcpListener) -> io::Result<()> {
+    let mut reactor = Reactor::new(codec, listener)?;
+    let result = reactor.event_loop();
+    // Whatever remains (error paths): close sockets before returning so
+    // clients see EOF rather than a dead peer.
+    for idx in 0..reactor.slots.len() {
+        reactor.close_conn(idx);
+    }
+    result
+}
+
+/// The reactor; see the module docs.
+struct Reactor<C: Codec> {
+    codec: Arc<C>,
     poller: Poller,
     listener: Option<TcpListener>,
-    completions: Arc<Completions>,
-    slots: Vec<Slot>,
+    completions: Arc<Completions<C::Completion>>,
+    slots: Vec<Slot<C::Conn>>,
     free: Vec<usize>,
     /// Pool jobs admitted and not yet completed, across all connections
     /// (including ones whose connection died while the job ran).
@@ -206,24 +295,20 @@ pub(crate) struct Reactor {
     open: usize,
     /// When the drain began (first loop iteration that observed the flag);
     /// stalled connections are force-closed [`DRAIN_GRACE`] after this.
-    drain_started: Option<std::time::Instant>,
+    drain_started: Option<Instant>,
 }
 
-impl Reactor {
+impl<C: Codec> Reactor<C> {
     /// Builds a reactor around a bound listener (made nonblocking and
-    /// registered here). Split from [`Reactor::run`] so tests can drive
-    /// the pieces — accept, completion delivery, flush — by hand.
-    pub(crate) fn new(server: Arc<Server>, listener: TcpListener) -> io::Result<Reactor> {
+    /// registered here). Split from [`run`] so tests can drive the pieces
+    /// — accept, completion delivery, flush — by hand.
+    fn new(codec: Arc<C>, listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, false)?;
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            waker: poller.waker(),
-            wakes_issued: std::sync::atomic::AtomicU64::new(0),
-        });
+        let completions = Arc::new(Completions::new(poller.waker()));
         Ok(Reactor {
-            server,
+            codec,
             poller,
             listener: Some(listener),
             completions,
@@ -235,26 +320,13 @@ impl Reactor {
         })
     }
 
-    /// Runs the serve loop to drain completion. The listener is consumed;
-    /// the pool is left running (the caller shuts it down).
-    pub(crate) fn run(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
-        let mut reactor = Reactor::new(server, listener)?;
-        let result = reactor.event_loop();
-        // Whatever remains (error paths): close sockets before returning so
-        // clients see EOF rather than a dead peer.
-        for idx in 0..reactor.slots.len() {
-            reactor.close_conn(idx);
-        }
-        result
-    }
-
     fn event_loop(&mut self) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let woken = self.poller.wait(&mut events, WAIT_TIMEOUT)?;
             if woken {
-                self.server
-                    .global
+                self.codec
+                    .metrics()
                     .reactor_wakeups
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -276,14 +348,12 @@ impl Reactor {
             // instead of waiting for the wake to be observed next
             // iteration — one drain's worth of latency saved per loop.
             self.deliver_completions();
-            if self.server.draining() {
+            if self.codec.draining() {
                 self.stop_accepting();
-                let drain_started = *self
-                    .drain_started
-                    .get_or_insert_with(std::time::Instant::now);
+                let drain_started = *self.drain_started.get_or_insert_with(Instant::now);
                 // Close every connection that owes nothing; past the grace
-                // period, also ones whose responses are all *delivered*
-                // but sit unread in the write buffer (a peer that stopped
+                // period, also ones whose responses are all *staged* but
+                // sit unread in the write queue (a peer that stopped
                 // reading, or a half-open that will never become writable,
                 // must not pin the drain forever). A connection still
                 // waiting on an in-flight job is never abandoned — its
@@ -301,7 +371,6 @@ impl Reactor {
                     }
                 }
                 if self.open == 0 && self.in_flight == 0 {
-                    self.deliver_completions(); // nothing lands: queue is empty once in_flight is 0
                     return Ok(());
                 }
             }
@@ -323,7 +392,7 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.server.draining() {
+                    if self.codec.draining() {
                         continue; // accepted in the race window: just close
                     }
                     self.register_conn(stream);
@@ -343,8 +412,8 @@ impl Reactor {
     }
 
     fn register_conn(&mut self, stream: TcpStream) {
-        // Responses are single small lines: Nagle would hold each one back
-        // ~40ms against the client's delayed ACK.
+        // Responses are small: Nagle would hold each one back ~40ms
+        // against the client's delayed ACK.
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
@@ -356,9 +425,10 @@ impl Reactor {
                 self.slots.len() - 1
             }
         };
-        let Some(token) = self.token_at(idx) else {
+        let Some(slot) = self.slots.get_mut(idx) else {
             return;
         };
+        let token = token_of(idx, slot.gen);
         if self
             .poller
             .register(stream.as_raw_fd(), token, false)
@@ -367,31 +437,22 @@ impl Reactor {
             self.free.push(idx);
             return;
         }
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
         slot.conn = Some(Conn {
             stream,
             read_buf: Vec::new(),
             write_queue: VecDeque::new(),
             write_head: 0,
             queued_bytes: 0,
-            frame: FrameFormat::Json,
             pending: 0,
             peer_closed: false,
+            close_after_flush: false,
             want_write: false,
+            state: C::Conn::default(),
         });
         self.open += 1;
-        self.server
-            .global
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
-        self.server
-            .global
-            .connections_open
-            .fetch_add(1, Ordering::Relaxed);
-        // The gauges feed the stats snapshot; invalidate the cached render.
-        self.server.global.mark_mutation();
+        let metrics = self.codec.metrics();
+        metrics.connections.fetch_add(1, Ordering::Relaxed);
+        metrics.connections_open.fetch_add(1, Ordering::Relaxed);
     }
 
     fn close_conn(&mut self, idx: usize) {
@@ -406,11 +467,10 @@ impl Reactor {
         let _ = self.poller.deregister(conn.stream.as_raw_fd(), token);
         self.free.push(idx);
         self.open -= 1;
-        self.server
-            .global
+        self.codec
+            .metrics()
             .connections_open
             .fetch_sub(1, Ordering::Relaxed);
-        self.server.global.mark_mutation();
         // `conn.stream` drops here, closing the socket. Any still-running
         // job for this connection delivers into the completion queue and is
         // discarded there (stale generation).
@@ -428,22 +488,17 @@ impl Reactor {
 
     /// The live connection at `idx`, if any — an already-closed slot (a
     /// dispatch or flush raced a close) is `None`, never a panic.
-    fn conn_ref(&self, idx: usize) -> Option<&Conn> {
+    fn conn_ref(&self, idx: usize) -> Option<&Conn<C::Conn>> {
         self.slots.get(idx).and_then(|slot| slot.conn.as_ref())
     }
 
     /// Mutable variant of [`Reactor::conn_ref`].
-    fn conn_mut(&mut self, idx: usize) -> Option<&mut Conn> {
+    fn conn_mut(&mut self, idx: usize) -> Option<&mut Conn<C::Conn>> {
         self.slots.get_mut(idx).and_then(|slot| slot.conn.as_mut())
     }
 
-    /// The poll token currently naming `idx`, if the slot exists.
-    fn token_at(&self, idx: usize) -> Option<u64> {
-        self.slots.get(idx).map(|slot| token_of(idx, slot.gen))
-    }
-
-    /// Drains the whole completion queue in one pass: every response is
-    /// staged into its connection's write queue first, then each touched
+    /// Drains the whole completion queue in one pass: every completion is
+    /// rendered into its connection's write queue first, then each touched
     /// connection is flushed exactly once — N completions for one
     /// connection cost one `writev`, not N `write`s.
     fn deliver_completions(&mut self) {
@@ -451,27 +506,33 @@ impl Reactor {
         if batch.is_empty() {
             return;
         }
-        self.server
-            .global
+        let metrics = self.codec.metrics();
+        metrics
             .completions_delivered
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         let mut touched: Vec<usize> = Vec::with_capacity(batch.len());
-        for (token, response) in batch {
+        for (token, completion) in batch {
             self.in_flight -= 1;
             let Some(idx) = self.live(token) else {
                 continue;
             };
-            let Some(conn) = self.conn_mut(idx) else {
+            let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
                 continue;
             };
             conn.pending -= 1;
-            conn.enqueue(&response);
-            self.server.global.responses.fetch_add(1, Ordering::Relaxed);
+            conn.queue(self.codec.render(&conn.state, completion));
+            metrics.responses.fetch_add(1, Ordering::Relaxed);
             touched.push(idx);
         }
         touched.sort_unstable();
         touched.dedup();
         for idx in touched {
+            // A sequential codec's staged response frees the connection:
+            // requests buffered behind it run now, and their inline
+            // answers ride the same flush.
+            if !C::PIPELINED {
+                self.process(idx);
+            }
             // flush_conn is a no-op on a slot something above closed.
             self.flush_conn(idx);
         }
@@ -489,13 +550,9 @@ impl Reactor {
         }
     }
 
-    /// Reads whatever the socket has, frames complete lines, dispatches
-    /// each. EOF with a final unterminated line still dispatches it —
-    /// stdio mode would serve it, TCP must too.
+    /// Reads whatever the socket has, framing and handling requests after
+    /// every chunk; EOF lets the codec frame a final unterminated request.
     fn read_ready(&mut self, idx: usize) {
-        let Some(token) = self.token_at(idx) else {
-            return;
-        };
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let Some(conn) = self.conn_mut(idx) else {
@@ -504,45 +561,17 @@ impl Reactor {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.peer_closed = true;
-                    if !conn.read_buf.is_empty() {
-                        let line = std::mem::take(&mut conn.read_buf);
-                        self.dispatch_line(idx, token, &line);
-                    }
+                    self.process(idx);
                     break;
                 }
                 Ok(k) => {
                     conn.read_buf
                         .extend_from_slice(chunk.get(..k).unwrap_or(&[]));
-                    if conn.read_buf.len() > MAX_LINE {
+                    if conn.read_buf.len() > C::MAX_READ_BUFFER {
                         self.close_conn(idx);
                         return;
                     }
-                    // Frame and dispatch every complete line we now hold.
-                    // Inline responses pile up in the write queue; they are
-                    // flushed together below, so a pipelined burst of K
-                    // requests costs one gather-write, not K writes.
-                    loop {
-                        let Some(conn) = self.conn_mut(idx) else {
-                            return;
-                        };
-                        let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-                            break;
-                        };
-                        let line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                        self.dispatch_line(idx, token, &line);
-                        match self.conn_ref(idx) {
-                            None => return, // dispatch closed the connection
-                            // A pipelined flood must not stage unboundedly
-                            // between flushes: shed pressure mid-batch.
-                            Some(c) if c.queued_bytes > MAX_WRITE_BUFFER => {
-                                self.flush_conn(idx);
-                                if self.conn_ref(idx).is_none() {
-                                    return;
-                                }
-                            }
-                            Some(_) => {}
-                        }
-                    }
+                    self.process(idx);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -555,49 +584,76 @@ impl Reactor {
         // One coalesced flush for everything this readiness event staged.
         if matches!(self.conn_ref(idx), Some(c) if c.queued_bytes > 0) {
             self.flush_conn(idx);
-            if self.conn_ref(idx).is_none() {
-                return;
-            }
         }
         // EOF: the peer cannot send more requests. Close as soon as every
         // owed response has flushed (checked again on each completion).
         self.maybe_close_finished(idx);
     }
 
-    fn dispatch_line(&mut self, idx: usize, token: u64, raw: &[u8]) {
-        let completions = self.completions.clone();
-        let outcome = self
-            .server
-            .clone()
-            .handle_raw_line(raw, move |response| completions.push(token, response));
-        match outcome {
-            LineOutcome::Inline(response) => {
-                let Some(conn) = self.conn_mut(idx) else {
-                    return;
+    /// Frames and handles buffered requests until the buffer runs dry, the
+    /// codec's in-flight rule says wait, or the connection is to close.
+    /// Inline answers pile up in the write queue for the caller's one
+    /// coalesced flush, so a pipelined burst of K requests costs one
+    /// gather-write, not K writes.
+    fn process(&mut self, idx: usize) {
+        loop {
+            let Some(slot) = self.slots.get_mut(idx) else {
+                return;
+            };
+            let token = token_of(idx, slot.gen);
+            let Some(conn) = slot.conn.as_mut() else {
+                return;
+            };
+            let metrics = self.codec.metrics();
+            let mut consumed = 0;
+            let mut overfull = false;
+            while consumed < conn.read_buf.len()
+                && !conn.close_after_flush
+                && (C::PIPELINED || conn.pending == 0)
+            {
+                let buf = conn.read_buf.get(consumed..).unwrap_or(&[]);
+                let Framed::Request(request, len) =
+                    self.codec.frame(&mut conn.state, buf, conn.peer_closed)
+                else {
+                    break;
                 };
-                conn.enqueue(&response);
-                self.server.global.responses.fetch_add(1, Ordering::Relaxed);
-            }
-            LineOutcome::Hello(format) => {
-                // STARTTLS convention: acknowledge in the *current*
-                // framing, then switch — the client reads one response in
-                // the old framing and everything after in the new one.
-                let Some(conn) = self.conn_mut(idx) else {
-                    return;
+                let raw = buf.get(..len).unwrap_or(buf);
+                consumed += len.max(1);
+                let deliver = Deliver {
+                    completions: self.completions.clone(),
+                    token,
                 };
-                conn.enqueue(&Response::Hello { frame: format });
-                conn.frame = format;
-                self.server.global.responses.fetch_add(1, Ordering::Relaxed);
-            }
-            LineOutcome::Deferred => {
-                // Count in_flight unconditionally: the job was handed to the
-                // pool and its completion will be drained either way.
-                self.in_flight += 1;
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.pending += 1;
+                match self.codec.handle(&mut conn.state, raw, request, deliver) {
+                    Outcome::Inline(bytes) => {
+                        conn.queue(bytes);
+                        metrics.responses.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Outcome::InlineThenClose(bytes) => {
+                        conn.queue(bytes);
+                        metrics.responses.fetch_add(1, Ordering::Relaxed);
+                        conn.close_after_flush = true;
+                    }
+                    Outcome::Deferred => {
+                        // Count in_flight unconditionally: the job was
+                        // handed to the pool and its completion will be
+                        // drained either way.
+                        self.in_flight += 1;
+                        conn.pending += 1;
+                    }
+                    Outcome::Ignored => {}
+                }
+                // A pipelined flood must not stage unboundedly between
+                // flushes: shed pressure mid-batch.
+                if conn.queued_bytes > MAX_WRITE_BUFFER {
+                    overfull = true;
+                    break;
                 }
             }
-            LineOutcome::Ignored => {}
+            conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
+            if !overfull {
+                return;
+            }
+            self.flush_conn(idx);
         }
     }
 
@@ -610,7 +666,7 @@ impl Reactor {
     /// the syscall's return value and the queue advances by the same
     /// amount, so short writes never over- or under-report.
     fn flush_conn(&mut self, idx: usize) {
-        let server = self.server.clone();
+        let metrics = self.codec.metrics();
         let mut close = false;
         let mut interest = None;
         let Some(slot) = self.slots.get_mut(idx) else {
@@ -635,17 +691,14 @@ impl Reactor {
                 bufs.push(unit);
                 gathered += unit.len();
             }
-            server.global.write_syscalls.fetch_add(1, Ordering::Relaxed);
+            metrics.write_syscalls.fetch_add(1, Ordering::Relaxed);
             match sys::write_vectored(&conn.stream, &bufs) {
                 Ok(0) => {
                     close = true;
                     break;
                 }
                 Ok(k) => {
-                    server
-                        .global
-                        .bytes_written
-                        .fetch_add(k as u64, Ordering::Relaxed);
+                    metrics.bytes_written.fetch_add(k as u64, Ordering::Relaxed);
                     advance_write_queue(&mut conn.write_queue, &mut conn.write_head, k);
                     conn.queued_bytes -= k;
                     if k < gathered {
@@ -685,11 +738,14 @@ impl Reactor {
         self.maybe_close_finished(idx);
     }
 
-    /// Closes a connection whose peer is gone and which owes nothing more.
+    /// Closes a connection that will frame no more requests (peer EOF, or
+    /// a close-after-flush answer) and owes nothing more.
     fn maybe_close_finished(&mut self, idx: usize) {
         let done = matches!(
             self.conn_ref(idx),
-            Some(c) if c.peer_closed && c.pending == 0 && c.queued_bytes == 0
+            Some(c) if (c.peer_closed || c.close_after_flush)
+                && c.pending == 0
+                && c.queued_bytes == 0
         );
         if done {
             self.close_conn(idx);
@@ -701,15 +757,13 @@ impl Reactor {
 #[allow(clippy::unwrap_used)] // tests assert; unwrap IS the assertion
 mod tests {
     use super::*;
+    use crate::proto::Response;
+    use crate::server::Server;
 
     #[test]
     fn completion_pushes_coalesce_into_one_wake() {
         let poller = Poller::new().expect("poller");
-        let completions = Completions {
-            queue: Mutex::new(Vec::new()),
-            waker: poller.waker(),
-            wakes_issued: std::sync::atomic::AtomicU64::new(0),
-        };
+        let completions = Completions::new(poller.waker());
         // Ten completions land while the reactor is busy: only the first
         // (empty → nonempty) may write the wake pipe.
         for i in 0..10 {
@@ -775,10 +829,10 @@ mod tests {
         // Connect a client and accept it without running the event loop —
         // the "stalled reactor" half of the scenario.
         let client = std::net::TcpStream::connect(addr).expect("connect");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         while reactor.open == 0 {
             reactor.accept_ready();
-            assert!(std::time::Instant::now() < deadline, "accept never landed");
+            assert!(Instant::now() < deadline, "accept never landed");
         }
         let token = token_of(0, reactor.slots[0].gen);
 
@@ -807,7 +861,7 @@ mod tests {
 
         // One drain delivers all N and coalesces them into one writev.
         reactor.deliver_completions();
-        let g = &server.global;
+        let g = &server.global.reactor;
         assert_eq!(g.completions_delivered.load(Ordering::Relaxed), N as u64);
         assert_eq!(g.responses.load(Ordering::Relaxed), N as u64);
         assert_eq!(

@@ -2,13 +2,13 @@
 //!
 //! Two transports share this module's dispatch core:
 //!
-//! * **TCP** ([`Server::serve`]) — the event-driven reactor in
-//!   [`crate::reactor`]: one thread multiplexes every connection through a
-//!   readiness loop (epoll on Linux, a portable sweep elsewhere; see
-//!   [`crate::sys`]), and the bounded [`WorkerPool`] executes queries.
-//!   Workers never touch sockets — they hand finished responses back to
-//!   the reactor through its completion queue + wake pipe, so a stalled
-//!   client can never block a worker.
+//! * **TCP** ([`Server::serve`]) — the reactor core in [`crate::reactor`]
+//!   running this module's newline-JSON [`Codec`]: one thread multiplexes
+//!   every connection through a readiness loop (epoll on Linux, a portable
+//!   sweep elsewhere; see [`crate::sys`]), and the bounded [`WorkerPool`]
+//!   executes queries. Workers never touch sockets — they hand finished
+//!   responses back to the reactor through its completion queue + wake
+//!   pipe, so a stalled client can never block a worker.
 //! * **stdio** ([`Server::serve_stdio`]) — a plain line loop, what the
 //!   integration tests and shell examples use.
 //!
@@ -28,9 +28,12 @@ use lca::prelude::QueryBudget;
 use serde::Json;
 
 use crate::budget::BudgetPolicyConfig;
-use crate::metrics::{global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot};
+use crate::metrics::{
+    global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot, ReactorMetrics,
+};
 use crate::pool::{RejectReason, WorkerPool};
-use crate::proto::{ErrorCode, Request, Response};
+use crate::proto::{ErrorCode, FrameFormat, Request, Response};
+use crate::reactor::{Codec, Deliver, Framed, Outcome};
 use crate::session::SessionRegistry;
 
 /// Sizing knobs for a [`Server`].
@@ -103,7 +106,7 @@ pub(crate) enum LineOutcome {
     /// A framing negotiation: the transport must acknowledge in its
     /// *current* framing, then switch responses to the requested one. Only
     /// the reactor can actually switch; stdio rejects `binary`.
-    Hello(crate::proto::FrameFormat),
+    Hello(FrameFormat),
     /// An empty line: no response owed.
     Ignored,
 }
@@ -119,11 +122,6 @@ pub struct Server {
     default_budget: QueryBudget,
     backend_id: String,
     budget_percentile: f64,
-    /// The zero-render stats snapshot: the last built `stats` JSON plus the
-    /// [`GlobalMetrics::mutations`] stamp it was built at. A `stats`
-    /// request whose stamp still matches is answered from here without
-    /// touching a histogram or a session shard.
-    stats_cache: Mutex<Option<(u64, Json)>>,
 }
 
 impl Server {
@@ -145,7 +143,6 @@ impl Server {
             default_budget: config.default_budget,
             backend_id: config.backend_id,
             budget_percentile: config.budget_percentile,
-            stats_cache: Mutex::new(None),
         })
     }
 
@@ -162,32 +159,8 @@ impl Server {
     /// The `stats` response: global counters plus one object per session.
     /// The global half carries the shard and cache rollups
     /// ([`GlobalSnapshot`], summed with `CacheStats::add` across sessions).
-    ///
-    /// Renders are cached against the coarse mutation stamp
-    /// ([`GlobalMetrics::mark_mutation`]): while nothing that feeds the
-    /// snapshot has changed, repeated `stats` requests are answered from
-    /// the pre-built JSON — a polled dashboard costs zero histogram walks
-    /// and zero session-shard locks in steady state. `stats_renders` and
-    /// `stats_served_cached` in the snapshot count both outcomes.
+    /// Rendered fresh on every request.
     pub fn stats_response(&self) -> Response {
-        let stamp = self.global.mutations.load(Ordering::Relaxed);
-        {
-            let cache = match self.stats_cache.lock() {
-                Ok(cache) => cache,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if let Some((cached_stamp, json)) = cache.as_ref() {
-                if *cached_stamp == stamp {
-                    self.global
-                        .stats_served_cached
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Response::Stats(json.clone());
-                }
-            }
-        }
-        // Count the rebuild before building so the fresh snapshot reports
-        // itself.
-        self.global.stats_renders.fetch_add(1, Ordering::Relaxed);
         let sessions = self.registry.snapshot();
         let mut cache_total = lca_probe::CacheStats {
             hits: 0,
@@ -226,21 +199,10 @@ impl Server {
             registry_shard_hits: self.registry.shard_hits(),
             cache_total,
         };
-        let json = Json::Obj(vec![
+        Response::Stats(Json::Obj(vec![
             ("stats".into(), global_stats_json(&self.global, &snap)),
             ("sessions".into(), Json::Obj(session_objs)),
-        ]);
-        {
-            let mut cache = match self.stats_cache.lock() {
-                Ok(cache) => cache,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // A concurrent mutation between the stamp load and here leaves
-            // a snapshot stamped with the older value — it is served until
-            // the *next* mutation, the documented coarseness.
-            *cache = Some((stamp, json.clone()));
-        }
-        Response::Stats(json)
+        ]))
     }
 
     /// The `sessions` response: every resident session's pinned spec —
@@ -278,7 +240,6 @@ impl Server {
             Ok(line) => self.handle_line(line, deliver),
             Err(_) => {
                 self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
-                self.global.mark_mutation();
                 LineOutcome::Inline(Response::Error {
                     id: None,
                     code: ErrorCode::BadRequest,
@@ -309,7 +270,6 @@ impl Server {
             }
             Err(e) => {
                 self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
-                self.global.mark_mutation();
                 return LineOutcome::Inline(e.response());
             }
         };
@@ -321,7 +281,6 @@ impl Server {
             Request::Sessions => LineOutcome::Inline(self.sessions_response()),
             Request::Shutdown => {
                 self.begin_shutdown();
-                self.global.mark_mutation();
                 LineOutcome::Inline(Response::Ok { draining: true })
             }
             Request::Hello { frame } => LineOutcome::Hello(frame),
@@ -334,11 +293,6 @@ impl Server {
                 deadline_ms,
                 budget_policy,
             } => {
-                // Every query outcome moves something the snapshot shows
-                // (session registry, queue depth, error counters), so the
-                // whole arm is one coarse mutation; a second bump fires
-                // from the worker when the histograms are updated.
-                self.global.mark_mutation();
                 if self.draining() {
                     return LineOutcome::Inline(Response::Error {
                         id,
@@ -398,7 +352,6 @@ impl Server {
                             .budget_exhausted
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    server.global.mark_mutation();
                     deliver(response);
                 });
                 match admitted {
@@ -421,7 +374,6 @@ impl Server {
     /// transport): inline responses are written immediately, deferred ones
     /// when their worker finishes.
     pub fn dispatch(self: &Arc<Self>, line: &str, out: &SharedWriter) {
-        use crate::proto::FrameFormat;
         let deferred_out = out.clone();
         match self.handle_line(line, move |response| write_line(&deferred_out, &response)) {
             LineOutcome::Inline(response) => write_line(out, &response),
@@ -453,7 +405,7 @@ impl Server {
     /// One reactor thread owns every socket; N pool workers own every
     /// query. No per-connection threads exist at any load.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        let result = crate::reactor::Reactor::run(self.clone(), listener);
+        let result = crate::reactor::run(self.clone(), listener);
         self.pool.shutdown();
         result
     }
@@ -475,6 +427,71 @@ impl Server {
             }
         }
         self.pool.shutdown();
+    }
+}
+
+/// `lca-serve`'s wire codec on the reactor core: newline-framed JSON
+/// requests in; responses out in the connection's negotiated framing
+/// (newline-JSON until a `hello` switches it to binary frames). Requests
+/// on one connection may all be in flight at once — every response
+/// carries its request's `id`.
+impl Codec for Server {
+    type Conn = FrameFormat;
+    type Request = ();
+    type Completion = Response;
+    const PIPELINED: bool = true;
+    /// No legitimate request line is 16 MiB.
+    const MAX_READ_BUFFER: usize = 16 << 20;
+
+    fn metrics(&self) -> &ReactorMetrics {
+        &self.global.reactor
+    }
+
+    fn draining(&self) -> bool {
+        Server::draining(self)
+    }
+
+    fn frame(&self, _: &mut FrameFormat, buf: &[u8], eof: bool) -> Framed<()> {
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(pos) => Framed::Request((), pos + 1),
+            // A final unterminated line at EOF is still served — stdio
+            // mode would serve it, TCP must too.
+            None if eof => Framed::Request((), buf.len()),
+            None => Framed::Incomplete,
+        }
+    }
+
+    fn handle(
+        self: &Arc<Self>,
+        frame: &mut FrameFormat,
+        raw: &[u8],
+        (): (),
+        deliver: Deliver<Response>,
+    ) -> Outcome {
+        match self.handle_raw_line(raw, move |response| deliver.send(response)) {
+            LineOutcome::Inline(response) => Outcome::Inline(self.render(frame, response)),
+            LineOutcome::Hello(format) => {
+                // STARTTLS convention: acknowledge in the *current*
+                // framing, then switch — the client reads one response in
+                // the old framing and everything after in the new one.
+                let ack = self.render(frame, Response::Hello { frame: format });
+                *frame = format;
+                Outcome::Inline(ack)
+            }
+            LineOutcome::Deferred => Outcome::Deferred,
+            LineOutcome::Ignored => Outcome::Ignored,
+        }
+    }
+
+    fn render(&self, frame: &FrameFormat, response: Response) -> Vec<u8> {
+        match frame {
+            FrameFormat::Json => {
+                let mut bytes = response.render().into_bytes();
+                bytes.push(b'\n');
+                bytes
+            }
+            FrameFormat::Binary => response.encode_frame(),
+        }
     }
 }
 

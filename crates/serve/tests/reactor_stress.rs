@@ -108,6 +108,7 @@ fn thousand_connections_held_open_and_served() {
     assert_eq!(
         server
             .global
+            .reactor
             .connections_open
             .load(std::sync::atomic::Ordering::Relaxed),
         0,
