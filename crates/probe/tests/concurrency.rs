@@ -1,7 +1,10 @@
 //! Concurrency contracts of the sharded caches: hammer one shared
 //! `MemoOracle` (and `CachedOracle`) from many threads and assert the
-//! exactly-once forwarding guarantee plus answer correctness survive the
-//! races the sharding is supposed to make cheap.
+//! exactly-once forwarding guarantee (one inner probe per distinct probe
+//! for the memo, one list fill per miss for the cache) plus answer
+//! correctness survive the races the sharding is supposed to make cheap.
+//! CI also runs this suite under ThreadSanitizer: the cache's counters live
+//! under its shard locks.
 
 use lca_graph::gen::GnpBuilder;
 use lca_graph::{Oracle, VertexId};
@@ -98,12 +101,49 @@ fn cached_oracle_is_exactly_once_under_contention() {
         }
     });
 
+    // 160k probes over 64 vertices touch every one, and the default slab
+    // holds them all: each list was filled exactly once, as one
+    // `deg(v) + 1` scan of the inner oracle, no matter how many threads
+    // raced on its first probe.
     let stats = cached.stats();
+    assert_eq!(stats.entries, g.vertex_count());
+    assert_eq!(
+        stats.misses, stats.entries as u64,
+        "a miss is one list fill"
+    );
+    let fills: u64 = g.vertices().map(|v| g.degree(v) as u64 + 1).sum();
     assert_eq!(
         counted.counts().total(),
-        stats.misses,
-        "a raced miss was forwarded twice"
+        fills,
+        "a raced miss was filled twice"
     );
+    assert_eq!(
+        stats.hits + stats.misses,
+        (THREADS * PROBES_PER_THREAD) as u64
+    );
+}
+
+#[test]
+fn cached_oracle_fills_once_per_miss_under_eviction() {
+    // Every list of K48 has 47 neighbors; a 4-list slab per shard keeps the
+    // cache evicting while 8 threads race on it. Answers must stay exact
+    // (checked inside `hammer`) and every miss must cost exactly one fill.
+    let g = lca_graph::gen::structured::complete(48);
+    let counted = CountingOracle::new(&g);
+    let cached = CachedOracle::with_shards(&counted, 4).with_slab_bytes(4 * (47 * 4 + 48));
+
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let cached = &cached;
+            let g = &g;
+            s.spawn(move || hammer(cached, g, 0xF0 + t as u64));
+        }
+    });
+
+    let stats = cached.stats();
+    assert!(stats.entries <= 4 * 4, "slab over budget: {stats:?}");
+    assert!(stats.misses > stats.entries as u64, "no eviction happened");
+    assert_eq!(counted.counts().total(), stats.misses * 48);
     assert_eq!(
         stats.hits + stats.misses,
         (THREADS * PROBES_PER_THREAD) as u64

@@ -12,7 +12,7 @@
 //!   line in, one response line out. Spec: `docs/PROTOCOL.md`.
 //! * **Sessions** ([`session`]) — lazily built, pinned
 //!   `(kind, family, n, seed)` instances, each owning an algorithm over a
-//!   `CountingOracle → CachedOracle → implicit oracle` stack.
+//!   `CachedOracle → implicit oracle` stack, metered per query.
 //! * **Reactor** ([`reactor`], [`sys`]) — the event-driven TCP core: one
 //!   thread multiplexes every connection over nonblocking sockets and a
 //!   readiness loop (epoll on Linux via a thin `extern "C"` layer, a

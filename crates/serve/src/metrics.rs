@@ -112,6 +112,8 @@ pub struct SessionMetrics {
     pub latency_us: Histogram,
     /// Probe-cost histogram, probes per request.
     pub probes: Histogram,
+    /// Probes metered across every query, failed ones included.
+    pub probes_total: AtomicU64,
     /// Probe-budget utilization histogram: per *successful* budgeted
     /// query, `100 · spent / max_probes` — the headroom signal (a p99
     /// pinned at the bucket covering 100 means the budget is tight).
@@ -129,6 +131,11 @@ impl SessionMetrics {
         self.yes.fetch_add(yes, Ordering::Relaxed);
         self.latency_us.record(micros);
         self.probes.record(probes);
+    }
+
+    /// Adds one query's metered probes to the session total.
+    pub fn record_probes(&self, probes: u64) {
+        self.probes_total.fetch_add(probes, Ordering::Relaxed);
     }
 
     /// Records one failed request.
@@ -227,7 +234,6 @@ fn ratio(a: u64, b: u64) -> f64 {
 pub fn session_stats_json(
     metrics: &SessionMetrics,
     cache: lca_probe::CacheStats,
-    probe_totals: lca_probe::ProbeCounts,
     uptime_s: f64,
 ) -> Json {
     let queries = metrics.queries.load(Ordering::Relaxed);
@@ -257,7 +263,10 @@ pub fn session_stats_json(
         ),
         ("probes_p50".into(), num(metrics.probes.quantile(0.5))),
         ("probes_p99".into(), num(metrics.probes.quantile(0.99))),
-        ("probes_total".into(), num(probe_totals.total())),
+        (
+            "probes_total".into(),
+            num(metrics.probes_total.load(Ordering::Relaxed)),
+        ),
         (
             "budget_exhausted".into(),
             num(metrics.budget_exhausted.load(Ordering::Relaxed)),
@@ -277,6 +286,7 @@ pub fn session_stats_json(
         ("cache_hits".into(), num(cache.hits)),
         ("cache_misses".into(), num(cache.misses)),
         ("cache_entries".into(), num(cache.entries as u64)),
+        ("cache_bytes".into(), num(cache.bytes as u64)),
         (
             "cache_hit_rate".into(),
             // NaN renders as null; keep 0 for "no traffic yet" instead.
@@ -359,6 +369,10 @@ pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json 
         ),
         ("cache_hits_total".into(), num(snap.cache_total.hits)),
         ("cache_misses_total".into(), num(snap.cache_total.misses)),
+        (
+            "cache_bytes_total".into(),
+            num(snap.cache_total.bytes as u64),
+        ),
         (
             "cache_hit_rate_total".into(),
             Json::Num(if snap.cache_total.requests() == 0 {
@@ -443,16 +457,7 @@ mod tests {
     #[test]
     fn stats_render_without_traffic() {
         let m = SessionMetrics::default();
-        let json = session_stats_json(
-            &m,
-            lca_probe::CacheStats {
-                hits: 0,
-                misses: 0,
-                entries: 0,
-            },
-            lca_probe::ProbeCounts::default(),
-            0.0,
-        );
+        let json = session_stats_json(&m, lca_probe::CacheStats::default(), 0.0);
         let mut s = String::new();
         json.render(&mut s);
         assert!(s.contains("\"cache_hit_rate\":0"), "{s}");

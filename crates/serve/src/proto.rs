@@ -1357,6 +1357,7 @@ mod tests {
                 hits: 30,
                 misses: 10,
                 entries: 10,
+                bytes: 4096,
             },
         };
         let session = SessionMetrics::default();
@@ -1367,12 +1368,7 @@ mod tests {
                 "sessions".into(),
                 Json::Obj(vec![(
                     "s".into(),
-                    session_stats_json(
-                        &session,
-                        snap.cache_total,
-                        lca_probe::ProbeCounts::default(),
-                        1.0,
-                    ),
+                    session_stats_json(&session, snap.cache_total, 1.0),
                 )]),
             ),
         ]));
@@ -1423,6 +1419,10 @@ mod tests {
         assert_eq!(g.get("cache_hits_total").and_then(Json::as_u64), Some(30));
         assert_eq!(g.get("cache_misses_total").and_then(Json::as_u64), Some(10));
         assert_eq!(
+            g.get("cache_bytes_total").and_then(Json::as_u64),
+            Some(4096)
+        );
+        assert_eq!(
             g.get("cache_hit_rate_total").and_then(Json::as_f64),
             Some(0.75)
         );
@@ -1430,6 +1430,7 @@ mod tests {
         let s = parsed.get("sessions").and_then(|s| s.get("s")).expect("s");
         assert_eq!(s.get("queries").and_then(Json::as_u64), Some(10));
         assert_eq!(s.get("cache_hits").and_then(Json::as_u64), Some(30));
+        assert_eq!(s.get("cache_bytes").and_then(Json::as_u64), Some(4096));
     }
 
     #[test]
@@ -1444,11 +1445,7 @@ mod tests {
                 sessions: 0,
                 registry_shards: 16,
                 registry_shard_hits: vec![0; 16],
-                cache_total: lca_probe::CacheStats {
-                    hits: 0,
-                    misses: 0,
-                    entries: 0,
-                },
+                cache_total: lca_probe::CacheStats::default(),
             },
         );
         let mut line = String::new();

@@ -162,11 +162,7 @@ impl Server {
     /// Rendered fresh on every request.
     pub fn stats_response(&self) -> Response {
         let sessions = self.registry.snapshot();
-        let mut cache_total = lca_probe::CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-        };
+        let mut cache_total = lca_probe::CacheStats::default();
         let session_objs: Vec<(String, Json)> = sessions
             .iter()
             .map(|(name, s)| {
@@ -175,7 +171,6 @@ impl Server {
                 let mut obj = match session_stats_json(
                     &s.metrics,
                     cache,
-                    s.probe_counts(),
                     s.started.elapsed().as_secs_f64(),
                 ) {
                     Json::Obj(fields) => fields,

@@ -5,26 +5,30 @@
 //!
 //! ```text
 //! DynLca (built once via LcaBuilder)
-//!   └─ CountingOracle      — session probe totals + per-request deltas
-//!        └─ CachedOracle   — cross-query serving cache (sharded)
-//!             └─ implicit oracle — the input, recomputed per miss
+//!   └─ BudgetedOracle    — per query: QueryCtx meter, max_probes, deadline
+//!        └─ CachedOracle — cross-query cache of whole adjacency lists
+//!             └─ implicit oracle — the input, regenerated per list fill
 //! ```
 //!
-//! The cache sits *below* the session counter, which keeps session probe
-//! *totals*; per-request `probes` come from the per-query `QueryCtx`
-//! meters (exact under concurrency), while the cache absorbs the cost of
-//! recomputing implicit adjacency — the division of labor documented in
-//! `lca-probe` ("two caches, two meanings"). The same contexts enforce the
-//! request's `max_probes`/`deadline_ms` budget; a tripped query fails the
-//! request with `budget-exhausted` (or `deadline-exceeded`) and bumps the
-//! session's `budget_exhausted` counter and utilization histogram.
+//! Probe accounting lives entirely in the per-query `QueryCtx` meters: a
+//! response's `probes` is the sum of its queries' `ctx.spent()`, and the
+//! session's `probes_total` adds the same figure once per query, on
+//! success and on error alike. No shared counter sits on the probe path,
+//! and nothing is lost by that: a probe the budget refuses never reaches
+//! the oracle stack, so the meters count exactly the probes a counter
+//! below them would see. The cache absorbs the cost of regenerating
+//! implicit adjacency — the division of labor documented in `lca-probe`
+//! ("two caches, two meanings"). The same contexts enforce the request's
+//! `max_probes`/`deadline_ms` budget; a tripped query fails the request
+//! with `budget-exhausted` (or `deadline-exceeded`) and bumps the session's
+//! `budget_exhausted` counter and utilization histogram.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use lca::core::{DynQuery, QueryKind};
-use lca::prelude::{CachedOracle, CountingOracle, LcaBuilder, LcaError, Oracle, QueryBudget};
+use lca::prelude::{CachedOracle, LcaBuilder, LcaError, Oracle, QueryBudget};
 use lca::registry::DynLca;
 use lca_graph::VertexId;
 
@@ -34,7 +38,7 @@ use crate::proto::{ErrorCode, QueryPayload, Response, SessionSpec};
 use crate::{algo_seed, input_seed};
 
 /// The session's oracle stack (see module docs for the layering).
-pub type OracleStack = CountingOracle<CachedOracle<lca::family::BoxedImplicitOracle>>;
+pub type OracleStack = CachedOracle<lca::family::BoxedImplicitOracle>;
 
 /// A cheap `Clone` handle to the stack, so [`LcaBuilder::build`] can take
 /// the oracle by value and the session can keep reading stats from it.
@@ -109,7 +113,7 @@ impl Session {
         let implicit = spec
             .family
             .build_with(spec.n, input_seed(spec.seed), spec.knob);
-        let oracle = Arc::new(CountingOracle::new(CachedOracle::new(implicit)));
+        let oracle = Arc::new(CachedOracle::new(implicit));
         let algo = LcaBuilder::new(spec.kind)
             .seed(algo_seed(spec.seed))
             .build(SharedStack(oracle.clone()));
@@ -133,12 +137,7 @@ impl Session {
 
     /// Serving-cache counters.
     pub fn cache_stats(&self) -> lca_probe::CacheStats {
-        self.oracle.inner().stats()
-    }
-
-    /// Session probe totals (every logical probe, hits included).
-    pub fn probe_counts(&self) -> lca_probe::ProbeCounts {
-        self.oracle.counts()
+        self.oracle.stats()
     }
 
     fn to_dyn(&self, q: QueryPayload) -> Result<DynQuery, String> {
@@ -184,8 +183,9 @@ impl Session {
     /// against the allowance (the server does); `None` falls back to
     /// deriving it from the budget's timeout at entry. `probes` in the
     /// response is the sum of the contexts' meters — exact per request
-    /// even when several workers answer the same session concurrently
-    /// (the meter sits above the shared session counter).
+    /// even when several workers answer the same session concurrently.
+    /// Each query's meter also feeds the session's `probes_total`, failed
+    /// queries included.
     pub fn answer(
         self: &Arc<Self>,
         name: &str,
@@ -213,6 +213,7 @@ impl Session {
             let ctx = budget.ctx_at(deadline).with_poll_stride(self.poll_stride);
             let outcome = self.algo.query_ctx(dyn_q, &ctx);
             probes += ctx.spent();
+            self.metrics.record_probes(ctx.spent());
             match outcome {
                 Ok(a) => {
                     // Every completed query feeds the adaptive controller's
@@ -537,10 +538,102 @@ mod tests {
             after_second.hits > after_first.hits,
             "first {after_first:?} second {after_second:?}"
         );
-        // Counter sits above the cache: probes counted both times.
+        // The session total counts the probes of both queries, hits too.
         let m = &session.metrics;
         assert_eq!(m.queries.load(std::sync::atomic::Ordering::Relaxed), 2);
-        assert!(session.probe_counts().total() > after_second.misses);
+        assert!(m.probes_total.load(std::sync::atomic::Ordering::Relaxed) > after_second.misses);
+    }
+
+    fn edge_payload(q: lca::core::DynQuery) -> QueryPayload {
+        match q {
+            lca::core::DynQuery::Edge(u, v) => QueryPayload::Edge(u.raw() as u64, v.raw() as u64),
+            lca::core::DynQuery::Vertex(_) => unreachable!("spanner queries are edges"),
+        }
+    }
+
+    #[test]
+    fn one_k2_query_leaves_exactly_its_probed_lists_resident() {
+        // Every served probe goes through the query's budgeted view, which
+        // decomposes scans into point probes; each one must still read (or
+        // fill) its vertex's whole list, so the cache ends up holding one
+        // list per distinct vertex of the query's transcript.
+        let spec = SessionSpec {
+            kind: AlgorithmKind::Spanner(SpannerKind::K2),
+            family: ImplicitFamily::Gnp,
+            n: 1_000_000,
+            seed: 11,
+            knob: None,
+        };
+        let session = Arc::new(Session::build(spec.clone()));
+        let oracle = spec
+            .family
+            .build_with(spec.n, input_seed(spec.seed), spec.knob);
+        let query = QuerySource::sample(1, Seed::new(5))
+            .queries(spec.kind, &oracle)
+            .pop()
+            .unwrap();
+
+        let traced = lca_probe::TracingOracle::new(&oracle);
+        LcaBuilder::new(spec.kind)
+            .seed(algo_seed(spec.seed))
+            .build(&traced)
+            .query_ctx(query, &QueryCtx::unlimited())
+            .unwrap();
+        let trace = traced.take_trace();
+        let probed: std::collections::HashSet<VertexId> = trace.iter().map(|r| r.u).collect();
+        assert!(probed.len() > 1, "a k2 query probes several vertices");
+
+        let edge = [edge_payload(query)];
+        let resp = session.answer("k2", &edge, None, &QueryBudget::unlimited(), None);
+        let Response::Answer { probes, .. } = resp else {
+            panic!("expected answer, got {resp:?}")
+        };
+        assert_eq!(probes, trace.len() as u64);
+        let first = session.cache_stats();
+        assert_eq!(first.entries, probed.len());
+        assert_eq!(first.misses, probed.len() as u64);
+        assert_eq!(first.requests(), probes);
+
+        // A replay is answered entirely from resident lists.
+        session.answer("k2", &edge, None, &QueryBudget::unlimited(), None);
+        let second = session.cache_stats();
+        assert_eq!(second.misses, first.misses, "replay filled a list");
+        assert_eq!(second.hits, first.hits + probes);
+    }
+
+    #[test]
+    fn a_flood_of_distinct_vertices_stays_inside_the_slab_bound() {
+        // 10^5 distinct MIS queries touch far more lists than 16 MiB holds:
+        // the slab must evict to its bound (16 shards × 1 MiB) while every
+        // answer still matches an LCA over the bare oracle.
+        const SLAB_BOUND: usize = 16 << 20;
+        let spec = mis_spec(1_000_000, 13);
+        let session = Arc::new(Session::build(spec.clone()));
+        let oracle = spec.family.build_with(spec.n, input_seed(spec.seed), None);
+        let direct = LcaBuilder::new(spec.kind)
+            .seed(algo_seed(spec.seed))
+            .build(&oracle);
+        let vertices: Vec<u64> = (0..100_000u64).map(|i| 9 * i + 1).collect();
+        for chunk in vertices.chunks(1000) {
+            let queries: Vec<QueryPayload> =
+                chunk.iter().map(|&v| QueryPayload::Vertex(v)).collect();
+            let resp = session.answer("flood", &queries, None, &QueryBudget::unlimited(), None);
+            let Response::Answers { answers, .. } = resp else {
+                panic!("expected batch answers, got {resp:?}")
+            };
+            for (&v, &answer) in chunk.iter().zip(&answers) {
+                let q = lca::core::DynQuery::Vertex(VertexId::new(v as usize));
+                assert_eq!(answer, direct.query(q).unwrap(), "vertex {v}");
+            }
+            let bytes = session.cache_stats().bytes;
+            assert!(bytes <= SLAB_BOUND, "slab grew to {bytes} bytes");
+        }
+        let stats = session.cache_stats();
+        assert!(
+            stats.misses > stats.entries as u64,
+            "the flood never forced an eviction: {stats:?}"
+        );
+        assert!(stats.bytes > SLAB_BOUND / 2, "slab barely used: {stats:?}");
     }
 
     #[test]

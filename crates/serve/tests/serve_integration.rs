@@ -605,3 +605,87 @@ fn idle_stats_polls_render_fresh_uptime() {
     client.roundtrip(r#"{"op":"shutdown"}"#);
     handle.join().expect("drain");
 }
+
+#[test]
+fn session_probe_totals_sum_every_metered_query() {
+    // The session total is the sum of its queries' meters, failed queries
+    // included. It must equal what a CountingOracle under the same budgets
+    // sees: refused probes never reach the oracle, so there is nothing the
+    // meters could miss.
+    let (addr, handle, _server) = spawn_server(ServerConfig {
+        workers: 2,
+        queue_capacity: 64,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr);
+    let (n, seed) = (20_000, 5u64);
+    let kind = AlgorithmKind::Spanner(SpannerKind::Three);
+    let oracle = ImplicitFamily::Gnp.build(n, input_seed(seed));
+    let counter = CountingOracle::new(&oracle);
+    let reference = LcaBuilder::new(kind).seed(algo_seed(seed)).build(&counter);
+    let spend = |q: DynQuery, budget: &QueryBudget| {
+        let ctx = budget.ctx();
+        let outcome = reference.query_ctx(q, &ctx);
+        (outcome, ctx.spent())
+    };
+    let edges = QuerySource::sample(2, Seed::new(77)).queries(kind, &oracle);
+    let wire = |q: DynQuery| match q {
+        DynQuery::Edge(u, v) => format!("[{},{}]", u.raw(), v.raw()),
+        DynQuery::Vertex(v) => format!("{}", v.raw()),
+    };
+    let spec = format!(
+        "\"session\":\"p\",\"kind\":\"{}\",\"family\":\"gnp\",\"n\":{n},\"seed\":{seed}",
+        kind.name()
+    );
+
+    // An answered query reports its meter in `probes`.
+    let (expect, cost) = spend(edges[0], &QueryBudget::unlimited());
+    let r = client.roundtrip(&format!("{{{spec},\"query\":{}}}", wire(edges[0])));
+    assert_eq!(r.get("answer").and_then(Json::as_bool), expect.ok());
+    assert_eq!(r.get("probes").and_then(Json::as_u64), Some(cost));
+
+    // A budget one probe short of the query's cost trips it.
+    let (_, full) = spend(edges[1], &QueryBudget::unlimited());
+    assert!(full >= 2, "query too cheap to trip: {full}");
+    let limit = full - 1;
+    let (tripped, spent) = spend(edges[1], &QueryBudget::max_probes(limit));
+    assert!(matches!(tripped, Err(LcaError::BudgetExhausted { .. })));
+    let r = client.roundtrip(&format!(
+        "{{{spec},\"max_probes\":{limit},\"query\":{}}}",
+        wire(edges[1])
+    ));
+    assert_eq!(
+        r.get("error").and_then(Json::as_str),
+        Some("budget-exhausted")
+    );
+    assert!(r
+        .get("message")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains(&format!("spent {spent} of {limit}")));
+
+    // A pair that is not an edge costs the probes that found that out.
+    let DynQuery::Edge(u, _) = edges[0] else {
+        unreachable!("spanner queries are edges")
+    };
+    let w = (0..n)
+        .map(VertexId::new)
+        .find(|&w| w != u && oracle.adjacency(u, w).is_none())
+        .unwrap();
+    let (refused, _) = spend(DynQuery::Edge(u, w), &QueryBudget::unlimited());
+    assert!(matches!(refused, Err(LcaError::NotAnEdge { .. })));
+    let r = client.roundtrip(&format!("{{{spec},\"query\":[{},{}]}}", u.raw(), w.raw()));
+    assert_eq!(r.get("error").and_then(Json::as_str), Some("bad-query"));
+
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    let p = stats.get("sessions").and_then(|s| s.get("p")).expect("p");
+    // The reference counter saw the full unlimited runs of edges[1] too;
+    // take those back out, leaving the three served queries.
+    let served = counter.counts().total() - full;
+    assert_eq!(p.get("probes_total").and_then(Json::as_u64), Some(served));
+    assert_eq!(p.get("errors").and_then(Json::as_u64), Some(1));
+    assert_eq!(p.get("budget_exhausted").and_then(Json::as_u64), Some(1));
+
+    client.roundtrip(r#"{"op":"shutdown"}"#);
+    handle.join().expect("drain");
+}

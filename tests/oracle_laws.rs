@@ -97,10 +97,14 @@ fn accounting_wrappers_satisfy_the_laws() {
     assert_oracle_laws(&CountingOracle::new(&g), "CountingOracle");
     assert_oracle_laws(&MemoOracle::new(&g), "MemoOracle");
     assert_oracle_laws(&CachedOracle::new(&g), "CachedOracle");
-    // A bounded cache must stay law-abiding through evictions.
-    assert_oracle_laws(
-        &CachedOracle::with_shards(&g, 4, Some(64)),
-        "CachedOracle[bounded]",
+    // A bounded cache must stay law-abiding through evictions: 256 bytes
+    // per shard holds a few of these ~15-neighbor lists at a time.
+    let tiny = CachedOracle::with_shards(&g, 4).with_slab_bytes(256);
+    assert_oracle_laws(&tiny, "CachedOracle[tiny slab]");
+    let stats = tiny.stats();
+    assert!(
+        stats.misses > stats.entries as u64,
+        "no eviction: {stats:?}"
     );
     // And the full serving stack composes.
     let counted = CountingOracle::new(&g);
