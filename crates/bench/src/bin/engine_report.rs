@@ -256,10 +256,9 @@ struct ServeRow {
 }
 
 /// The `--serve` report: daemon + load generator end-to-end, in-process.
-/// Six passes — unbudgeted, budget-starved, binary-framed, many-connection
-/// fan-in (the C10k witness, with the syscall-budget ratios measured over
-/// its window), and a fixed-vs-adaptive budget pair on the heavy-tailed
-/// kinds (cold-median client budget against a `--adaptive-budgets` daemon
+/// Five passes — unbudgeted, budget-starved, many-connection fan-in (the
+/// C10k witness, with the syscall-budget ratios measured over its window),
+/// and a fixed-vs-adaptive budget pair on the heavy-tailed kinds (cold-median client budget against a `--adaptive-budgets` daemon
 /// fitting p99) — all fully verified.
 fn serve_report() {
     use lca_serve::loadgen::{self, LoadgenConfig};
@@ -327,24 +326,6 @@ fn serve_report() {
         b.budget_exhausted,
         100.0 * b.budget_exhausted as f64 / b.requests.max(1) as f64,
         b.qps
-    );
-
-    // Binary-framing pass: the same verified workload with responses
-    // negotiated to length-prefixed binary frames. The loadgen re-renders
-    // every decoded frame to the canonical JSON line before checking, so
-    // a green verify here proves the two framings are answer-identical.
-    let binary_cfg = LoadgenConfig {
-        frames: lca_serve::proto::FrameFormat::Binary,
-        session_prefix: "binframe".to_owned(),
-        ..cfg.clone()
-    };
-    let binary = loadgen::run(&addr, &binary_cfg).expect("binary-frame loadgen run");
-    let bf = &binary.report;
-    assert_eq!(bf.errors, 0, "protocol errors during binary-frame report");
-    assert_eq!(bf.mismatches, 0, "binary-frame answers diverged");
-    println!(
-        "binary frames (--frames binary): {} ok / {} requests, {:.0} qps, p99 {} µs",
-        bf.ok, bf.requests, bf.qps, bf.p99_us
     );
 
     // Third pass: the many-connection fan-in scenario. 1000 sockets held
@@ -511,7 +492,6 @@ fn serve_report() {
         budgeted: lca_serve::loadgen::LoadReport,
         budget_probes: u64,
         exhaustion_rate: f64,
-        binary_frames: lca_serve::loadgen::LoadReport,
         fan_in: lca_serve::loadgen::LoadReport,
         fan_in_connections: usize,
         connections_open_at_peak: u64,
@@ -532,7 +512,6 @@ fn serve_report() {
             budgeted: b.clone(),
             budget_probes: 48,
             exhaustion_rate: b.budget_exhausted as f64 / b.requests.max(1) as f64,
-            binary_frames: bf.clone(),
             fan_in: f.clone(),
             fan_in_connections: fan_cfg.connections,
             connections_open_at_peak,

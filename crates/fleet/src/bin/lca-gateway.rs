@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! lca-gateway --addr 127.0.0.1:7500 \
-//!             --backends 127.0.0.1:7400,127.0.0.1:7401 \
-//!             [--backend-frames json|binary]
+//!             --backends 127.0.0.1:7400,127.0.0.1:7401
 //! ```
 //!
 //! Prints `{"listening":"<addr>"}` once bound (port 0 picks an ephemeral
@@ -13,10 +12,8 @@
 //! route to backends by deterministic name hash; restarting the gateway
 //! with the same `--backends` list (same order) routes identically.
 //!
-//! `--backend-frames binary` makes every pooled backend connection
-//! negotiate length-prefixed binary response frames (one `hello`
-//! handshake per dialed connection). The HTTP side is unchanged —
-//! clients still see JSON bodies; only the gateway↔backend hop shrinks.
+//! Pooled backend connections speak the same newline-JSON protocol as any
+//! other `lca-serve` client.
 
 // This binary's product is its stdout; the workspace print ban
 // applies to library code, not report/CLI entry points.
@@ -24,12 +21,10 @@
 use std::process::ExitCode;
 
 use lca_fleet::{Fleet, Gateway, GatewayConfig};
-use lca_serve::proto::FrameFormat;
 
 struct Args {
     addr: String,
     backends: Vec<String>,
-    backend_frames: FrameFormat,
     config: GatewayConfig,
     max_connections: u64,
 }
@@ -38,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7500".to_owned(),
         backends: Vec::new(),
-        backend_frames: FrameFormat::Json,
         config: GatewayConfig::default(),
         max_connections: 10_240,
     };
@@ -53,12 +47,6 @@ fn parse_args() -> Result<Args, String> {
                     .map(|s| s.trim().to_owned())
                     .filter(|s| !s.is_empty())
                     .collect()
-            }
-            "--backend-frames" => {
-                let name = value("--backend-frames")?;
-                args.backend_frames = FrameFormat::parse(&name).ok_or_else(|| {
-                    format!("--backend-frames: unknown framing {name:?} (json|binary)")
-                })?;
             }
             "--workers" => {
                 args.config.workers = value("--workers")?
@@ -78,8 +66,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: lca-gateway --backends host:port[,host:port…] [--addr host:port] \
-                     [--backend-frames json|binary] [--workers N] [--queue N] \
-                     [--max-connections C]"
+                     [--workers N] [--queue N] [--max-connections C]"
                         .to_owned(),
                 )
             }
@@ -103,10 +90,7 @@ fn main() -> ExitCode {
     if let Err(e) = lca_serve::raise_fd_limit(args.max_connections + 128) {
         eprintln!("warning: could not raise fd limit: {e}");
     }
-    let gateway = Gateway::new(
-        Fleet::with_frames(args.backends, args.backend_frames),
-        args.config,
-    );
+    let gateway = Gateway::new(Fleet::new(args.backends), args.config);
     let listener = match std::net::TcpListener::bind(&*args.addr) {
         Ok(listener) => listener,
         Err(e) => {

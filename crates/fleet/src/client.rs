@@ -1,5 +1,8 @@
 //! Persistent pooled newline-JSON clients for one `lca-serve` backend.
 //!
+//! A round trip is one request line out and one response line back — the
+//! same protocol any other `lca-serve` client speaks.
+//!
 //! The gateway's workers do blocking one-request/one-response round trips
 //! against backends; this module keeps the TCP connections those round
 //! trips ride on warm. Each [`BackendPool`] owns a stack of idle
@@ -17,8 +20,6 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use lca_serve::proto::{self, FrameFormat};
-
 /// How long a dial may take before the backend counts as unreachable.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long one round trip may wait on a response. Generous — a backend
@@ -34,78 +35,36 @@ const MAX_IDLE: usize = 16;
 pub struct BackendConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    frames: FrameFormat,
 }
 
 impl BackendConn {
-    /// Dials `addr` with the connect/read timeouts installed, speaking
-    /// newline-JSON responses.
+    /// Dials `addr` with the connect/read timeouts installed.
     pub fn connect(addr: &str) -> io::Result<BackendConn> {
-        BackendConn::connect_with_frames(addr, FrameFormat::Json)
-    }
-
-    /// Dials `addr` and, for [`FrameFormat::Binary`], negotiates binary
-    /// response frames with a `hello` handshake before the connection is
-    /// handed out. Requests stay newline-JSON in both framings; decoded
-    /// binary responses are re-rendered to the canonical JSON line, so
-    /// callers see identical round-trip strings either way.
-    pub fn connect_with_frames(addr: &str, frames: FrameFormat) -> io::Result<BackendConn> {
         let sock_addr = addr
             .parse()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{addr}: {e}")))?;
         let stream = TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
-        let writer = stream.try_clone()?;
-        let mut conn = BackendConn {
-            writer,
+        Ok(BackendConn {
+            writer: stream.try_clone()?,
             reader: BufReader::new(stream),
-            frames: FrameFormat::Json,
-        };
-        if frames == FrameFormat::Binary {
-            // The acknowledgement itself arrives as newline-JSON; only
-            // responses after it switch to binary frames.
-            let ack = conn.roundtrip(&proto::hello_line(frames))?;
-            let parsed = serde_json::from_str(&ack).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("hello ack: {e}"))
-            })?;
-            let accepted = parsed.get("frame").and_then(serde::Json::as_str) == Some("binary");
-            if !accepted {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("backend refused binary framing: {ack}"),
-                ));
-            }
-            conn.frames = FrameFormat::Binary;
-        }
-        Ok(conn)
+        })
     }
 
-    /// Sends one request line and reads one response (a line, or one
-    /// binary frame re-rendered to its JSON line). An EOF before the
-    /// response is an error (the backend went away mid-request).
+    /// Sends one request line and reads one response line. An EOF before
+    /// the response is an error (the backend went away mid-request).
     pub fn roundtrip(&mut self, line: &str) -> io::Result<String> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        match self.frames {
-            FrameFormat::Json => {
-                let mut response = String::new();
-                if self.reader.read_line(&mut response)? == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "backend closed the connection before responding",
-                    ));
-                }
-                Ok(response.trim_end().to_owned())
-            }
-            FrameFormat::Binary => match proto::read_binary_frame(&mut self.reader)? {
-                Some(response) => Ok(response.render()),
-                None => Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "backend closed the connection before responding",
-                )),
-            },
+        let mut response = String::new();
+        if self.reader.read_line(&mut response)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "backend closed the connection before responding",
+            ));
         }
+        Ok(response.trim_end().to_owned())
     }
 }
 
@@ -113,25 +72,15 @@ impl BackendConn {
 pub struct BackendPool {
     addr: String,
     idle: Mutex<Vec<BackendConn>>,
-    frames: FrameFormat,
 }
 
 impl BackendPool {
     /// A pool for the backend at `addr` (`host:port`); no connection is
-    /// dialed until first use. Connections speak newline-JSON responses.
+    /// dialed until first use.
     pub fn new(addr: impl Into<String>) -> BackendPool {
-        BackendPool::with_frames(addr, FrameFormat::Json)
-    }
-
-    /// A pool whose connections negotiate `frames` at dial time. With
-    /// [`FrameFormat::Binary`] every pooled connection does the `hello`
-    /// handshake once when dialed; round trips then read length-prefixed
-    /// frames off the wire but still return the canonical JSON line.
-    pub fn with_frames(addr: impl Into<String>, frames: FrameFormat) -> BackendPool {
         BackendPool {
             addr: addr.into(),
             idle: Mutex::new(Vec::new()),
-            frames,
         }
     }
 
@@ -146,7 +95,7 @@ impl BackendPool {
         if let Some(conn) = self.idle.lock().expect("pool poisoned").pop() {
             return Ok(conn);
         }
-        BackendConn::connect_with_frames(&self.addr, self.frames)
+        BackendConn::connect(&self.addr)
     }
 
     /// Returns a healthy connection for reuse (dropped when the idle

@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use lca_serve::proto::FrameFormat;
 use serde::Json;
 
 use crate::client::BackendPool;
@@ -159,33 +158,18 @@ pub struct Fleet {
 impl Fleet {
     /// A fleet over the given backend addresses (`host:port` each). Order
     /// is identity: position i is shard i, so a restarted gateway given
-    /// the same `--backends` list routes identically. Backend connections
-    /// speak newline-JSON responses.
+    /// the same `--backends` list routes identically.
     pub fn new(addrs: Vec<String>) -> Fleet {
-        Self::with_options(addrs, DEFAULT_SPEC_CACHE_CAPACITY, FrameFormat::Json)
+        Self::with_spec_capacity(addrs, DEFAULT_SPEC_CACHE_CAPACITY)
     }
 
     /// [`Fleet::new`] with an explicit spec-cache bound (tests use tiny
     /// capacities to exercise eviction).
     pub fn with_spec_capacity(addrs: Vec<String>, spec_capacity: usize) -> Fleet {
-        Self::with_options(addrs, spec_capacity, FrameFormat::Json)
-    }
-
-    /// [`Fleet::new`] whose backend pools negotiate `frames` per dialed
-    /// connection (`--backend-frames binary` on the gateway). Gateway HTTP
-    /// bodies are unaffected — binary frames ride only the backend hop.
-    pub fn with_frames(addrs: Vec<String>, frames: FrameFormat) -> Fleet {
-        Self::with_options(addrs, DEFAULT_SPEC_CACHE_CAPACITY, frames)
-    }
-
-    fn with_options(addrs: Vec<String>, spec_capacity: usize, frames: FrameFormat) -> Fleet {
         assert!(!addrs.is_empty(), "a fleet needs at least one backend");
         let routed = addrs.iter().map(|_| AtomicU64::new(0)).collect();
         Fleet {
-            backends: addrs
-                .into_iter()
-                .map(|addr| BackendPool::with_frames(addr, frames))
-                .collect(),
+            backends: addrs.into_iter().map(BackendPool::new).collect(),
             specs: Mutex::new(SpecCache::new(spec_capacity)),
             routed,
             retries: AtomicU64::new(0),

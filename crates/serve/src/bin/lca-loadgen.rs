@@ -6,7 +6,7 @@
 //!             [--n 1000000] [--seed 7] [--knob C] [--rate QPS]
 //!             [--max-probes P] [--budget-policy POLICY] [--verify]
 //!             [--session PREFIX] [--pool N] [--shutdown]
-//!             [--frames json|binary] [--target http://host:port]
+//!             [--target http://host:port]
 //! ```
 //!
 //! `--budget-policy` sends the `budget_policy` field with every request
@@ -14,12 +14,6 @@
 //! fit each session's probe budget to its observed distribution; `--verify`
 //! stays sound because server-chosen budgets are tolerated exactly like
 //! server-side defaults (answers must still match).
-//!
-//! `--frames binary` negotiates length-prefixed binary response frames on
-//! every connection (a `hello` handshake per socket); requests stay
-//! newline-JSON and `--verify` is unchanged because decoded frames are
-//! re-rendered to the canonical JSON line before checking. Incompatible
-//! with `--target` (the gateway speaks HTTP).
 //!
 //! `--target http://host:port` points the same traffic shapes at an
 //! `lca-gateway` over HTTP/1.1 (`POST /v1/query` per request) instead of
@@ -142,11 +136,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.cfg.budget_policy = Some(policy);
             }
-            "--frames" => {
-                let name = value("--frames")?;
-                args.cfg.frames = lca_serve::proto::FrameFormat::parse(&name)
-                    .ok_or_else(|| format!("--frames: unknown framing {name:?} (json|binary)"))?;
-            }
             "--verify" => args.cfg.verify = true,
             "--session" => args.cfg.session_prefix = value("--session")?,
             "--pool" => {
@@ -160,18 +149,13 @@ fn parse_args() -> Result<Args, String> {
                     "usage: lca-loadgen --addr host:port [--requests N] [--concurrency C] \
                      [--connections C] [--mix k1,k2] [--family F] [--n N] [--seed S] [--knob X] \
                      [--rate QPS] [--max-probes P] [--budget-policy POLICY] [--verify] \
-                     [--session PREFIX] [--pool N] [--frames json|binary] \
+                     [--session PREFIX] [--pool N] \
                      [--shutdown] [--target http://host:port]"
                         .to_owned(),
                 )
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
-    }
-    if args.cfg.http && args.cfg.frames == lca_serve::proto::FrameFormat::Binary {
-        return Err("--frames binary is a backend-protocol feature; \
-             it cannot be combined with --target (the gateway speaks HTTP)"
-            .to_owned());
     }
     Ok(args)
 }

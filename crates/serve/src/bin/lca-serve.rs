@@ -25,11 +25,7 @@
 //! readiness backend (default: epoll on Linux, the portable sweep
 //! elsewhere).
 //!
-//! Responses default to newline-JSON; a client may switch its own
-//! connection to length-prefixed binary frames by sending
-//! `{"op": "hello", "frame": "binary"}` as its first request (requests stay
-//! newline-JSON either way). No server flag is needed — framing is
-//! negotiated per connection. See `docs/PROTOCOL.md` for the frame layout.
+//! Every response is one newline-JSON line, on every transport.
 //!
 //! TCP mode prints one `{"listening": "<addr>"}` line to stdout once bound
 //! (with `--addr host:0` the kernel picks the port — scrape it from that

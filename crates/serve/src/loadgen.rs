@@ -70,7 +70,7 @@ struct Expected {
     may_exhaust: bool,
 }
 
-use crate::proto::{self, FrameFormat, QueryPayload};
+use crate::proto::QueryPayload;
 use crate::{algo_seed, input_seed};
 
 /// What to throw at the daemon.
@@ -119,12 +119,6 @@ pub struct LoadgenConfig {
     /// `lca-serve`: request lines become `POST /v1/query` bodies, stats
     /// come from `GET /v1/stats`, shutdown from `POST /v1/shutdown`.
     pub http: bool,
-    /// Response framing negotiated per connection (`--frames binary` sends
-    /// a `hello` after connect and decodes length-prefixed frames). Every
-    /// decoded frame is re-rendered to the canonical JSON line before
-    /// tallying, so the `--verify` machinery is byte-identical across
-    /// framings. Incompatible with [`LoadgenConfig::http`].
-    pub frames: FrameFormat,
 }
 
 impl Default for LoadgenConfig {
@@ -145,7 +139,6 @@ impl Default for LoadgenConfig {
             session_prefix: "loadgen".to_owned(),
             query_pool: 256,
             http: false,
-            frames: FrameFormat::Json,
         }
     }
 }
@@ -439,60 +432,17 @@ fn write_request(w: &mut impl Write, line: &str, http: bool) -> io::Result<()> {
     }
 }
 
-/// Negotiates the connection's response framing: a no-op for JSON; for
-/// binary, sends the `hello` line and validates the (still-JSON) ack —
-/// every response after it arrives as a length-prefixed frame.
-fn negotiate(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    frames: FrameFormat,
-) -> io::Result<()> {
-    if frames == FrameFormat::Json {
-        return Ok(());
-    }
-    writer.write_all(proto::hello_line(FrameFormat::Binary).as_bytes())?;
-    writer.write_all(b"\n")?;
-    let mut ack = String::new();
-    if reader.read_line(&mut ack)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "EOF before hello acknowledgement",
-        ));
-    }
-    let v = serde_json::from_str(ack.trim())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("hello ack: {e}")))?;
-    if v.get("frame").and_then(Json::as_str) != Some("binary") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("server refused binary framing: {}", ack.trim()),
-        ));
-    }
-    Ok(())
-}
-
 /// Reads one protocol response into `line` over the configured transport:
-/// a newline-JSON line, a binary frame re-rendered to its canonical JSON
-/// line (so every tally/verify path downstream is framing-agnostic), or an
-/// HTTP response whose body is that line (the gateway answers every
-/// request with a JSON body, whatever the status).
+/// a newline-JSON line, or an HTTP response whose body is that line (the
+/// gateway answers every request with a JSON body, whatever the status).
 /// Returns 0 on clean EOF, like `read_line`.
 fn read_response(
     reader: &mut BufReader<TcpStream>,
     http: bool,
-    frames: FrameFormat,
     line: &mut String,
 ) -> io::Result<usize> {
     line.clear();
     if !http {
-        if frames == FrameFormat::Binary {
-            return match proto::read_binary_frame(reader)? {
-                None => Ok(0),
-                Some(response) => {
-                    line.push_str(&response.render());
-                    Ok(line.len().max(1))
-                }
-            };
-        }
         return reader.read_line(line);
     }
     let mut header = String::new();
@@ -539,7 +489,6 @@ fn closed_loop_worker(
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    negotiate(&mut writer, &mut reader, cfg.frames)?;
     let mut tally = Tally::default();
     let mut line = String::new();
     loop {
@@ -557,7 +506,7 @@ fn closed_loop_worker(
             attempts += 1;
             let start = Instant::now();
             write_request(&mut writer, &request, cfg.http)?;
-            if read_response(&mut reader, cfg.http, cfg.frames, &mut line)? == 0 {
+            if read_response(&mut reader, cfg.http, &mut line)? == 0 {
                 tally.errors += 1;
                 return Ok(tally);
             }
@@ -613,15 +562,10 @@ fn fan_in_worker(
                 stream.set_nodelay(true).ok();
                 stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
                 match stream.try_clone() {
-                    Ok(mut writer) => {
-                        let mut reader = BufReader::new(stream);
-                        if let Err(e) = negotiate(&mut writer, &mut reader, cfg.frames) {
-                            connect_err = Some(e);
-                            break;
-                        }
+                    Ok(writer) => {
                         socks.push(FanSock {
                             writer,
-                            reader,
+                            reader: BufReader::new(stream),
                             in_flight: None,
                             dead: false,
                         });
@@ -676,7 +620,7 @@ fn fan_in_worker(
                 let Some((id, started, attempts)) = sock.in_flight else {
                     continue;
                 };
-                match read_response(&mut sock.reader, cfg.http, cfg.frames, &mut line) {
+                match read_response(&mut sock.reader, cfg.http, &mut line) {
                     Ok(0) | Err(_) => {
                         tally.errors += 1;
                         sock.dead = true;
@@ -738,11 +682,6 @@ fn open_loop_worker(
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let reader_stream = stream.try_clone()?;
-    // Negotiate before the reader thread exists: the hello ack is the only
-    // response the sender side ever reads, and the BufReader (with any
-    // bytes it buffered) then moves into the reader thread.
-    let mut negotiated_reader = BufReader::new(reader_stream);
-    negotiate(&mut writer, &mut negotiated_reader, cfg.frames)?;
 
     let in_flight: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
     let sent = AtomicU64::new(0);
@@ -752,12 +691,12 @@ fn open_loop_worker(
         // expected answer from the same schedule() the sender used.
         let (in_flight, sent) = (&in_flight, &sent);
         let reader_handle = s.spawn(move || {
-            let mut reader = negotiated_reader;
+            let mut reader = BufReader::new(reader_stream);
             let mut tally = Tally::default();
             let mut line = String::new();
             let mut received: u64 = 0;
             loop {
-                match read_response(&mut reader, cfg.http, cfg.frames, &mut line) {
+                match read_response(&mut reader, cfg.http, &mut line) {
                     Ok(0) | Err(_) => break,
                     Ok(_) => {
                         let trimmed = line.trim();
@@ -839,10 +778,6 @@ fn open_loop_worker(
 /// counted in the report instead.
 pub fn run(addr: &str, cfg: &LoadgenConfig) -> io::Result<LoadRun> {
     assert!(!cfg.kinds.is_empty(), "need at least one kind in the mix");
-    assert!(
-        !(cfg.http && cfg.frames == FrameFormat::Binary),
-        "binary framing is a backend-protocol feature; the gateway speaks HTTP"
-    );
     let plans = prepare(cfg);
     for plan in &plans {
         assert!(
@@ -993,7 +928,7 @@ pub fn fetch_stats_http(addr: &str) -> io::Result<Json> {
     write!(writer, "GET /v1/stats HTTP/1.1\r\nHost: lca\r\n\r\n")?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    read_response(&mut reader, true, FrameFormat::Json, &mut line)?;
+    read_response(&mut reader, true, &mut line)?;
     serde_json::from_str(line.trim())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
@@ -1009,7 +944,7 @@ pub fn send_shutdown_http(addr: &str) -> io::Result<()> {
     )?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    read_response(&mut reader, true, FrameFormat::Json, &mut line)?;
+    read_response(&mut reader, true, &mut line)?;
     Ok(())
 }
 

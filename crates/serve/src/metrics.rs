@@ -177,8 +177,8 @@ pub struct ReactorMetrics {
     /// Write syscalls the reactor issued (each `writev`/`write` counts
     /// once, including short writes and retries).
     pub write_syscalls: AtomicU64,
-    /// Responses handed to connection write queues (every framing, every
-    /// op). Divided into `write_syscalls` this is `syscalls_per_response`.
+    /// Responses handed to connection write queues (every op). Divided
+    /// into `write_syscalls` this is `syscalls_per_response`.
     pub responses: AtomicU64,
     /// Bytes actually accepted by the kernel across all write syscalls —
     /// exact under short writes, because the reactor adds precisely what

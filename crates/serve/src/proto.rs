@@ -15,53 +15,7 @@ use crate::budget::BudgetPolicy;
 /// fleet front end can tag (and age out) backends speaking an older
 /// schema. Bump when a field changes meaning or disappears — additive
 /// fields do not require a bump.
-pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Largest accepted binary frame payload, matching the newline framer's
-/// line cap: anything bigger is a corrupt or hostile length prefix, not a
-/// plausible response.
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// How responses are framed on a connection.
-///
-/// Every connection starts in [`FrameFormat::Json`]; a client may switch
-/// the *response* direction to length-prefixed binary frames with a
-/// `{"op": "hello", "frame": "binary"}` request. Requests stay
-/// newline-JSON in both modes — only the server→client leg changes, which
-/// is where the rendering and parsing cost concentrates on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameFormat {
-    /// One compact JSON object per `\n`-terminated line (the default).
-    #[default]
-    Json,
-    /// u32-LE payload length followed by a tag-based compact payload (see
-    /// the frame layout section in `docs/PROTOCOL.md`).
-    Binary,
-}
-
-impl FrameFormat {
-    /// The wire spelling (`"json"` / `"binary"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FrameFormat::Json => "json",
-            FrameFormat::Binary => "binary",
-        }
-    }
-
-    /// Parses a wire spelling.
-    pub fn parse(s: &str) -> Option<FrameFormat> {
-        match s {
-            "json" => Some(FrameFormat::Json),
-            "binary" => Some(FrameFormat::Binary),
-            _ => None,
-        }
-    }
-}
-
-/// The hello line a client sends to negotiate response framing.
-pub fn hello_line(frame: FrameFormat) -> String {
-    format!("{{\"op\":\"hello\",\"frame\":\"{}\"}}", frame.as_str())
-}
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// A parsed session specification: the four scalars (plus one optional
 /// knob) that pin a served instance.
@@ -129,13 +83,6 @@ pub enum Request {
     Ping,
     /// Begin a graceful drain: stop accepting, finish queued work, exit.
     Shutdown,
-    /// Negotiate the connection's response framing. The acknowledgement is
-    /// sent in the *current* framing; every response after it uses the
-    /// requested one.
-    Hello {
-        /// The framing the client wants for responses.
-        frame: FrameFormat,
-    },
 }
 
 /// Machine-readable error classes of the protocol.
@@ -181,39 +128,6 @@ impl ErrorCode {
             ErrorCode::BudgetExhausted => "budget-exhausted",
             ErrorCode::DeadlineExceeded => "deadline-exceeded",
         }
-    }
-
-    /// The binary-frame spelling of the code (one byte, nonzero).
-    pub fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::BadRequest => 1,
-            ErrorCode::UnknownSpec => 2,
-            ErrorCode::UnknownSession => 3,
-            ErrorCode::SessionMismatch => 4,
-            ErrorCode::BadQuery => 5,
-            ErrorCode::Overloaded => 6,
-            ErrorCode::Draining => 7,
-            ErrorCode::Internal => 8,
-            ErrorCode::BudgetExhausted => 9,
-            ErrorCode::DeadlineExceeded => 10,
-        }
-    }
-
-    /// Inverse of [`ErrorCode::to_u8`].
-    pub fn from_u8(b: u8) -> Option<ErrorCode> {
-        Some(match b {
-            1 => ErrorCode::BadRequest,
-            2 => ErrorCode::UnknownSpec,
-            3 => ErrorCode::UnknownSession,
-            4 => ErrorCode::SessionMismatch,
-            5 => ErrorCode::BadQuery,
-            6 => ErrorCode::Overloaded,
-            7 => ErrorCode::Draining,
-            8 => ErrorCode::Internal,
-            9 => ErrorCode::BudgetExhausted,
-            10 => ErrorCode::DeadlineExceeded,
-            _ => return None,
-        })
     }
 }
 
@@ -264,12 +178,6 @@ pub enum Response {
     /// Reply to `stats`: a pre-rendered JSON object (built by the metrics
     /// module, which owns the schema).
     Stats(Json),
-    /// Acknowledgement of a `hello`, echoing the framing that every
-    /// *subsequent* response will use.
-    Hello {
-        /// The negotiated response framing.
-        frame: FrameFormat,
-    },
 }
 
 impl Response {
@@ -327,10 +235,6 @@ impl Response {
                 ("draining".to_owned(), Json::Bool(*draining)),
             ]),
             Response::Stats(json) => json.clone(),
-            Response::Hello { frame } => Json::Obj(vec![
-                ("ok".to_owned(), Json::Bool(true)),
-                ("frame".to_owned(), Json::Str(frame.as_str().to_owned())),
-            ]),
         };
         let mut out = String::new();
         json.render(&mut out);
@@ -347,373 +251,31 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Binary frames.
-//
-// Layout: a u32-LE payload length (1..=MAX_FRAME), then the payload. The
-// payload's first byte is a tag selecting the response variant; integers
-// are little-endian, strings are a u32-LE byte length plus UTF-8 bytes,
-// and batch answers pack into an LSB-first bitset. Stats responses carry
-// their rendered JSON verbatim — they are off the hot path and their
-// schema belongs to the metrics module, not the framer.
+/// What [`Json::as_u64`] accepts: the integers the JSON reader's `f64`
+/// numbers hold exactly.
+const U64: &str = "a non-negative integer no larger than 9e15";
+const STRING: &str = "a string";
 
-const TAG_ANSWER: u8 = 1;
-const TAG_ANSWERS: u8 = 2;
-const TAG_ERROR: u8 = 3;
-const TAG_OK: u8 = 4;
-const TAG_STATS: u8 = 5;
-const TAG_HELLO: u8 = 6;
-
-const FLAG_HAS_ID: u8 = 1;
-const FLAG_ANSWER: u8 = 2;
-
-/// Why a binary frame failed to decode. Every variant is a protocol
-/// violation: the connection carrying it cannot be resynchronized and must
-/// be dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// The length prefix was zero or exceeded [`MAX_FRAME`].
-    BadLength {
-        /// The offending prefix value.
-        len: u32,
-    },
-    /// The payload's leading tag byte named no response variant.
-    BadTag(u8),
-    /// An error payload carried an unknown [`ErrorCode`] byte.
-    BadCode(u8),
-    /// The payload ended before the field named here was complete.
-    Truncated(&'static str),
-    /// The payload decoded cleanly but bytes were left over.
-    TrailingBytes {
-        /// How many bytes followed the decoded value.
-        extra: usize,
-    },
-    /// A string field was not UTF-8, or an embedded stats object was not
-    /// valid JSON.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::BadLength { len } => {
-                write!(f, "bad frame length {len} (must be 1..={MAX_FRAME})")
-            }
-            FrameError::BadTag(tag) => write!(f, "unknown frame tag {tag}"),
-            FrameError::BadCode(code) => write!(f, "unknown error code byte {code}"),
-            FrameError::Truncated(what) => write!(f, "frame payload truncated in {what}"),
-            FrameError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after frame payload")
-            }
-            FrameError::Malformed(what) => write!(f, "malformed frame field: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked little-endian reader over one frame payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(FrameError::Truncated(what))?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(FrameError::Truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, FrameError> {
-        Ok(self.take(1, what)?.first().copied().unwrap_or(0))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, FrameError> {
-        let bytes = self.take(4, what)?;
-        let arr = bytes.try_into().map_err(|_| FrameError::Truncated(what))?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, FrameError> {
-        let bytes = self.take(8, what)?;
-        let arr = bytes.try_into().map_err(|_| FrameError::Truncated(what))?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, FrameError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Malformed(what))
-    }
-
-    fn opt_id(&mut self, flags: u8) -> Result<Option<u64>, FrameError> {
-        if flags & FLAG_HAS_ID != 0 {
-            Ok(Some(self.u64("id")?))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-impl Response {
-    /// Encodes the response as one complete binary frame, length prefix
-    /// included.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(64);
-        match self {
-            Response::Answer {
+/// Reads the optional `name` field through `read`: absent is `None`, but a
+/// present value `read` rejects is `bad-request` naming the field — never
+/// a silent fall back to the default.
+fn field<'a, T>(
+    v: &'a Json,
+    name: &str,
+    id: Option<u64>,
+    expected: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, ParseError> {
+    match v.get(name) {
+        None => Ok(None),
+        Some(x) => read(x).map(Some).ok_or_else(|| {
+            ParseError::new(
                 id,
-                session,
-                answer,
-                probes,
-                micros,
-            } => {
-                p.push(TAG_ANSWER);
-                let mut flags = if *answer { FLAG_ANSWER } else { 0 };
-                if id.is_some() {
-                    flags |= FLAG_HAS_ID;
-                }
-                p.push(flags);
-                if let Some(id) = id {
-                    p.extend_from_slice(&id.to_le_bytes());
-                }
-                put_str(&mut p, session);
-                p.extend_from_slice(&probes.to_le_bytes());
-                p.extend_from_slice(&micros.to_le_bytes());
-            }
-            Response::Answers {
-                id,
-                session,
-                answers,
-                probes,
-                micros,
-            } => {
-                p.push(TAG_ANSWERS);
-                p.push(if id.is_some() { FLAG_HAS_ID } else { 0 });
-                if let Some(id) = id {
-                    p.extend_from_slice(&id.to_le_bytes());
-                }
-                put_str(&mut p, session);
-                p.extend_from_slice(&(answers.len() as u32).to_le_bytes());
-                let mut bits = vec![0u8; answers.len().div_ceil(8)];
-                for (i, &a) in answers.iter().enumerate() {
-                    if a {
-                        if let Some(byte) = bits.get_mut(i / 8) {
-                            *byte |= 1 << (i % 8);
-                        }
-                    }
-                }
-                p.extend_from_slice(&bits);
-                p.extend_from_slice(&probes.to_le_bytes());
-                p.extend_from_slice(&micros.to_le_bytes());
-            }
-            Response::Error { id, code, message } => {
-                p.push(TAG_ERROR);
-                p.push(if id.is_some() { FLAG_HAS_ID } else { 0 });
-                if let Some(id) = id {
-                    p.extend_from_slice(&id.to_le_bytes());
-                }
-                p.push(code.to_u8());
-                put_str(&mut p, message);
-            }
-            Response::Ok { draining } => {
-                p.push(TAG_OK);
-                p.push(u8::from(*draining));
-            }
-            Response::Stats(json) => {
-                p.push(TAG_STATS);
-                let mut rendered = String::new();
-                json.render(&mut rendered);
-                p.extend_from_slice(rendered.as_bytes());
-            }
-            Response::Hello { frame } => {
-                p.push(TAG_HELLO);
-                p.push(match frame {
-                    FrameFormat::Json => 0,
-                    FrameFormat::Binary => 1,
-                });
-            }
-        }
-        let mut frame = Vec::with_capacity(p.len() + 4);
-        frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&p);
-        frame
+                ErrorCode::BadRequest,
+                format!("`{name}` must be {expected}"),
+            )
+        }),
     }
-
-    /// Decodes one frame payload (the bytes *after* the length prefix).
-    /// Strict: every byte must be consumed.
-    pub fn decode_payload(payload: &[u8]) -> Result<Response, FrameError> {
-        let mut c = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
-        let tag = c.u8("tag")?;
-        let response = match tag {
-            TAG_ANSWER => {
-                let flags = c.u8("flags")?;
-                let id = c.opt_id(flags)?;
-                let session = c.str("session")?;
-                let probes = c.u64("probes")?;
-                let micros = c.u64("micros")?;
-                Response::Answer {
-                    id,
-                    session,
-                    answer: flags & FLAG_ANSWER != 0,
-                    probes,
-                    micros,
-                }
-            }
-            TAG_ANSWERS => {
-                let flags = c.u8("flags")?;
-                let id = c.opt_id(flags)?;
-                let session = c.str("session")?;
-                let count = c.u32("answer count")? as usize;
-                let bits = c.take(count.div_ceil(8), "answer bitset")?;
-                let answers = (0..count)
-                    .map(|i| bits.get(i / 8).is_some_and(|b| b >> (i % 8) & 1 != 0))
-                    .collect();
-                let probes = c.u64("probes")?;
-                let micros = c.u64("micros")?;
-                Response::Answers {
-                    id,
-                    session,
-                    answers,
-                    probes,
-                    micros,
-                }
-            }
-            TAG_ERROR => {
-                let flags = c.u8("flags")?;
-                let id = c.opt_id(flags)?;
-                let byte = c.u8("error code")?;
-                let code = ErrorCode::from_u8(byte).ok_or(FrameError::BadCode(byte))?;
-                let message = c.str("message")?;
-                Response::Error { id, code, message }
-            }
-            TAG_OK => Response::Ok {
-                draining: c.u8("draining")? != 0,
-            },
-            TAG_STATS => {
-                let rest = c.take(payload.len() - c.pos, "stats body")?;
-                let text = std::str::from_utf8(rest)
-                    .map_err(|_| FrameError::Malformed("stats body utf-8"))?;
-                let json = serde_json::from_str(text)
-                    .map_err(|_| FrameError::Malformed("stats body json"))?;
-                Response::Stats(json)
-            }
-            TAG_HELLO => Response::Hello {
-                frame: match c.u8("frame format")? {
-                    0 => FrameFormat::Json,
-                    1 => FrameFormat::Binary,
-                    _ => return Err(FrameError::Malformed("frame format byte")),
-                },
-            },
-            other => return Err(FrameError::BadTag(other)),
-        };
-        if c.pos != payload.len() {
-            return Err(FrameError::TrailingBytes {
-                extra: payload.len() - c.pos,
-            });
-        }
-        Ok(response)
-    }
-}
-
-/// An incremental binary-frame reassembler: feed it arbitrary byte chunks
-/// (partial frames, many frames at once — whatever the socket produced)
-/// and pull complete responses out.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
-    }
-
-    /// Appends raw bytes from the socket.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered while waiting for a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pops the next complete response, `Ok(None)` when more bytes are
-    /// needed. After any `Err` the stream is unrecoverable — drop the
-    /// connection.
-    pub fn next_frame(&mut self) -> Result<Option<Response>, FrameError> {
-        let Some(&prefix) = self.buf.first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let len = u32::from_le_bytes(prefix);
-        if len == 0 || len as usize > MAX_FRAME {
-            return Err(FrameError::BadLength { len });
-        }
-        let total = 4 + len as usize;
-        let Some(payload) = self.buf.get(4..total) else {
-            return Ok(None);
-        };
-        let response = Response::decode_payload(payload)?;
-        self.buf.drain(..total);
-        Ok(Some(response))
-    }
-}
-
-/// Reads one binary frame off a blocking reader. `Ok(None)` means clean
-/// EOF at a frame boundary; EOF inside a frame and every [`FrameError`]
-/// surface as `io::Error`.
-pub fn read_binary_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Response>> {
-    use std::io::{Error, ErrorKind};
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        let Some(rest) = prefix.get_mut(got..) else {
-            break;
-        };
-        match r.read(rest) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "eof inside frame length prefix",
-                ))
-            }
-            Ok(k) => got += k,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 || len as usize > MAX_FRAME {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            FrameError::BadLength { len }.to_string(),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Response::decode_payload(&payload)
-        .map(Some)
-        .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))
 }
 
 /// A parse failure: the error response to send plus nothing else — parsing
@@ -758,26 +320,14 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, ParseError> {
         let v = serde_json::from_str(line)
             .map_err(|e| ParseError::new(None, ErrorCode::BadRequest, e.to_string()))?;
-        let id = v.get("id").and_then(Json::as_u64);
-        let op = v.get("op").and_then(Json::as_str).unwrap_or("query");
+        // An unreadable `id` cannot be echoed, so its error carries none.
+        let id = field(&v, "id", None, U64, Json::as_u64)?;
+        let op = field(&v, "op", id, STRING, Json::as_str)?.unwrap_or("query");
         match op {
             "stats" => Ok(Request::Stats),
             "sessions" => Ok(Request::Sessions),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
-            "hello" => {
-                let name = v.get("frame").and_then(Json::as_str).ok_or_else(|| {
-                    ParseError::new(id, ErrorCode::BadRequest, "missing string field `frame`")
-                })?;
-                let frame = FrameFormat::parse(name).ok_or_else(|| {
-                    ParseError::new(
-                        id,
-                        ErrorCode::BadRequest,
-                        format!("unknown frame {name:?} (use \"json\" or \"binary\")"),
-                    )
-                })?;
-                Ok(Request::Hello { frame })
-            }
             "query" => Self::parse_query(&v, id),
             other => Err(ParseError::new(
                 id,
@@ -831,26 +381,17 @@ impl Request {
                 ))
             }
         }
-        let max_probes = v.get("max_probes").and_then(Json::as_u64);
-        let deadline_ms = v.get("deadline_ms").and_then(Json::as_u64);
-        let budget_policy = match v.get("budget_policy") {
+        let max_probes = field(v, "max_probes", id, U64, Json::as_u64)?;
+        let deadline_ms = field(v, "deadline_ms", id, U64, Json::as_u64)?;
+        let budget_policy = match field(v, "budget_policy", id, STRING, Json::as_str)? {
             None => None,
-            Some(policy) => {
-                let s = policy.as_str().ok_or_else(|| {
-                    ParseError::new(
-                        id,
-                        ErrorCode::BadRequest,
-                        "`budget_policy` must be a string",
-                    )
-                })?;
-                Some(BudgetPolicy::parse(s).ok_or_else(|| {
-                    ParseError::new(
-                        id,
-                        ErrorCode::BadRequest,
-                        format!("unknown budget_policy {s:?} (use off, adaptive, or pNN like p95)"),
-                    )
-                })?)
-            }
+            Some(s) => Some(BudgetPolicy::parse(s).ok_or_else(|| {
+                ParseError::new(
+                    id,
+                    ErrorCode::BadRequest,
+                    format!("unknown budget_policy {s:?} (use off, adaptive, or pNN like p95)"),
+                )
+            })?),
         };
         Ok(Request::Query {
             session,
@@ -868,8 +409,8 @@ impl Request {
     /// them) is an error — a typo would otherwise silently fall back to the
     /// pinned instance.
     fn parse_spec(v: &Json, id: Option<u64>) -> Result<Option<SessionSpec>, ParseError> {
-        let kind = v.get("kind").and_then(Json::as_str);
-        let n = v.get("n").and_then(Json::as_u64);
+        let kind = field(v, "kind", id, STRING, Json::as_str)?;
+        let n = field(v, "n", id, U64, Json::as_u64)?;
         let (kind, n) = match (kind, n) {
             (Some(kind), Some(n)) => (kind, n),
             (None, None) => {
@@ -896,7 +437,7 @@ impl Request {
         let kind = AlgorithmKind::parse(kind).ok_or_else(|| {
             ParseError::new(id, ErrorCode::UnknownSpec, format!("unknown kind {kind:?}"))
         })?;
-        let family = match v.get("family").and_then(Json::as_str) {
+        let family = match field(v, "family", id, STRING, Json::as_str)? {
             None => ImplicitFamily::Gnp,
             Some(name) => ImplicitFamily::parse(name).ok_or_else(|| {
                 ParseError::new(
@@ -906,8 +447,10 @@ impl Request {
                 )
             })?,
         };
-        let seed = v.get("seed").and_then(Json::as_u64).unwrap_or(0);
-        let knob = v.get("knob").and_then(Json::as_f64);
+        let seed = field(v, "seed", id, U64, Json::as_u64)?.unwrap_or(0);
+        let knob = field(v, "knob", id, "a finite number", |x| {
+            x.as_f64().filter(|k| k.is_finite())
+        })?;
         Ok(Some(SessionSpec {
             kind,
             family,
@@ -1089,6 +632,10 @@ mod tests {
             ("not json", ErrorCode::BadRequest),
             (r#"{"op": "frobnicate"}"#, ErrorCode::BadRequest),
             (
+                r#"{"op": "hello", "frame": "binary"}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
                 r#"{"session": "s", "kind": "mis", "query": 1}"#,
                 ErrorCode::BadRequest,
             ),
@@ -1123,202 +670,50 @@ mod tests {
     }
 
     #[test]
-    fn hello_parses_and_acks_render() {
-        assert_eq!(
-            Request::parse(r#"{"op": "hello", "frame": "binary"}"#).unwrap(),
-            Request::Hello {
-                frame: FrameFormat::Binary
-            }
-        );
-        assert_eq!(
-            Request::parse(r#"{"op": "hello", "frame": "json"}"#).unwrap(),
-            Request::Hello {
-                frame: FrameFormat::Json
-            }
-        );
-        for line in [
-            r#"{"op": "hello"}"#,
-            r#"{"op": "hello", "frame": "msgpack"}"#,
-            r#"{"op": "hello", "frame": 3}"#,
+    fn ill_typed_fields_are_named_bad_requests_not_defaults() {
+        // Each value is present but unreadable as its field's type, so it
+        // must fail by name rather than be served as if absent.
+        let spec = r#""session": "s", "kind": "mis", "n": 100, "query": 1"#;
+        for (name, value) in [
+            ("seed", r#""7""#),
+            ("seed", "18446744073709551615"),
+            ("seed", "-1"),
+            ("seed", "1.5"),
+            ("max_probes", r#""1""#),
+            ("max_probes", "null"),
+            ("deadline_ms", "true"),
+            ("deadline_ms", "1e16"),
+            ("knob", r#""3""#),
+            ("knob", "1e400"),
+            ("knob", "-1e400"),
+            ("id", r#""9""#),
+            ("id", "[9]"),
+            ("family", "3"),
+            ("op", "7"),
         ] {
-            let err = Request::parse(line).unwrap_err();
+            let line = format!(r#"{{{spec}, "{name}": {value}}}"#);
+            let err = Request::parse(&line).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+            assert!(
+                err.message.contains(&format!("`{name}`")),
+                "{line}: {err:?}"
+            );
         }
-        assert_eq!(
-            Response::Hello {
-                frame: FrameFormat::Binary
-            }
-            .render(),
-            r#"{"ok":true,"frame":"binary"}"#
-        );
-    }
-
-    fn sample_responses() -> Vec<Response> {
-        vec![
-            Response::Answer {
-                id: Some(7),
-                session: "s".into(),
-                answer: true,
-                probes: 12,
-                micros: 87,
-            },
-            Response::Answer {
-                id: None,
-                session: "αβγ".into(),
-                answer: false,
-                probes: 0,
-                micros: u64::MAX,
-            },
-            Response::Answers {
-                id: Some(u64::MAX),
-                session: "batch".into(),
-                answers: vec![true, false, true, true, false, false, true, false, true],
-                probes: 99,
-                micros: 3,
-            },
-            Response::Answers {
-                id: None,
-                session: String::new(),
-                answers: vec![false],
-                probes: 1,
-                micros: 1,
-            },
-            Response::Error {
-                id: Some(4),
-                code: ErrorCode::BudgetExhausted,
-                message: "probe budget exhausted".into(),
-            },
-            Response::Error {
-                id: None,
-                code: ErrorCode::BadRequest,
-                message: String::new(),
-            },
-            Response::Ok { draining: false },
-            Response::Ok { draining: true },
-            Response::Hello {
-                frame: FrameFormat::Binary,
-            },
-            Response::Stats(Json::Obj(vec![
-                ("requests".into(), Json::Num(42.0)),
-                ("backend_id".into(), Json::Str("b0".into())),
-            ])),
-        ]
-    }
-
-    #[test]
-    fn binary_frames_round_trip_every_response_shape() {
-        for response in sample_responses() {
-            let frame = response.encode_frame();
-            let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-            assert_eq!(len + 4, frame.len(), "length prefix covers the payload");
-            let decoded = Response::decode_payload(&frame[4..]).unwrap();
-            assert_eq!(decoded, response);
-        }
-    }
-
-    #[test]
-    fn error_codes_round_trip_through_bytes() {
-        for code in [
-            ErrorCode::BadRequest,
-            ErrorCode::UnknownSpec,
-            ErrorCode::UnknownSession,
-            ErrorCode::SessionMismatch,
-            ErrorCode::BadQuery,
-            ErrorCode::Overloaded,
-            ErrorCode::Draining,
-            ErrorCode::Internal,
-            ErrorCode::BudgetExhausted,
-            ErrorCode::DeadlineExceeded,
-        ] {
-            assert_eq!(ErrorCode::from_u8(code.to_u8()), Some(code));
-        }
-        assert_eq!(ErrorCode::from_u8(0), None);
-        assert_eq!(ErrorCode::from_u8(11), None);
-    }
-
-    #[test]
-    fn malformed_payloads_fail_with_typed_errors() {
-        // Unknown tag.
-        assert_eq!(
-            Response::decode_payload(&[200]),
-            Err(FrameError::BadTag(200))
-        );
-        // Empty payload cannot even carry a tag.
-        assert_eq!(
-            Response::decode_payload(&[]),
-            Err(FrameError::Truncated("tag"))
-        );
-        // Answer truncated mid-session-string.
-        let mut frame = Response::Answer {
-            id: None,
-            session: "hello".into(),
-            answer: true,
-            probes: 1,
-            micros: 1,
-        }
-        .encode_frame();
-        let cut = frame.len() - 20;
-        assert!(matches!(
-            Response::decode_payload(&frame[4..cut]),
-            Err(FrameError::Truncated(_))
-        ));
-        // Trailing garbage after a well-formed payload.
-        frame.push(0xFF);
-        assert_eq!(
-            Response::decode_payload(&frame[4..]),
-            Err(FrameError::TrailingBytes { extra: 1 })
-        );
-        // Unknown error-code byte.
-        let mut err_frame = Response::Error {
-            id: None,
-            code: ErrorCode::Internal,
-            message: String::new(),
-        }
-        .encode_frame();
-        err_frame[6] = 0; // tag, flags, then the code byte at payload offset 2
-        assert_eq!(
-            Response::decode_payload(&err_frame[4..]),
-            Err(FrameError::BadCode(0))
-        );
-        // Non-UTF-8 session bytes.
-        let mut bad_utf8 = vec![TAG_ANSWER, 0];
-        bad_utf8.extend_from_slice(&2u32.to_le_bytes());
-        bad_utf8.extend_from_slice(&[0xFF, 0xFE]);
-        bad_utf8.extend_from_slice(&[0u8; 16]);
-        assert_eq!(
-            Response::decode_payload(&bad_utf8),
-            Err(FrameError::Malformed("session"))
-        );
-    }
-
-    #[test]
-    fn decoder_rejects_zero_and_oversized_length_prefixes() {
-        let mut d = FrameDecoder::new();
-        d.push(&0u32.to_le_bytes());
-        assert_eq!(d.next_frame(), Err(FrameError::BadLength { len: 0 }));
-
-        let mut d = FrameDecoder::new();
-        let huge = (MAX_FRAME as u32) + 1;
-        d.push(&huge.to_le_bytes());
-        assert_eq!(d.next_frame(), Err(FrameError::BadLength { len: huge }));
-    }
-
-    #[test]
-    fn read_binary_frame_distinguishes_clean_eof_from_truncation() {
-        use std::io::Cursor;
-        let response = Response::Ok { draining: false };
-        let frame = response.encode_frame();
-
-        // Clean EOF at a frame boundary: one frame, then None.
-        let mut r = Cursor::new(frame.clone());
-        assert_eq!(read_binary_frame(&mut r).unwrap(), Some(response));
-        assert_eq!(read_binary_frame(&mut r).unwrap(), None);
-
-        // EOF mid-prefix and mid-payload are both errors.
-        let mut r = Cursor::new(frame[..2].to_vec());
-        assert!(read_binary_frame(&mut r).is_err());
-        let mut r = Cursor::new(frame[..frame.len() - 1].to_vec());
-        assert!(read_binary_frame(&mut r).is_err());
+        // A bad field after a good `id` still echoes it.
+        let err = Request::parse(&format!(r#"{{{spec}, "id": 4, "seed": "7"}}"#)).unwrap_err();
+        assert_eq!(err.id, Some(4));
+        // The edges of the accepted ranges still parse.
+        let line = format!(r#"{{{spec}, "seed": 9e15, "knob": -0, "max_probes": 0}}"#);
+        let Request::Query {
+            spec, max_probes, ..
+        } = Request::parse(&line).unwrap()
+        else {
+            panic!("not a query")
+        };
+        let spec = spec.unwrap();
+        assert_eq!(spec.seed, 9_000_000_000_000_000);
+        assert_eq!(spec.knob, Some(0.0));
+        assert_eq!(max_probes, Some(0));
     }
 
     #[test]

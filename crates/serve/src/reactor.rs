@@ -93,7 +93,7 @@ pub enum Outcome {
 /// on the reactor thread only — everything here must be quick and
 /// nonblocking; blocking work goes to a pool behind [`Outcome::Deferred`].
 pub trait Codec: Send + Sync + Sized + 'static {
-    /// Per-connection protocol state (negotiated framing, parse cursor).
+    /// Per-connection protocol state (a parse cursor; `()` when none).
     type Conn: Default;
     /// A framed request, passed from [`Codec::frame`] to [`Codec::handle`]
     /// (`()` when the raw bytes say it all).

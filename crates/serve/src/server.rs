@@ -32,7 +32,7 @@ use crate::metrics::{
     global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot, ReactorMetrics,
 };
 use crate::pool::{RejectReason, WorkerPool};
-use crate::proto::{ErrorCode, FrameFormat, Request, Response};
+use crate::proto::{ErrorCode, Request, Response};
 use crate::reactor::{Codec, Deliver, Framed, Outcome};
 use crate::session::SessionRegistry;
 
@@ -103,10 +103,6 @@ pub(crate) enum LineOutcome {
     /// [`Server::handle_line`] fires with the response when a worker
     /// finishes (exactly once).
     Deferred,
-    /// A framing negotiation: the transport must acknowledge in its
-    /// *current* framing, then switch responses to the requested one. Only
-    /// the reactor can actually switch; stdio rejects `binary`.
-    Hello(FrameFormat),
     /// An empty line: no response owed.
     Ignored,
 }
@@ -278,7 +274,6 @@ impl Server {
                 self.begin_shutdown();
                 LineOutcome::Inline(Response::Ok { draining: true })
             }
-            Request::Hello { frame } => LineOutcome::Hello(frame),
             Request::Query {
                 session,
                 spec,
@@ -372,22 +367,6 @@ impl Server {
         let deferred_out = out.clone();
         match self.handle_line(line, move |response| write_line(&deferred_out, &response)) {
             LineOutcome::Inline(response) => write_line(out, &response),
-            // stdio is a line transport: acknowledging `json` is a no-op,
-            // but binary frames would corrupt the stream, so refuse.
-            LineOutcome::Hello(FrameFormat::Json) => write_line(
-                out,
-                &Response::Hello {
-                    frame: FrameFormat::Json,
-                },
-            ),
-            LineOutcome::Hello(FrameFormat::Binary) => write_line(
-                out,
-                &Response::Error {
-                    id: None,
-                    code: ErrorCode::BadRequest,
-                    message: "binary framing requires the TCP transport".to_owned(),
-                },
-            ),
             LineOutcome::Deferred | LineOutcome::Ignored => {}
         }
     }
@@ -425,13 +404,12 @@ impl Server {
     }
 }
 
-/// `lca-serve`'s wire codec on the reactor core: newline-framed JSON
-/// requests in; responses out in the connection's negotiated framing
-/// (newline-JSON until a `hello` switches it to binary frames). Requests
-/// on one connection may all be in flight at once — every response
-/// carries its request's `id`.
+/// `lca-serve`'s wire codec on the reactor core: newline-JSON requests in,
+/// newline-JSON responses out, no per-connection state. Requests on one
+/// connection may all be in flight at once — every response carries its
+/// request's `id`.
 impl Codec for Server {
-    type Conn = FrameFormat;
+    type Conn = ();
     type Request = ();
     type Completion = Response;
     const PIPELINED: bool = true;
@@ -446,7 +424,7 @@ impl Codec for Server {
         Server::draining(self)
     }
 
-    fn frame(&self, _: &mut FrameFormat, buf: &[u8], eof: bool) -> Framed<()> {
+    fn frame(&self, (): &mut (), buf: &[u8], eof: bool) -> Framed<()> {
         match buf.iter().position(|&b| b == b'\n') {
             Some(pos) => Framed::Request((), pos + 1),
             // A final unterminated line at EOF is still served — stdio
@@ -458,35 +436,22 @@ impl Codec for Server {
 
     fn handle(
         self: &Arc<Self>,
-        frame: &mut FrameFormat,
+        (): &mut (),
         raw: &[u8],
         (): (),
         deliver: Deliver<Response>,
     ) -> Outcome {
         match self.handle_raw_line(raw, move |response| deliver.send(response)) {
-            LineOutcome::Inline(response) => Outcome::Inline(self.render(frame, response)),
-            LineOutcome::Hello(format) => {
-                // STARTTLS convention: acknowledge in the *current*
-                // framing, then switch — the client reads one response in
-                // the old framing and everything after in the new one.
-                let ack = self.render(frame, Response::Hello { frame: format });
-                *frame = format;
-                Outcome::Inline(ack)
-            }
+            LineOutcome::Inline(response) => Outcome::Inline(self.render(&(), response)),
             LineOutcome::Deferred => Outcome::Deferred,
             LineOutcome::Ignored => Outcome::Ignored,
         }
     }
 
-    fn render(&self, frame: &FrameFormat, response: Response) -> Vec<u8> {
-        match frame {
-            FrameFormat::Json => {
-                let mut bytes = response.render().into_bytes();
-                bytes.push(b'\n');
-                bytes
-            }
-            FrameFormat::Binary => response.encode_frame(),
-        }
+    fn render(&self, (): &(), response: Response) -> Vec<u8> {
+        let mut bytes = response.render().into_bytes();
+        bytes.push(b'\n');
+        bytes
     }
 }
 

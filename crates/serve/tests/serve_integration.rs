@@ -689,3 +689,90 @@ fn session_probe_totals_sum_every_metered_query() {
     client.roundtrip(r#"{"op":"shutdown"}"#);
     handle.join().expect("drain");
 }
+
+/// Runs `lca-serve --stdin` over `lines` (stdin closed after the last) and
+/// returns its response lines.
+fn stdio_session(lines: &[&str]) -> Vec<Json> {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lca-serve"))
+        .args(["--stdin", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn lca-serve --stdin");
+    {
+        let mut stdin = child.stdin.take().expect("stdin");
+        for line in lines {
+            writeln!(stdin, "{line}").expect("write stdin");
+        }
+    }
+    let output = child.wait_with_output().expect("lca-serve --stdin exits");
+    assert!(output.status.success(), "{output:?}");
+    String::from_utf8(output.stdout)
+        .expect("UTF-8 stdout")
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
+        .collect()
+}
+
+#[test]
+fn hello_is_an_unknown_op_on_tcp_and_stdio() {
+    // `hello` is an ordinary unknown op: the connection keeps speaking
+    // newline-JSON afterwards.
+    let (addr, handle, _server) = spawn_server(ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr);
+    let r = client.roundtrip(r#"{"id":11,"op":"hello","frame":"binary"}"#);
+    assert_eq!(r.get("error").and_then(Json::as_str), Some("bad-request"));
+    assert_eq!(r.get("id").and_then(Json::as_u64), Some(11), "{r:?}");
+    let r = client.roundtrip(r#"{"id":12,"session":"h","kind":"mis","n":1000,"query":3}"#);
+    assert_eq!(r.get("id").and_then(Json::as_u64), Some(12), "{r:?}");
+    assert!(r.get("answer").and_then(Json::as_bool).is_some(), "{r:?}");
+    client.roundtrip(r#"{"op":"shutdown"}"#);
+    handle.join().expect("drain");
+
+    let out = stdio_session(&[r#"{"op":"hello","frame":"binary"}"#]);
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(
+        out[0].get("error").and_then(Json::as_str),
+        Some("bad-request")
+    );
+}
+
+#[test]
+fn ill_typed_spec_and_budget_fields_are_bad_requests_over_stdio() {
+    // A present but ill-typed field fails by name; it is never served as
+    // if absent (a string or out-of-range seed pinning seed 0, a string
+    // budget running the query unbudgeted).
+    let out = stdio_session(&[
+        r#"{"id":1,"session":"a","kind":"mis","n":1000,"seed":"7","query":3}"#,
+        r#"{"id":2,"session":"a","kind":"mis","n":1000,"seed":18446744073709551615,"query":3}"#,
+        r#"{"id":3,"session":"b","kind":"mis","n":1000,"max_probes":"1","query":3}"#,
+        r#"{"op":"sessions"}"#,
+        r#"{"id":5,"session":"b","kind":"mis","n":1000,"max_probes":1,"query":3}"#,
+    ]);
+    assert_eq!(out.len(), 5, "{out:?}");
+    for (r, (id, field)) in out
+        .iter()
+        .zip([(1, "seed"), (2, "seed"), (3, "max_probes")])
+    {
+        assert_eq!(r.get("id").and_then(Json::as_u64), Some(id), "{r:?}");
+        assert_eq!(r.get("error").and_then(Json::as_str), Some("bad-request"));
+        let message = r.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains(&format!("`{field}`")), "{r:?}");
+    }
+    // No rejected request pinned a session.
+    let sessions = out[3].get("sessions").expect("sessions object");
+    assert_eq!(sessions, &Json::Obj(vec![]), "{sessions:?}");
+    // The well-typed budget is honoured: one probe cannot answer.
+    assert_eq!(out[4].get("id").and_then(Json::as_u64), Some(5));
+    assert_eq!(
+        out[4].get("error").and_then(Json::as_str),
+        Some("budget-exhausted"),
+        "{:?}",
+        out[4]
+    );
+}
