@@ -25,9 +25,8 @@
 //! every kept edge is kept *by one of its endpoints* — the property that
 //! makes two-ball local simulation sufficient (Lemma 4.5).
 
-use std::collections::{HashMap, HashSet};
-
 use lca_graph::VertexId;
+use lca_probe::{VertexMap, VertexSet};
 use lca_rand::{Coin, Seed};
 
 /// An explicit graph fragment with stable vertex identities, labels and
@@ -36,7 +35,7 @@ use lca_rand::{Coin, Seed};
 pub struct LocalGraph {
     ids: Vec<VertexId>,
     labels: Vec<u64>,
-    index: HashMap<u32, usize>,
+    index: VertexMap<u32, usize>,
     adj: Vec<Vec<usize>>,
 }
 
@@ -46,7 +45,7 @@ impl LocalGraph {
         Self {
             ids: Vec::new(),
             labels: Vec::new(),
-            index: HashMap::new(),
+            index: VertexMap::default(),
             adj: Vec::new(),
         }
     }
@@ -113,9 +112,9 @@ pub struct BsParams {
 
 /// Runs the simulation and returns the kept edges, normalized on global
 /// vertex ids.
-pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> HashSet<(u32, u32)> {
+pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(u32, u32)> {
     let n = graph.len();
-    let mut added: HashSet<(u32, u32)> = HashSet::new();
+    let mut added: VertexSet<(u32, u32)> = VertexSet::default();
     if n == 0 {
         return added;
     }
@@ -130,7 +129,7 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> HashSet<(u3
     // cluster[v] = Some(local index of the cluster center), None = retired.
     let mut cluster: Vec<Option<usize>> = (0..n).map(Some).collect();
     // Active edges (normalized local pairs).
-    let mut active: HashSet<(usize, usize)> = HashSet::new();
+    let mut active: VertexSet<(usize, usize)> = VertexSet::default();
     let norm = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
     for (v, nbrs) in graph.adj.iter().enumerate() {
         for &w in nbrs {
@@ -140,6 +139,10 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> HashSet<(u3
         }
     }
 
+    // Per-vertex scratch sets, cleared rather than rebuilt per vertex.
+    let mut seen: VertexSet<usize> = VertexSet::default();
+    let mut resolved: VertexSet<usize> = VertexSet::default();
+    let mut firsts: Vec<(usize, usize)> = Vec::new(); // (center, nbr)
     let rounds = params.k.saturating_sub(1);
     for round in 1..=rounds {
         let coin = Coin::new(
@@ -160,8 +163,8 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> HashSet<(u3
             }
             // First occurrence of each distinct active neighbor cluster, in
             // adjacency order.
-            let mut seen: HashSet<usize> = HashSet::new();
-            let mut firsts: Vec<(usize, usize)> = Vec::new(); // (center, nbr)
+            seen.clear();
+            firsts.clear();
             for &w in &graph.adj[v] {
                 if !active.contains(&norm(v, w)) {
                     continue;
@@ -196,11 +199,9 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> HashSet<(u3
                     // One edge per cluster first-seen before the joined one;
                     // those edges (and edges into the joined cluster) are
                     // resolved now.
-                    let resolved: HashSet<usize> = firsts[..pos]
-                        .iter()
-                        .map(|&(c, _)| c)
-                        .chain(std::iter::once(cstar))
-                        .collect();
+                    resolved.clear();
+                    resolved.extend(firsts[..pos].iter().map(|&(c, _)| c));
+                    resolved.insert(cstar);
                     for &(_, w) in &firsts[..pos] {
                         added.insert(key(v, w));
                     }
@@ -230,7 +231,7 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> HashSet<(u3
         let Some(cv) = cluster[v] else {
             continue;
         };
-        let mut seen: HashSet<usize> = HashSet::new();
+        seen.clear();
         for &w in &graph.adj[v] {
             if !active.contains(&norm(v, w)) {
                 continue;
@@ -266,7 +267,7 @@ mod tests {
         lg
     }
 
-    fn stretch_ok(g: &Graph, kept: &HashSet<(u32, u32)>, bound: u32) -> bool {
+    fn stretch_ok(g: &Graph, kept: &VertexSet<(u32, u32)>, bound: u32) -> bool {
         let sub = lca_graph::Subgraph::from_edges(
             g,
             kept.iter()

@@ -13,10 +13,11 @@
 //! `L` discoveries are needed is exactly the hitting-set failure the paper
 //! bounds) while reporting the discovery count for instrumentation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 use lca_graph::VertexId;
-use lca_probe::Oracle;
+use lca_probe::{Oracle, VertexMap};
 use lca_rand::Coin;
 
 /// Outcome of the center search from one vertex.
@@ -63,6 +64,17 @@ impl VertexStatus {
     }
 }
 
+/// Reusable state of the center search: the discovered map (vertex → BFS
+/// parent), the FIFO queue of `(vertex, distance)` and the neighbor
+/// buffer. Each search clears it and keeps its capacity, so a query's
+/// searches after the first allocate only their result path.
+#[derive(Debug, Default)]
+pub(crate) struct BfsScratch {
+    parent: VertexMap<u32, u32>,
+    queue: VecDeque<(VertexId, usize)>,
+    nbrs: Vec<VertexId>,
+}
+
 /// Runs the BFS variant from `v` with radius `k` against `is_center`.
 ///
 /// Probe cost: one Degree plus `deg(x)` Neighbor probes per expanded vertex
@@ -73,6 +85,17 @@ pub fn center_search<O: Oracle>(
     k: usize,
     is_center: &Coin,
 ) -> VertexStatus {
+    center_search_in(oracle, v, k, is_center, &mut BfsScratch::default())
+}
+
+/// [`center_search`] over caller-owned scratch.
+pub(crate) fn center_search_in<O: Oracle>(
+    oracle: &O,
+    v: VertexId,
+    k: usize,
+    is_center: &Coin,
+    scratch: &mut BfsScratch,
+) -> VertexStatus {
     if is_center.flip(oracle.label(v)) {
         return VertexStatus::Dense {
             center: v,
@@ -80,53 +103,58 @@ pub fn center_search<O: Oracle>(
             discovered: 1,
         };
     }
-    // parent map doubles as the discovered set.
-    let mut parent: HashMap<u32, u32> = HashMap::new();
-    let mut dist: HashMap<u32, usize> = HashMap::new();
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
+    // The parent map doubles as the discovered set.
+    let BfsScratch {
+        parent,
+        queue,
+        nbrs,
+    } = scratch;
+    parent.clear();
+    queue.clear();
     parent.insert(v.raw(), v.raw());
-    dist.insert(v.raw(), 0);
-    queue.push_back(v);
-    let mut discovered = 1usize;
-    // One scratch buffer for every expansion: the buffered scan issues the
-    // same `degree` + `neighbor(0..d)` probes the hand-written loop did,
-    // without a per-vertex allocation.
-    let mut nbrs: Vec<VertexId> = Vec::new();
-    while let Some(x) = queue.pop_front() {
-        let dx = dist[&x.raw()];
+    queue.push_back((v, 0));
+    while let Some((x, dx)) = queue.pop_front() {
         if dx >= k {
             continue;
         }
-        oracle.neighbors_into(x, &mut nbrs);
+        oracle.neighbors_into(x, nbrs);
         // Enqueue undiscovered neighbors in increasing label order — this is
         // what makes discovery order lexicographic in π(v, ·).
         nbrs.sort_by_key(|&w| oracle.label(w));
-        for &w in &nbrs {
-            if parent.contains_key(&w.raw()) {
+        for &w in nbrs.iter() {
+            let Entry::Vacant(slot) = parent.entry(w.raw()) else {
                 continue;
-            }
-            parent.insert(w.raw(), x.raw());
-            dist.insert(w.raw(), dx + 1);
-            discovered += 1;
+            };
+            slot.insert(x.raw());
             if is_center.flip(oracle.label(w)) {
-                // Reconstruct π(v, w) from the BFS-tree parents.
-                let mut path = vec![w];
-                let mut cur = w.raw();
-                while cur != v.raw() {
-                    cur = parent[&cur];
-                    path.push(VertexId::from(cur));
-                }
-                path.reverse();
                 return VertexStatus::Dense {
                     center: w,
-                    path,
-                    discovered,
+                    path: tree_path(parent, v, w, dx + 2),
+                    discovered: parent.len(),
                 };
             }
-            queue.push_back(w);
+            queue.push_back((w, dx + 1));
         }
     }
-    VertexStatus::Sparse { discovered }
+    VertexStatus::Sparse {
+        discovered: parent.len(),
+    }
+}
+
+/// Reconstructs π(v, w) (`len` vertices) from the BFS-tree parents.
+fn tree_path(parent: &VertexMap<u32, u32>, v: VertexId, w: VertexId, len: usize) -> Vec<VertexId> {
+    let mut path = Vec::with_capacity(len);
+    path.push(w);
+    let mut cur = w.raw();
+    while cur != v.raw() {
+        let Some(&p) = parent.get(&cur) else {
+            break;
+        };
+        cur = p;
+        path.push(VertexId::from(cur));
+    }
+    path.reverse();
+    path
 }
 
 #[cfg(test)]
@@ -135,15 +163,6 @@ mod tests {
     use lca_graph::gen::structured;
     use lca_graph::GraphBuilder;
     use lca_rand::Seed;
-
-    fn center_at(labels: &[u64]) -> Coin {
-        // A coin that flips heads exactly on the given labels: emulate by
-        // probability 0 and a wrapper is impossible, so instead pick a seed
-        // where... simpler: use probability thresholds — tests below use
-        // explicit label-coins via this helper graph instead.
-        let _ = labels;
-        unreachable!("helper not used directly")
-    }
 
     /// Builds a coin that is heads on a chosen set by brute-force seed
     /// search (tiny domains make this fast and deterministic).
@@ -275,8 +294,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "helper not used directly")]
-    fn unused_helper_guard() {
-        let _ = center_at(&[]);
+    fn reused_scratch_matches_fresh_searches() {
+        // One scratch across every search — dense, sparse, self-center —
+        // must give exactly the fresh-scratch answers.
+        let g = structured::grid(6, 7);
+        let coin = Coin::new(Seed::new(5), 0.1, 8);
+        let mut scratch = BfsScratch::default();
+        for k in [1usize, 3, 6] {
+            for v in g.vertices() {
+                assert_eq!(
+                    center_search_in(&g, v, k, &coin, &mut scratch),
+                    center_search(&g, v, k, &coin),
+                    "k={k} v={v}"
+                );
+            }
+        }
     }
 }

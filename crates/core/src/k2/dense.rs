@@ -1,11 +1,10 @@
 //! H_dense: Voronoi trees, cluster refinement, and the inter-cell
 //! connection rules (paper Sections 4.3.1–4.3.4).
 
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use lca_graph::VertexId;
-use lca_probe::Oracle;
+use lca_probe::{Oracle, VertexSet};
 
 use super::bfs::VertexStatus;
 use super::{Ctx, K2Spanner};
@@ -19,7 +18,7 @@ pub(crate) struct ClusterInfo {
     /// Members, sorted by vertex index (deterministic identity).
     pub members: Vec<VertexId>,
     /// Members as a raw-index set.
-    pub member_set: HashSet<u32>,
+    pub member_set: VertexSet<u32>,
     /// The center of the Voronoi cell containing this cluster.
     pub cell_center: VertexId,
 }
@@ -192,12 +191,12 @@ impl<O: Oracle> K2Spanner<O> {
 
     /// `c(∂A)`: centers of the (dense) neighbors of cluster `A`, excluding
     /// `A`'s own cell (Table 5: O(∆²L²) probes). Memoized by cluster id.
-    pub(crate) fn boundary(&self, ctx: &Ctx<'_>, a: &ClusterInfo) -> Rc<HashSet<u32>> {
+    pub(crate) fn boundary(&self, ctx: &Ctx<'_>, a: &ClusterInfo) -> Rc<VertexSet<u32>> {
         if let Some(b) = ctx.boundaries.borrow().get(&a.id()) {
             return Rc::clone(b);
         }
         let o = self.o(ctx);
-        let mut out: HashSet<u32> = HashSet::new();
+        let mut out: VertexSet<u32> = VertexSet::default();
         for &m in &a.members {
             ctx.with_nbrs(|nbrs| {
                 o.neighbors_into(m, nbrs);
@@ -220,7 +219,7 @@ impl<O: Oracle> K2Spanner<O> {
         &self,
         ctx: &Ctx<'_>,
         a: &ClusterInfo,
-        b_set: &HashSet<u32>,
+        b_set: &VertexSet<u32>,
     ) -> Option<(VertexId, VertexId)> {
         let o = self.o(ctx);
         let mut best: Option<((u64, u64), (VertexId, VertexId))> = None;
@@ -427,7 +426,7 @@ mod tests {
         let v = lca_graph::VertexId::new(3);
         let cl = lca.cluster(&ctx, v);
         let b = lca.boundary(&ctx, &cl);
-        let expect: HashSet<u32> = g.neighbors(v).iter().map(|w| w.raw()).collect();
+        let expect: VertexSet<u32> = g.neighbors(v).iter().map(|w| w.raw()).collect();
         assert_eq!(*b, expect);
     }
 

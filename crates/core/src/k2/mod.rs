@@ -25,12 +25,13 @@ pub use bfs::{center_search, VertexStatus};
 pub use supergraph::Supergraph;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use lca_graph::VertexId;
-use lca_probe::Oracle;
+use lca_probe::{Oracle, VertexMap, VertexSet};
 use lca_rand::{Coin, RankAssigner, Seed};
+
+use bfs::{center_search_in, BfsScratch};
 
 use crate::common::{ceil_pow, ln_n};
 use crate::{BudgetedOracle, EdgeSubgraphLca, Lca, LcaError, QueryCtx};
@@ -104,22 +105,25 @@ impl K2Params {
 /// probe-saving device — every cached value is a deterministic function of
 /// `(graph, seed)`, so caching cannot change any answer — and the scratch
 /// is discarded with the query, so a budget-interrupted walk never leaks
-/// partial state into later queries.
+/// partial state into later queries. Every map and set is keyed by the
+/// [`lca_probe::MulShift`] hasher.
 #[derive(Default)]
 pub(crate) struct Ctx<'q> {
     /// The query's execution context; `None` on legacy/diagnostic paths.
     pub(crate) budget: Option<&'q QueryCtx>,
-    pub(crate) status: RefCell<HashMap<u32, Rc<VertexStatus>>>,
+    pub(crate) status: RefCell<VertexMap<u32, Rc<VertexStatus>>>,
     /// `Some(size)` for light vertices, `None` for heavy ones.
-    pub(crate) subtree: RefCell<HashMap<u32, Option<usize>>>,
-    pub(crate) children: RefCell<HashMap<u32, Rc<Vec<VertexId>>>>,
-    pub(crate) clusters: RefCell<HashMap<u32, Rc<dense::ClusterInfo>>>,
+    pub(crate) subtree: RefCell<VertexMap<u32, Option<usize>>>,
+    pub(crate) children: RefCell<VertexMap<u32, Rc<Vec<VertexId>>>>,
+    pub(crate) clusters: RefCell<VertexMap<u32, Rc<dense::ClusterInfo>>>,
     /// `c(∂A)` per cluster id.
-    pub(crate) boundaries: RefCell<HashMap<u32, Rc<HashSet<u32>>>>,
+    pub(crate) boundaries: RefCell<VertexMap<u32, Rc<VertexSet<u32>>>>,
     /// Reusable neighbor-scan buffer for the walk's probe loops
     /// ([`Ctx::with_nbrs`]): one allocation per query instead of one per
     /// expanded vertex.
     nbrs: Cell<Option<Vec<VertexId>>>,
+    /// Reusable center-search state ([`Ctx::with_bfs`]).
+    bfs: Cell<Option<BfsScratch>>,
 }
 
 impl<'q> Ctx<'q> {
@@ -145,6 +149,15 @@ impl<'q> Ctx<'q> {
         let mut buf = self.nbrs.take().unwrap_or_default();
         let r = f(&mut buf);
         self.nbrs.set(Some(buf));
+        r
+    }
+
+    /// Runs `f` with the query's center-search scratch, by the same
+    /// take/put as [`Ctx::with_nbrs`].
+    fn with_bfs<R>(&self, f: impl FnOnce(&mut BfsScratch) -> R) -> R {
+        let mut scratch = self.bfs.take().unwrap_or_default();
+        let r = f(&mut scratch);
+        self.bfs.set(Some(scratch));
         r
     }
 }
@@ -235,12 +248,9 @@ impl<O: Oracle> K2Spanner<O> {
         if let Some(st) = ctx.status.borrow().get(&v.raw()) {
             return Rc::clone(st);
         }
-        let st = Rc::new(center_search(
-            &self.o(ctx),
-            v,
-            self.params.k,
-            &self.center_coin,
-        ));
+        let st = Rc::new(ctx.with_bfs(|scratch| {
+            center_search_in(&self.o(ctx), v, self.params.k, &self.center_coin, scratch)
+        }));
         ctx.status.borrow_mut().insert(v.raw(), Rc::clone(&st));
         st
     }

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use lca_graph::VertexId;
-use lca_probe::Oracle;
+use lca_probe::{Oracle, VertexSet};
 
 use super::baswana_sen::{simulate, BsParams, LocalGraph};
 use super::{Ctx, K2Spanner};
@@ -51,18 +51,17 @@ fn edge_in_sparse<O: Oracle>(lca: &K2Spanner<O>, ctx: &Ctx<'_>, x: VertexId, w: 
 fn gather_balls<O: Oracle>(lca: &K2Spanner<O>, ctx: &Ctx<'_>, sources: &[VertexId]) -> LocalGraph {
     let o = lca.o(ctx);
     let k = lca.params().k;
-    // BFS in G_sparse, multi-source with per-source distance budget k:
-    // run one BFS per source into a shared discovered map keeping the
-    // minimum distance (the union ball is what matters, not distances).
-    let mut dist: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
+    // BFS in G_sparse from all sources at once over one discovered set;
+    // each vertex is queued with its distance to the nearest source, and
+    // the search stops at radius k (the union ball is what matters).
+    let mut seen: VertexSet<u32> = VertexSet::default();
+    let mut queue: VecDeque<(VertexId, usize)> = VecDeque::new();
     for &s in sources {
-        dist.insert(s.raw(), 0);
-        queue.push_back(s);
+        seen.insert(s.raw());
+        queue.push_back((s, 0));
     }
     let mut members: Vec<VertexId> = sources.to_vec();
-    while let Some(x) = queue.pop_front() {
-        let dx = dist[&x.raw()];
+    while let Some((x, dx)) = queue.pop_front() {
         if dx >= k {
             continue;
         }
@@ -72,13 +71,9 @@ fn gather_balls<O: Oracle>(lca: &K2Spanner<O>, ctx: &Ctx<'_>, sources: &[VertexI
                 if !edge_in_sparse(lca, ctx, x, w) {
                     continue;
                 }
-                match dist.get(&w.raw()) {
-                    Some(_) => {}
-                    None => {
-                        dist.insert(w.raw(), dx + 1);
-                        members.push(w);
-                        queue.push_back(w);
-                    }
+                if seen.insert(w.raw()) {
+                    members.push(w);
+                    queue.push_back((w, dx + 1));
                 }
             }
         });

@@ -1,12 +1,11 @@
 //! The serving-layer input cache.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
 use lca_graph::VertexId;
 
-use crate::Oracle;
+use crate::{Oracle, VertexMap};
 
 /// Default number of cache shards.
 const DEFAULT_SHARDS: usize = 16;
@@ -93,56 +92,10 @@ fn list_bytes(len: usize) -> usize {
     len * std::mem::size_of::<VertexId>() + LIST_OVERHEAD_BYTES
 }
 
-/// Multiply-shift hashing of vertex keys: the Fibonacci-style multiply of
-/// [`crate::shard_for_key`], one multiplication instead of SipHash's
-/// rounds, but with a random odd multiplier per shard. Clients choose the
-/// vertices they query, and with a public multiplier they could pick ids
-/// that all land in one bucket chain; a random multiplier makes that a
-/// guess (multiply-shift is universal). The product's high half, its
-/// well-mixed bits, is rotated down to where the map takes bucket indices.
-#[derive(Debug, Clone, Copy)]
-struct MulShift(u64);
-
-impl Default for MulShift {
-    fn default() -> Self {
-        MulShift(std::collections::hash_map::RandomState::new().hash_one(0u64) | 1)
-    }
-}
-
-impl BuildHasher for MulShift {
-    type Hasher = MulShiftHasher;
-
-    fn build_hasher(&self) -> MulShiftHasher {
-        MulShiftHasher { mul: self.0, h: 0 }
-    }
-}
-
-/// The [`MulShift`] state for one key.
-#[derive(Debug)]
-struct MulShiftHasher {
-    mul: u64,
-    h: u64,
-}
-
-impl Hasher for MulShiftHasher {
-    fn finish(&self) -> u64 {
-        self.h
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(self.h as u32 ^ b as u32);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.h = (v as u64).wrapping_mul(self.mul).rotate_left(32);
-    }
-}
-
 #[derive(Debug, Default)]
 struct Shard {
-    lists: HashMap<u32, ListEntry, MulShift>,
+    /// Resident lists under the keyed [`crate::MulShift`] hasher.
+    lists: VertexMap<u32, ListEntry>,
     /// Vertices in admission order (the second-chance clock).
     queue: VecDeque<u32>,
     /// Accounted bytes of the resident lists.
@@ -596,17 +549,6 @@ mod tests {
         assert_eq!(cached.neighbor(hub, 1), g.neighbor(hub, 1));
         assert_eq!(cached.neighbor(hub, 3), None, "refused, not invented");
         assert_eq!(cached.stats().entries, 0);
-    }
-
-    #[test]
-    fn keys_sharing_low_bits_spread_across_buckets() {
-        // Multiples of 2^16 share every low bit, so a hash whose low bits
-        // follow the key's (an unkeyed multiply) sends them all to bucket
-        // 0; the rotated product's high half spreads them.
-        let h = MulShift(0x9E37_79B9_7F4A_7C15);
-        let buckets: std::collections::HashSet<u64> =
-            (0..1024u32).map(|k| h.hash_one(k << 16) & 1023).collect();
-        assert!(buckets.len() > 512, "{} buckets", buckets.len());
     }
 
     #[test]

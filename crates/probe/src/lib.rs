@@ -26,6 +26,10 @@
 //! * [`CachedOracle`] — a sharded **serving-layer** cache that persists
 //!   across queries.
 //!
+//! [`MulShift`] is the keyed vertex-key hasher behind the serving cache's
+//! slab and the per-query maps of the spanner walks ([`VertexMap`],
+//! [`VertexSet`]).
+//!
 //! # Two caches, two meanings
 //!
 //! [`MemoOracle`] and [`CachedOracle`] look alike and must not be confused:
@@ -65,11 +69,13 @@
 
 mod cached;
 mod counting;
+mod keyhash;
 mod memo;
 mod tracing;
 
 pub use cached::{CacheStats, CachedOracle};
 pub use counting::{CountingOracle, ProbeCounts, QueryScope};
+pub use keyhash::{MulShift, MulShiftHasher, VertexMap, VertexSet};
 pub use memo::{measure_distinct, MemoOracle};
 pub use tracing::{ProbeRecord, TracingOracle};
 

@@ -9,6 +9,11 @@
 //! `neighbors_into` probes against the resident working set performs ZERO
 //! allocator calls.
 //!
+//! A second phase prices a whole warm k2-spanner query — hundreds of
+//! probes against a resident serving cache — in allocator calls. That walk
+//! still builds per-query memos and result vectors, so the bound there is a
+//! budget per query, not zero.
+//!
 //! Everything lives in one `#[test]`: the counter is process-global, and a
 //! sibling test allocating on another thread would poison the measurement.
 
@@ -100,4 +105,33 @@ fn warmed_probes_do_not_allocate() {
              rounds (checksum {checksum})"
         );
     }
+    k2_query_alloc_budget();
+}
+
+/// The warm k2 walk's allocator budget: allocator calls per k2-spanner
+/// query on implicit G(10⁶, 4/n) behind a resident `CachedOracle`,
+/// averaged over 256 sampled edges. With SipHash maps built fresh for every
+/// center search this batch cost 257 calls per query; with the per-query
+/// scratch reused across searches it costs 92. The bound is half the
+/// former figure.
+fn k2_query_alloc_budget() {
+    const QUERIES: usize = 256;
+    const BUDGET: u64 = 257 / 2;
+    let kind = AlgorithmKind::Spanner(SpannerKind::K2);
+    let oracle = ImplicitFamily::Gnp.build(1_000_000, Seed::new(1));
+    let cached = CachedOracle::new(&oracle);
+    let algo = LcaBuilder::new(kind).seed(Seed::new(1)).build(&cached);
+    let queries =
+        LcaBuilder::new(kind).queries(&oracle, QuerySource::sample(QUERIES, Seed::new(2)));
+    // Warm-up pass: fills the serving cache with every list the batch reads.
+    let warm: Vec<bool> = queries.iter().map(|&q| algo.query(q).unwrap()).collect();
+    let baseline = alloc_calls();
+    for (&q, &want) in queries.iter().zip(&warm) {
+        assert_eq!(algo.query(q).unwrap(), want, "warm k2 answer drifted");
+    }
+    let per_query = (alloc_calls() - baseline) / QUERIES as u64;
+    assert!(
+        per_query <= BUDGET,
+        "a warm k2 query made {per_query} allocator calls (budget {BUDGET})"
+    );
 }
