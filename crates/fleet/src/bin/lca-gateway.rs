@@ -110,8 +110,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "drained: {} HTTP requests served across {} backends",
-        gateway.requests_served(),
+        "drained: {} HTTP responses served across {} backends",
+        gateway.responses_served(),
         gateway.fleet().backend_count()
     );
     ExitCode::SUCCESS

@@ -24,13 +24,12 @@
 #![warn(clippy::unwrap_used)]
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use lca_serve::metrics::{reactor_stats_fields, ReactorMetrics};
+use lca_serve::metrics::ReactorMetrics;
 use lca_serve::pool::{RejectReason, WorkerPool};
 use lca_serve::reactor::{Codec, Deliver, Framed, Outcome};
-use serde::Json;
 
 use crate::http::{self, HttpRequest, ParseOutcome};
 use crate::router::{Fleet, FleetReply};
@@ -65,8 +64,6 @@ pub struct Gateway {
     fleet: Arc<Fleet>,
     pool: WorkerPool,
     draining: AtomicBool,
-    /// HTTP requests answered (any status), across all connections.
-    requests: AtomicU64,
     /// The reactor core's client-side counters: the `gateway` object of
     /// `GET /v1/stats`.
     metrics: ReactorMetrics,
@@ -79,7 +76,6 @@ impl Gateway {
             fleet: Arc::new(fleet),
             pool: WorkerPool::new(config.workers, config.queue_capacity),
             draining: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
             metrics: ReactorMetrics::default(),
         })
     }
@@ -94,9 +90,10 @@ impl Gateway {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// HTTP requests answered so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+    /// HTTP responses handed to client connections so far (the reactor's
+    /// `responses` counter).
+    pub fn responses_served(&self) -> u64 {
+        self.metrics.responses.load(Ordering::Relaxed)
     }
 
     /// Serves HTTP on `listener` until a shutdown request drains the
@@ -182,7 +179,6 @@ impl Codec for Gateway {
         request: Self::Request,
         deliver: Deliver<Vec<u8>>,
     ) -> Outcome {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         let request = match request {
             Ok(request) => request,
             Err(msg) => {
@@ -202,8 +198,8 @@ impl Codec for Gateway {
             },
             ("GET", "/v1/stats") => {
                 return self.defer(deliver, |gw| {
-                    let counters = Json::Obj(reactor_stats_fields(&gw.metrics));
-                    gw.fleet.stats(vec![("gateway".to_owned(), counters)])
+                    gw.fleet
+                        .stats(vec![("gateway".to_owned(), gw.metrics.render())])
                 })
             }
             ("GET", "/v1/sessions") => return self.defer(deliver, |gw| gw.fleet.sessions()),

@@ -25,6 +25,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use lca_serve::budget::BudgetStats;
+use lca_serve::metrics::{count, hit_rate, num};
 use serde::Json;
 
 use crate::client::BackendPool;
@@ -135,6 +137,49 @@ impl SpecCache {
             *t = tick;
             &*spec
         })
+    }
+}
+
+lca_serve::stats_object! {
+    /// The `fleet` object of `GET /v1/stats`, built fresh per request. Its
+    /// counters are the fleet-summed fields: each is the sum of the
+    /// same-named field of the reachable backends' `stats` objects.
+    #[derive(Debug)]
+    pub struct FleetRollup {
+        /// Backends that answered the stats fan-out.
+        pub backends_up: u64,
+        /// Sessions with a fitted adaptive budget, across reachable backends.
+        pub adaptive_sessions: u64,
+    }
+    render(r, fleet: Fleet) {
+        backends => num(fleet.backends.len() as u64),
+        backends_up => num(r.backends_up),
+        /// Requests parsed off the wire.
+        requests: counter,
+        /// Query requests bounced with `overloaded`.
+        overloaded: counter,
+        /// Query requests failed on a tripped probe budget or deadline.
+        budget_exhausted: counter,
+        /// Lines that failed to parse.
+        parse_errors: counter,
+        /// Resident sessions.
+        sessions: counter,
+        /// Serving-cache hits, over every session.
+        cache_hits_total: counter,
+        /// Serving-cache misses (list fills), over every session.
+        cache_misses_total: counter,
+        /// Serving-cache bytes, over every session.
+        cache_bytes_total: counter,
+        cache_hit_rate_total => hit_rate(
+            r.cache_hits_total.load(Ordering::Relaxed),
+            r.cache_misses_total.load(Ordering::Relaxed),
+        ),
+        routed => Json::Arr(fleet.routed.iter().map(count).collect()),
+        retries => count(&fleet.retries),
+        unavailable => count(&fleet.unavailable),
+        adaptive_sessions => num(r.adaptive_sessions),
+        spec_cache_entries => num(fleet.spec_cache_counts().0),
+        spec_cache_evictions => num(fleet.spec_cache_counts().1),
     }
 }
 
@@ -300,19 +345,11 @@ impl Fleet {
     }
 
     /// The `GET /v1/stats` reply: every backend's `stats` snapshot plus
-    /// the fleet rollup (counter sums; cache totals summed with the
-    /// `CacheStats` addition built for exactly this), followed by the
-    /// caller's `extra` top-level fields (the gateway's own counters).
+    /// the fleet rollup ([`FleetRollup`]), followed by the caller's `extra`
+    /// top-level fields (the gateway's own counters).
     pub fn stats(&self, extra: Vec<(String, Json)>) -> FleetReply {
         let results = self.fan_out("{\"op\":\"stats\"}");
-        let mut backends_up = 0usize;
-        let mut requests = 0u64;
-        let mut overloaded = 0u64;
-        let mut budget_exhausted = 0u64;
-        let mut parse_errors = 0u64;
-        let mut sessions = 0u64;
-        let mut cache_total = lca_probe::CacheStats::default();
-        let mut adaptive_sessions = 0u64;
+        let mut rollup = FleetRollup::default();
         let mut per_backend = Vec::new();
         for (idx, result) in results.into_iter().enumerate() {
             let mut entry = vec![
@@ -324,21 +361,9 @@ impl Fleet {
             ];
             match result {
                 Ok(parsed) => {
-                    backends_up += 1;
+                    rollup.backends_up += 1;
                     let g = parsed.get("stats").cloned().unwrap_or(Json::Null);
-                    let pick = |k: &str| g.get(k).and_then(Json::as_u64).unwrap_or(0);
-                    requests += pick("requests");
-                    overloaded += pick("overloaded");
-                    budget_exhausted += pick("budget_exhausted");
-                    parse_errors += pick("parse_errors");
-                    sessions += pick("sessions");
-                    cache_total = cache_total
-                        + lca_probe::CacheStats {
-                            hits: pick("cache_hits_total"),
-                            misses: pick("cache_misses_total"),
-                            entries: 0,
-                            bytes: pick("cache_bytes_total") as usize,
-                        };
+                    rollup.sum_rendered(&g);
                     // Surface each backend's adaptively fitted budgets
                     // (session name → fitted max_probes) so a fleet
                     // operator sees the admission the whole fleet is
@@ -346,14 +371,12 @@ impl Fleet {
                     let mut fitted = Vec::new();
                     if let Some(Json::Obj(sess)) = parsed.get("sessions") {
                         for (name, s) in sess {
-                            let budget = s.get("budget");
-                            let probes = budget
-                                .and_then(|b| b.get("fitted_max_probes"))
-                                .and_then(Json::as_u64)
-                                .unwrap_or(0);
+                            let budget = BudgetStats::default();
+                            budget.sum_rendered(s.get("budget").unwrap_or(&Json::Null));
+                            let probes = budget.fitted_max_probes.into_inner();
                             if probes > 0 {
-                                adaptive_sessions += 1;
-                                fitted.push((name.clone(), Json::Num(probes as f64)));
+                                rollup.adaptive_sessions += 1;
+                                fitted.push((name.clone(), num(probes)));
                             }
                         }
                     }
@@ -368,63 +391,21 @@ impl Fleet {
             }
             per_backend.push(Json::Obj(entry));
         }
-        let (spec_entries, spec_evictions) = {
-            // lint:allow(panic) — poison means a sibling worker panicked; propagate
-            let cache = self.specs.lock().expect("spec cache poisoned");
-            (cache.map.len() as u64, cache.evictions)
-        };
-        let num = |x: u64| Json::Num(x as f64);
-        let fleet = Json::Obj(vec![
-            ("backends".to_owned(), num(self.backends.len() as u64)),
-            ("backends_up".to_owned(), num(backends_up as u64)),
-            ("requests".to_owned(), num(requests)),
-            ("overloaded".to_owned(), num(overloaded)),
-            ("budget_exhausted".to_owned(), num(budget_exhausted)),
-            ("parse_errors".to_owned(), num(parse_errors)),
-            ("sessions".to_owned(), num(sessions)),
-            ("cache_hits_total".to_owned(), num(cache_total.hits)),
-            ("cache_misses_total".to_owned(), num(cache_total.misses)),
-            (
-                "cache_bytes_total".to_owned(),
-                num(cache_total.bytes as u64),
-            ),
-            (
-                "cache_hit_rate_total".to_owned(),
-                Json::Num(if cache_total.requests() == 0 {
-                    0.0
-                } else {
-                    cache_total.hit_rate()
-                }),
-            ),
-            (
-                "routed".to_owned(),
-                Json::Arr(
-                    self.routed
-                        .iter()
-                        .map(|c| num(c.load(Ordering::Relaxed)))
-                        .collect(),
-                ),
-            ),
-            (
-                "retries".to_owned(),
-                num(self.retries.load(Ordering::Relaxed)),
-            ),
-            (
-                "unavailable".to_owned(),
-                num(self.unavailable.load(Ordering::Relaxed)),
-            ),
-            ("adaptive_sessions".to_owned(), num(adaptive_sessions)),
-            ("spec_cache_entries".to_owned(), num(spec_entries)),
-            ("spec_cache_evictions".to_owned(), num(spec_evictions)),
-        ]);
         let mut fields = vec![
-            ("fleet".to_owned(), fleet),
+            ("fleet".to_owned(), rollup.render(self)),
             ("backends".to_owned(), Json::Arr(per_backend)),
         ];
         fields.extend(extra);
         let mut body = String::new();
         Json::Obj(fields).render(&mut body);
         FleetReply { status: 200, body }
+    }
+
+    /// The spec cache's resident entries and evictions so far.
+    fn spec_cache_counts(&self) -> (u64, u64) {
+        // lint:allow(panic) — poison means a sibling worker panicked; propagate
+        let cache = self.specs.lock().expect("spec cache poisoned");
+        (cache.map.len() as u64, cache.evictions)
     }
 
     /// The `GET /v1/sessions` reply: one namespace view merging every

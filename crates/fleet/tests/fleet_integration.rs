@@ -354,3 +354,156 @@ fn a_dead_backend_fails_typed_while_other_shards_keep_serving() {
     drop(stream);
     h0.join().expect("backend 0 drains");
 }
+
+/// The field names of a JSON object, in wire order.
+fn keys(object: Option<&Json>) -> Vec<&str> {
+    match object {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+#[test]
+fn every_stats_object_keeps_its_key_order() {
+    // Goldens for the five stats objects (serve global, session, session
+    // `budget` block, gateway, fleet rollup) and the envelopes around them.
+    // Dashboards and perfbench read these by name and humans read them in
+    // order; a refactor of how they are declared must not move one.
+    let (addr, handle, server) = spawn_backend("b0");
+    let (gw_addr, gw_handle) = spawn_gateway(vec![addr.clone()]);
+    let mut client = HttpClient::connect(&gw_addr);
+    let (status, response) = client.query(&spec_query(1, "g", 42));
+    assert_eq!(status, 200, "{response:?}");
+
+    let (status, stats) = client.request("GET", "/v1/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(keys(Some(&stats)), ["fleet", "backends", "gateway"]);
+    assert_eq!(
+        keys(stats.get("fleet")),
+        [
+            "backends",
+            "backends_up",
+            "requests",
+            "overloaded",
+            "budget_exhausted",
+            "parse_errors",
+            "sessions",
+            "cache_hits_total",
+            "cache_misses_total",
+            "cache_bytes_total",
+            "cache_hit_rate_total",
+            "routed",
+            "retries",
+            "unavailable",
+            "adaptive_sessions",
+            "spec_cache_entries",
+            "spec_cache_evictions",
+        ]
+    );
+    let backend = stats
+        .get("backends")
+        .and_then(Json::as_array)
+        .and_then(|b| b.first())
+        .expect("one backend entry");
+    assert_eq!(
+        keys(Some(backend)),
+        ["backend", "addr", "ok", "fitted_budgets", "stats"]
+    );
+    assert_eq!(
+        keys(backend.get("stats")),
+        [
+            "version",
+            "backend_id",
+            "uptime_s",
+            "uptime_ms",
+            "requests",
+            "qps",
+            "parse_errors",
+            "overloaded",
+            "budget_exhausted",
+            "connections",
+            "connections_open",
+            "reactor_wakeups",
+            "completions_delivered",
+            "write_syscalls",
+            "responses",
+            "bytes_written",
+            "completions_per_wake",
+            "syscalls_per_response",
+            "queue_len",
+            "sessions",
+            "registry_shards",
+            "registry_shard_hits",
+            "cache_hits_total",
+            "cache_misses_total",
+            "cache_bytes_total",
+            "cache_hit_rate_total",
+            "draining",
+        ]
+    );
+    assert_eq!(
+        keys(stats.get("gateway")),
+        [
+            "connections",
+            "connections_open",
+            "reactor_wakeups",
+            "completions_delivered",
+            "write_syscalls",
+            "responses",
+            "bytes_written",
+            "completions_per_wake",
+            "syscalls_per_response",
+        ]
+    );
+
+    let serve = serde_json::from_str(&server.stats_response().render()).expect("stats parses");
+    assert_eq!(keys(Some(&serve)), ["stats", "sessions"]);
+    let session = serve.get("sessions").and_then(|s| s.get("g"));
+    assert_eq!(
+        keys(session),
+        [
+            "kind",
+            "family",
+            "n",
+            "seed",
+            "queries",
+            "yes",
+            "errors",
+            "qps",
+            "latency_p50_us",
+            "latency_p99_us",
+            "latency_mean_us",
+            "probes_p50",
+            "probes_p99",
+            "probes_total",
+            "budget_exhausted",
+            "budget_utilization_pct_p50",
+            "budget_utilization_pct_p99",
+            "budgeted_queries",
+            "cache_hits",
+            "cache_misses",
+            "cache_entries",
+            "cache_bytes",
+            "cache_hit_rate",
+            "budget",
+        ]
+    );
+    assert_eq!(
+        keys(session.and_then(|s| s.get("budget"))),
+        [
+            "policy",
+            "target_percentile",
+            "fitted_max_probes",
+            "refits",
+            "window_epochs",
+            "samples",
+        ]
+    );
+
+    client.request("POST", "/v1/shutdown", "");
+    gw_handle.join().expect("gateway drains");
+    let mut stream = TcpStream::connect(&addr).expect("backend still up");
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    drop(stream);
+    handle.join().expect("backend drains");
+}

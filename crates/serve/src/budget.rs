@@ -28,29 +28,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Number of log2 buckets, mirroring [`crate::metrics::Histogram`]:
-/// bucket 0 holds value 0, bucket `i` holds values in `[2^(i-1), 2^i)`.
-const BUCKETS: usize = 65;
+use crate::metrics::{bucket, bucket_quantile, num, Json, BUCKETS};
 
 /// Default number of observations per window before a rotation.
 const DEFAULT_WINDOW: u64 = 256;
 
 /// Default number of observations between budget re-fits.
 const DEFAULT_REFIT_EVERY: u64 = 64;
-
-#[inline]
-fn bucket(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
-
-#[inline]
-fn bucket_upper_bound(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        64 => u64::MAX,
-        _ => (1u64 << i) - 1,
-    }
-}
 
 /// A log2-bucketed histogram that forgets: observations accumulate into a
 /// current window, and every `window` observations the window is folded into
@@ -121,25 +105,11 @@ impl WindowedHistogram {
     /// current window, reported as the upper bound of the covering bucket.
     /// Returns 0 when empty. Allocation-free.
     pub fn quantile(&self, q: f64) -> u64 {
-        let mut total: u64 = 0;
-        for (decayed, cur) in self.decayed.iter().zip(&self.cur) {
-            total += decayed.load(Ordering::Relaxed) + cur.load(Ordering::Relaxed);
-        }
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, (decayed, cur)) in self.decayed.iter().zip(&self.cur).enumerate() {
-            seen += decayed.load(Ordering::Relaxed) + cur.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        // Concurrent recording can only grow the second pass's counts, so the
-        // rank computed from the first pass is always reachable; this line is
-        // unreachable in practice.
-        u64::MAX
+        let counts = || {
+            (self.decayed.iter().zip(&self.cur))
+                .map(|(decayed, cur)| decayed.load(Ordering::Relaxed) + cur.load(Ordering::Relaxed))
+        };
+        bucket_quantile(counts, q)
     }
 }
 
@@ -199,6 +169,24 @@ impl Default for BudgetPolicyConfig {
     }
 }
 
+crate::stats_object! {
+    /// The counters of a session's `budget` stats block, which renders them
+    /// with the controller's policy and window state.
+    #[derive(Debug)]
+    pub struct BudgetStats {}
+    render(s, c: BudgetController) {
+        policy => Json::Str(c.policy()),
+        target_percentile => Json::Num(c.target_percentile()),
+        /// The fitted budget; 0 until the first fit.
+        fitted_max_probes: counter,
+        /// Completed re-fits.
+        refits: counter,
+        window_epochs => num(c.hist.epochs()),
+        /// Observations since the session was built.
+        samples: counter,
+    }
+}
+
 /// Per-session controller closing the observe→fit→admit loop: successful
 /// queries feed their probe spend into a [`WindowedHistogram`], and every
 /// `refit_every` observations the controller re-fits `max_probes` to the
@@ -215,11 +203,9 @@ pub struct BudgetController {
     target_bp: AtomicU64,
     floor: u64,
     cap: u64,
-    fitted: AtomicU64,
-    refits: AtomicU64,
     since_refit: AtomicU64,
     refit_every: u64,
-    samples: AtomicU64,
+    stats: BudgetStats,
 }
 
 impl BudgetController {
@@ -242,11 +228,9 @@ impl BudgetController {
             target_bp: AtomicU64::new(target_bp),
             floor: cfg.floor,
             cap: cfg.cap,
-            fitted: AtomicU64::new(0),
-            refits: AtomicU64::new(0),
             since_refit: AtomicU64::new(0),
             refit_every: refit_every.max(1),
-            samples: AtomicU64::new(0),
+            stats: BudgetStats::default(),
         }
     }
 
@@ -271,7 +255,7 @@ impl BudgetController {
     /// on cadence.
     pub fn observe(&self, spent: u64) {
         self.hist.record(spent);
-        self.samples.fetch_add(1, Ordering::Relaxed);
+        self.stats.samples.fetch_add(1, Ordering::Relaxed);
         let since = self.since_refit.fetch_add(1, Ordering::Relaxed) + 1;
         if since >= self.refit_every && self.enabled() {
             self.since_refit.store(0, Ordering::Relaxed);
@@ -294,12 +278,14 @@ impl BudgetController {
             return;
         }
         let q = self.hist.quantile(bp as f64 / 10_000.0);
-        if q == 0 && self.samples.load(Ordering::Relaxed) == 0 {
+        if q == 0 && self.stats.samples.load(Ordering::Relaxed) == 0 {
             return;
         }
         let fitted = q.max(self.floor).min(self.cap);
-        self.fitted.store(fitted, Ordering::Relaxed);
-        self.refits.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .fitted_max_probes
+            .store(fitted, Ordering::Relaxed);
+        self.stats.refits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The fitted budget, if adaptive fitting is enabled and a fit has
@@ -308,7 +294,7 @@ impl BudgetController {
         if !self.enabled() {
             return None;
         }
-        match self.fitted.load(Ordering::Relaxed) {
+        match self.stats.fitted_max_probes.load(Ordering::Relaxed) {
             0 => None,
             n => Some(n),
         }
@@ -324,37 +310,22 @@ impl BudgetController {
         self.target_bp.load(Ordering::Relaxed) as f64 / 100.0
     }
 
-    /// Renders the per-session `budget` stats block.
-    pub fn stats_json(&self) -> serde::Json {
-        use serde::Json;
+    /// The wire policy: `"off"` or the active target percentile (`"p99"`,
+    /// `"p99.5"`).
+    fn policy(&self) -> String {
         let bp = self.target_bp.load(Ordering::Relaxed);
-        let policy = if bp == 0 {
+        if bp == 0 {
             "off".to_string()
         } else if bp.is_multiple_of(100) {
             format!("p{}", bp / 100)
         } else {
             format!("p{}", bp as f64 / 100.0)
-        };
-        Json::Obj(vec![
-            ("policy".into(), Json::Str(policy)),
-            (
-                "target_percentile".into(),
-                Json::Num(self.target_percentile()),
-            ),
-            (
-                "fitted_max_probes".into(),
-                Json::Num(self.fitted.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "refits".into(),
-                Json::Num(self.refits.load(Ordering::Relaxed) as f64),
-            ),
-            ("window_epochs".into(), Json::Num(self.hist.epochs() as f64)),
-            (
-                "samples".into(),
-                Json::Num(self.samples.load(Ordering::Relaxed) as f64),
-            ),
-        ])
+        }
+    }
+
+    /// Renders the per-session `budget` stats block.
+    pub fn stats_json(&self) -> Json {
+        self.stats.render(self)
     }
 }
 

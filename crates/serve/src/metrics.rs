@@ -1,11 +1,170 @@
-//! Lock-free serving metrics: latency/probe histograms, per-session and
-//! global counters, and the JSON rendering behind the `stats` request.
+//! Lock-free serving metrics: log₂ histograms, the declared stats objects,
+//! and the JSON rendering behind the `stats` request.
+//!
+//! Every stats object is declared once, with [`stats_object!`], as one
+//! ordered list of its wire fields. The declaration yields the object's
+//! storage, its `Default`, its JSON render and its list of counters; the
+//! fleet rollup's summed fields are the rollup's counters. The stats field
+//! table in docs/PROTOCOL.md is checked against what the declarations
+//! render, in both directions.
 
 #![warn(clippy::unwrap_used)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use serde::Json;
+pub use serde::Json;
+
+/// Declares one stats object from an ordered list of its wire fields.
+///
+/// ```text
+/// stats_object! {
+///     /// Docs and derives for the struct.
+///     #[derive(Debug)]
+///     pub struct Name {
+///         /// Storage that is not itself a field (default: `Default::default()`).
+///         pub extra: Type = init,
+///     }
+///     render(m, ctx: Ctx) {         // `m` binds `&Name`; the context is optional
+///         /// Docs for the stored counter.
+///         key: counter,             // a relaxed `AtomicU64` named by its key
+///         key => expr,              // computed from `m` and `ctx` at render time
+///         ..extra,                  // splices the declared object in `m.extra`
+///     }
+/// }
+/// ```
+///
+/// Each key is written once. The struct gets `pub` counters in declaration
+/// order followed by the extras, a `Default` that zeroes every counter,
+/// `render`/`render_into` (the fields in declaration order), `COUNTERS`
+/// (the counters' keys) and `sum_rendered` (adds each counter's value from
+/// a rendered object of the same shape).
+#[macro_export]
+macro_rules! stats_object {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty $(= $init:expr)? ),* $(,)?
+        }
+        render($m:ident $(, $c:ident: $ctx:ty)?) { $($rows:tt)* }
+    ) => {
+        $crate::stats_object!(@rows $m
+            ($(#[$meta])* $vis struct $name {
+                $( $(#[$fmeta])* $fvis $field: $fty $(= $init)? ),*
+            } $($c: $ctx)?)
+            () () $($rows)*);
+    };
+    (@rows $m:ident $head:tt ($($counters:tt)*) ($($rows:tt)*)
+        $(#[$doc:meta])* $key:ident: counter, $($rest:tt)*) => {
+        $crate::stats_object!(@rows $m $head ($($counters)* $(#[$doc])* $key,)
+            ($($rows)* ($key $crate::metrics::count(&$m.$key))) $($rest)*);
+    };
+    (@rows $m:ident $head:tt $counters:tt ($($rows:tt)*)
+        $key:ident => $value:expr, $($rest:tt)*) => {
+        $crate::stats_object!(@rows $m $head $counters ($($rows)* ($key $value)) $($rest)*);
+    };
+    (@rows $m:ident $head:tt $counters:tt ($($rows:tt)*) ..$nested:ident, $($rest:tt)*) => {
+        $crate::stats_object!(@rows $m $head $counters ($($rows)* (.. $m.$nested)) $($rest)*);
+    };
+    (@rows $m:ident
+        ($(#[$meta:meta])* $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty $(= $init:expr)? ),*
+        } $($c:ident: $ctx:ty)?)
+        ($( $(#[$doc:meta])* $counter:ident, )*)
+        ($($row:tt)*)
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$doc])* pub $counter: ::std::sync::atomic::AtomicU64, )*
+            $( $(#[$fmeta])* $fvis $field: $fty, )*
+        }
+
+        impl ::std::default::Default for $name {
+            fn default() -> Self {
+                Self {
+                    $( $counter: ::std::sync::atomic::AtomicU64::new(0), )*
+                    $( $field: $crate::stats_object!(@init $($init)?), )*
+                }
+            }
+        }
+
+        impl $name {
+            /// The stored counters' wire keys, in declaration order.
+            pub const COUNTERS: &'static [&'static str] = &[$(::std::stringify!($counter)),*];
+
+            /// Appends this object's fields to `out`, in wire order.
+            pub fn render_into(
+                &self,
+                $($c: &$ctx,)?
+                out: &mut ::std::vec::Vec<(::std::string::String, $crate::metrics::Json)>,
+            ) {
+                let $m = self;
+                $( $crate::stats_object!(@push out $row); )*
+            }
+
+            /// Renders this object.
+            pub fn render(&self $(, $c: &$ctx)?) -> $crate::metrics::Json {
+                let mut out = ::std::vec::Vec::new();
+                self.render_into($($c,)? &mut out);
+                $crate::metrics::Json::Obj(out)
+            }
+
+            /// Adds each counter's value from `rendered`, an object with
+            /// this one's keys (a missing or non-integral value adds 0).
+            pub fn sum_rendered(&self, rendered: &$crate::metrics::Json) {
+                $(
+                    let value = rendered.get(::std::stringify!($counter));
+                    self.$counter.fetch_add(
+                        value.and_then($crate::metrics::Json::as_u64).unwrap_or(0),
+                        ::std::sync::atomic::Ordering::Relaxed,
+                    );
+                )*
+            }
+        }
+    };
+    (@init) => { ::std::default::Default::default() };
+    (@init $init:expr) => { $init };
+    (@push $out:ident (.. $nested:expr)) => { $nested.render_into($out) };
+    (@push $out:ident ($key:ident $value:expr)) => {
+        $out.push((::std::stringify!($key).to_owned(), $value))
+    };
+}
+
+/// Number of log₂ buckets: bucket 0 holds the value 0, bucket `i` holds
+/// `[2^(i-1), 2^i)`.
+pub(crate) const BUCKETS: usize = 65;
+
+/// The log₂ bucket holding `value`.
+pub(crate) fn bucket(value: u64) -> usize {
+    (u64::BITS - value.leading_zeros()) as usize
+}
+
+/// The `q`-quantile (`0.0 ..= 1.0`) of the log₂ histogram whose bucket
+/// counts `counts` yields, as the upper bound of the covering bucket; `0`
+/// when empty.
+///
+/// Allocation-free: a `stats` render makes eight quantile calls per
+/// session and the adaptive-budget refit loop far more. `counts` is walked
+/// twice; concurrent recording can only grow counts between the passes, so
+/// the rank computed from the first pass is always reachable in the second.
+pub(crate) fn bucket_quantile<I: Iterator<Item = u64>>(counts: impl Fn() -> I, q: f64) -> u64 {
+    let total: u64 = counts().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0;
+    for (i, count) in counts().enumerate() {
+        seen += count;
+        if seen >= rank {
+            return match i {
+                0 => 0,
+                64 => u64::MAX,
+                _ => (1u64 << i) - 1,
+            };
+        }
+    }
+    u64::MAX
+}
 
 /// A log₂-bucketed histogram over `u64` samples (latencies in µs, probes
 /// per query). Recording is one relaxed atomic increment; quantiles are
@@ -14,7 +173,7 @@ use serde::Json;
 /// zero contention cost.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; 65],
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }
 
@@ -33,15 +192,10 @@ impl Histogram {
         }
     }
 
-    fn bucket(value: u64) -> usize {
-        // value 0 → bucket 0; otherwise 1 + ⌊log₂ v⌋ (bucket upper bound 2^i - 1).
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        // bucket() ≤ 64 by construction; get() keeps the hot path panic-free.
-        if let Some(bucket) = self.buckets.get(Self::bucket(value)) {
+        // bucket() < BUCKETS by construction; get() keeps the hot path panic-free.
+        if let Some(bucket) = self.buckets.get(bucket(value)) {
             bucket.fetch_add(1, Ordering::Relaxed);
         }
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -54,74 +208,167 @@ impl Histogram {
 
     /// Mean of recorded samples (`0` when empty).
     pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum.load(Ordering::Relaxed) as f64 / count as f64
-        }
+        ratio(self.sum.load(Ordering::Relaxed), self.count() as f64)
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the covering
     /// bucket; `0` when empty.
-    ///
-    /// Allocation-free: a `stats` render makes eight quantile calls per
-    /// session and the adaptive-budget refit loop far more, so the atomics
-    /// are iterated directly. Concurrent recording can only grow counts
-    /// between the two passes, so the rank computed from the first pass is
-    /// always reachable in the second.
     pub fn quantile(&self, q: f64) -> u64 {
-        let mut total: u64 = 0;
-        for b in &self.buckets {
-            total += b.load(Ordering::Relaxed);
-        }
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return match i {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << i) - 1,
-                };
-            }
-        }
-        u64::MAX
+        bucket_quantile(|| self.buckets.iter().map(|b| b.load(Ordering::Relaxed)), q)
     }
 }
 
-/// Counters for one serving session.
-#[derive(Debug, Default)]
-pub struct SessionMetrics {
-    /// Queries answered (batch requests count each contained query).
-    pub queries: AtomicU64,
-    /// YES answers among them.
-    pub yes: AtomicU64,
-    /// Requests rejected with an error inside the session (bad query
-    /// range/shape).
-    pub errors: AtomicU64,
-    /// Requests failed because a query tripped its probe budget or
-    /// deadline (counted separately from `errors`: a budget trip is an
-    /// accepted serving outcome, not a client mistake).
-    pub budget_exhausted: AtomicU64,
-    /// Service-time histogram, microseconds per request.
-    pub latency_us: Histogram,
-    /// Probe-cost histogram, probes per request.
-    pub probes: Histogram,
-    /// Probes metered across every query, failed ones included.
-    pub probes_total: AtomicU64,
-    /// Probe-budget utilization histogram: per *successful* budgeted
-    /// query, `100 · spent / max_probes` — the headroom signal (a p99
-    /// pinned at the bucket covering 100 means the budget is tight).
-    /// Exhausted queries are counted in `budget_exhausted` instead, so the
-    /// two read together: utilization says how close survivors run to the
-    /// cap, the counter says how many did not survive. Empty while no
-    /// request carries a probe budget.
-    pub budget_utilization: Histogram,
+/// A number field.
+pub fn num(x: u64) -> Json {
+    Json::Num(x as f64)
+}
+
+/// A counter field: the counter's current value.
+pub fn count(counter: &AtomicU64) -> Json {
+    num(counter.load(Ordering::Relaxed))
+}
+
+/// `count / per`, rendering 0 (not NaN/null or ∞) before any traffic.
+fn ratio(count: u64, per: f64) -> f64 {
+    if per > 0.0 {
+        count as f64 / per
+    } else {
+        0.0
+    }
+}
+
+/// A cache hit-rate field: `hits / (hits + misses)`, 0 before any probe.
+pub fn hit_rate(hits: u64, misses: u64) -> Json {
+    Json::Num(ratio(hits, (hits + misses) as f64))
+}
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+stats_object! {
+    /// The reactor core's counters, declared once for every codec it
+    /// serves: `lca-serve` splices them into its `stats` object, the gateway
+    /// renders them as the `gateway` object of `GET /v1/stats`.
+    #[derive(Debug)]
+    pub struct ReactorMetrics {}
+    render(m) {
+        /// Connections accepted since the process started.
+        connections: counter,
+        /// Connections currently open (a gauge: the reactor increments on
+        /// accept and decrements on close — the C10k witness in `stats`).
+        connections_open: counter,
+        /// Times the reactor was woken by a worker completion (the wake-pipe
+        /// side of the readiness loop).
+        reactor_wakeups: counter,
+        /// Worker completions pulled off the completion queue, across all
+        /// drains; per wakeup this is `completions_per_wake`, the direct
+        /// measure of drain batching.
+        completions_delivered: counter,
+        /// Write syscalls the reactor issued (each `writev`/`write` counts
+        /// once, including short writes and retries).
+        write_syscalls: counter,
+        /// Responses handed to connection write queues (every op).
+        responses: counter,
+        /// Bytes actually accepted by the kernel across all write syscalls —
+        /// exact under short writes, because the reactor adds precisely what
+        /// each syscall returned.
+        bytes_written: counter,
+        completions_per_wake => Json::Num(ratio(
+            load(&m.completions_delivered),
+            load(&m.reactor_wakeups) as f64,
+        )),
+        syscalls_per_response => Json::Num(ratio(
+            load(&m.write_syscalls),
+            load(&m.responses) as f64,
+        )),
+    }
+}
+
+stats_object! {
+    /// Whole-process counters (everything not attributable to one session):
+    /// the global half of the `stats` response.
+    #[derive(Debug)]
+    pub struct GlobalMetrics {
+        /// The TCP front end's connection and write-path counters.
+        pub reactor: ReactorMetrics,
+        /// Process start, for uptime/qps.
+        pub started: Instant = Instant::now(),
+    }
+    render(g, snap: GlobalSnapshot) {
+        version => num(crate::proto::PROTOCOL_VERSION),
+        backend_id => Json::Str(snap.backend_id.clone()),
+        uptime_s => Json::Num(g.started.elapsed().as_secs_f64()),
+        uptime_ms => num(g.started.elapsed().as_millis() as u64),
+        /// Requests parsed off the wire (any op).
+        requests: counter,
+        qps => Json::Num(ratio(load(&g.requests), g.started.elapsed().as_secs_f64())),
+        /// Lines that failed to parse.
+        parse_errors: counter,
+        /// Query requests bounced with `overloaded`.
+        overloaded: counter,
+        /// Query requests failed on a tripped probe budget or deadline.
+        budget_exhausted: counter,
+        ..reactor,
+        queue_len => num(snap.queue_len as u64),
+        sessions => num(snap.sessions as u64),
+        registry_shards => num(snap.registry_shards as u64),
+        registry_shard_hits => Json::Arr(snap.registry_shard_hits.iter().map(|&h| num(h)).collect()),
+        cache_hits_total => num(snap.cache_total.hits),
+        cache_misses_total => num(snap.cache_total.misses),
+        cache_bytes_total => num(snap.cache_total.bytes as u64),
+        cache_hit_rate_total => hit_rate(snap.cache_total.hits, snap.cache_total.misses),
+        draining => Json::Bool(snap.draining),
+    }
+}
+
+stats_object! {
+    /// Counters for one serving session: the `sessions` map values of the
+    /// `stats` response, between the session's spec and its `budget` block.
+    #[derive(Debug)]
+    pub struct SessionMetrics {
+        /// Service-time histogram, microseconds per request.
+        pub latency_us: Histogram,
+        /// Probe-cost histogram, probes per request.
+        pub probes: Histogram,
+        /// Probe-budget utilization histogram: per *successful* budgeted
+        /// query, `100 · spent / max_probes` — the headroom signal (a p99
+        /// pinned at the bucket covering 100 means the budget is tight).
+        /// Exhausted queries are counted in `budget_exhausted` instead, so the
+        /// two read together: utilization says how close survivors run to the
+        /// cap, the counter says how many did not survive. Empty while no
+        /// request carries a probe budget.
+        pub budget_utilization: Histogram,
+    }
+    render(m, snap: SessionSnapshot) {
+        /// Queries answered (batch requests count each contained query).
+        queries: counter,
+        /// YES answers among them.
+        yes: counter,
+        /// Requests rejected with an error inside the session (bad query
+        /// range/shape).
+        errors: counter,
+        qps => Json::Num(ratio(load(&m.queries), snap.uptime_s)),
+        latency_p50_us => num(m.latency_us.quantile(0.5)),
+        latency_p99_us => num(m.latency_us.quantile(0.99)),
+        latency_mean_us => Json::Num(m.latency_us.mean()),
+        probes_p50 => num(m.probes.quantile(0.5)),
+        probes_p99 => num(m.probes.quantile(0.99)),
+        /// Probes metered across every query, failed ones included.
+        probes_total: counter,
+        /// Requests failed because a query tripped its probe budget or
+        /// deadline (counted separately from `errors`: a budget trip is an
+        /// accepted serving outcome, not a client mistake).
+        budget_exhausted: counter,
+        budget_utilization_pct_p50 => num(m.budget_utilization.quantile(0.5)),
+        budget_utilization_pct_p99 => num(m.budget_utilization.quantile(0.99)),
+        budgeted_queries => num(m.budget_utilization.count()),
+        cache_hits => num(snap.cache.hits),
+        cache_misses => num(snap.cache.misses),
+        cache_entries => num(snap.cache.entries as u64),
+        cache_bytes => num(snap.cache.bytes as u64),
+        cache_hit_rate => hit_rate(snap.cache.hits, snap.cache.misses),
+    }
 }
 
 impl SessionMetrics {
@@ -155,148 +402,23 @@ impl SessionMetrics {
     }
 }
 
-/// The reactor core's counters, declared once for every codec it serves:
-/// `lca-serve` renders them flat in its `stats` object, the gateway as the
-/// `gateway` object of `GET /v1/stats` — both through
-/// [`reactor_stats_fields`].
-#[derive(Debug, Default)]
-pub struct ReactorMetrics {
-    /// Connections accepted since the process started.
-    pub connections: AtomicU64,
-    /// Connections currently open (a gauge: the reactor increments on
-    /// accept and decrements on close — the C10k witness in `stats`).
-    pub connections_open: AtomicU64,
-    /// Times the reactor was woken by a worker completion (the wake-pipe
-    /// side of the readiness loop).
-    pub reactor_wakeups: AtomicU64,
-    /// Worker completions pulled off the completion queue, across all
-    /// drains. Divided by `reactor_wakeups` this is `completions_per_wake`
-    /// — the direct measure of drain batching (1.0 means every completion
-    /// paid a full wake; higher means the exhaustive drain amortized them).
-    pub completions_delivered: AtomicU64,
-    /// Write syscalls the reactor issued (each `writev`/`write` counts
-    /// once, including short writes and retries).
-    pub write_syscalls: AtomicU64,
-    /// Responses handed to connection write queues (every op). Divided
-    /// into `write_syscalls` this is `syscalls_per_response`.
-    pub responses: AtomicU64,
-    /// Bytes actually accepted by the kernel across all write syscalls —
-    /// exact under short writes, because the reactor adds precisely what
-    /// each syscall returned.
-    pub bytes_written: AtomicU64,
+/// What a session object renders besides its own counters, read at render
+/// time.
+#[derive(Debug, Clone, Copy)]
+pub struct SessionSnapshot {
+    /// The session's serving-cache counters.
+    pub cache: lca_probe::CacheStats,
+    /// Seconds since the session was built (for `qps`).
+    pub uptime_s: f64,
 }
 
-/// Whole-process counters (everything not attributable to one session).
-#[derive(Debug)]
-pub struct GlobalMetrics {
-    /// Requests parsed off the wire (any op).
-    pub requests: AtomicU64,
-    /// Lines that failed to parse.
-    pub parse_errors: AtomicU64,
-    /// Query requests bounced with `overloaded`.
-    pub overloaded: AtomicU64,
-    /// Query requests failed on a tripped probe budget or deadline.
-    pub budget_exhausted: AtomicU64,
-    /// The TCP front end's connection and write-path counters.
-    pub reactor: ReactorMetrics,
-    /// Process start, for uptime/qps.
-    pub started: Instant,
-}
-
-impl Default for GlobalMetrics {
-    fn default() -> Self {
-        Self {
-            requests: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            budget_exhausted: AtomicU64::new(0),
-            reactor: ReactorMetrics::default(),
-            started: Instant::now(),
-        }
-    }
-}
-
-fn num(x: u64) -> Json {
-    Json::Num(x as f64)
-}
-
-/// `a / b` rendering 0 (not NaN/null) before any traffic.
-fn ratio(a: u64, b: u64) -> f64 {
-    if b == 0 {
-        0.0
-    } else {
-        a as f64 / b as f64
-    }
-}
-
-/// Renders one session's stats object (the `sessions` map values of the
-/// `stats` response).
+/// Renders one session's stats object.
 pub fn session_stats_json(
     metrics: &SessionMetrics,
     cache: lca_probe::CacheStats,
     uptime_s: f64,
 ) -> Json {
-    let queries = metrics.queries.load(Ordering::Relaxed);
-    Json::Obj(vec![
-        ("queries".into(), num(queries)),
-        ("yes".into(), num(metrics.yes.load(Ordering::Relaxed))),
-        ("errors".into(), num(metrics.errors.load(Ordering::Relaxed))),
-        (
-            "qps".into(),
-            Json::Num(if uptime_s > 0.0 {
-                queries as f64 / uptime_s
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "latency_p50_us".into(),
-            num(metrics.latency_us.quantile(0.5)),
-        ),
-        (
-            "latency_p99_us".into(),
-            num(metrics.latency_us.quantile(0.99)),
-        ),
-        (
-            "latency_mean_us".into(),
-            Json::Num(metrics.latency_us.mean()),
-        ),
-        ("probes_p50".into(), num(metrics.probes.quantile(0.5))),
-        ("probes_p99".into(), num(metrics.probes.quantile(0.99))),
-        (
-            "probes_total".into(),
-            num(metrics.probes_total.load(Ordering::Relaxed)),
-        ),
-        (
-            "budget_exhausted".into(),
-            num(metrics.budget_exhausted.load(Ordering::Relaxed)),
-        ),
-        (
-            "budget_utilization_pct_p50".into(),
-            num(metrics.budget_utilization.quantile(0.5)),
-        ),
-        (
-            "budget_utilization_pct_p99".into(),
-            num(metrics.budget_utilization.quantile(0.99)),
-        ),
-        (
-            "budgeted_queries".into(),
-            num(metrics.budget_utilization.count()),
-        ),
-        ("cache_hits".into(), num(cache.hits)),
-        ("cache_misses".into(), num(cache.misses)),
-        ("cache_entries".into(), num(cache.entries as u64)),
-        ("cache_bytes".into(), num(cache.bytes as u64)),
-        (
-            "cache_hit_rate".into(),
-            // NaN renders as null; keep 0 for "no traffic yet" instead.
-            Json::Num(if cache.requests() == 0 {
-                0.0
-            } else {
-                cache.hit_rate()
-            }),
-        ),
-    ])
+    metrics.render(&SessionSnapshot { cache, uptime_s })
 }
 
 /// The non-atomic half of the global `stats` object: values the server
@@ -326,94 +448,7 @@ pub struct GlobalSnapshot {
 
 /// Renders the global half of the `stats` response.
 pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json {
-    let uptime_s = global.started.elapsed().as_secs_f64();
-    let requests = global.requests.load(Ordering::Relaxed);
-    let mut fields = vec![
-        ("version".into(), num(crate::proto::PROTOCOL_VERSION)),
-        ("backend_id".into(), Json::Str(snap.backend_id.clone())),
-        ("uptime_s".into(), Json::Num(uptime_s)),
-        (
-            "uptime_ms".into(),
-            num(global.started.elapsed().as_millis() as u64),
-        ),
-        ("requests".into(), num(requests)),
-        (
-            "qps".into(),
-            Json::Num(if uptime_s > 0.0 {
-                requests as f64 / uptime_s
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "parse_errors".into(),
-            num(global.parse_errors.load(Ordering::Relaxed)),
-        ),
-        (
-            "overloaded".into(),
-            num(global.overloaded.load(Ordering::Relaxed)),
-        ),
-        (
-            "budget_exhausted".into(),
-            num(global.budget_exhausted.load(Ordering::Relaxed)),
-        ),
-    ];
-    fields.extend(reactor_stats_fields(&global.reactor));
-    fields.extend([
-        ("queue_len".into(), num(snap.queue_len as u64)),
-        ("sessions".into(), num(snap.sessions as u64)),
-        ("registry_shards".into(), num(snap.registry_shards as u64)),
-        (
-            "registry_shard_hits".into(),
-            Json::Arr(snap.registry_shard_hits.iter().map(|&h| num(h)).collect()),
-        ),
-        ("cache_hits_total".into(), num(snap.cache_total.hits)),
-        ("cache_misses_total".into(), num(snap.cache_total.misses)),
-        (
-            "cache_bytes_total".into(),
-            num(snap.cache_total.bytes as u64),
-        ),
-        (
-            "cache_hit_rate_total".into(),
-            Json::Num(if snap.cache_total.requests() == 0 {
-                0.0
-            } else {
-                snap.cache_total.hit_rate()
-            }),
-        ),
-        ("draining".into(), Json::Bool(snap.draining)),
-    ]);
-    Json::Obj(fields)
-}
-
-/// Renders the reactor counters plus their two derived ratios
-/// (`completions_per_wake`, `syscalls_per_response`) — the one renderer
-/// behind both serve `stats` and the gateway's `gateway` object.
-pub fn reactor_stats_fields(m: &ReactorMetrics) -> Vec<(String, Json)> {
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    vec![
-        ("connections".into(), num(load(&m.connections))),
-        ("connections_open".into(), num(load(&m.connections_open))),
-        ("reactor_wakeups".into(), num(load(&m.reactor_wakeups))),
-        (
-            "completions_delivered".into(),
-            num(load(&m.completions_delivered)),
-        ),
-        ("write_syscalls".into(), num(load(&m.write_syscalls))),
-        ("responses".into(), num(load(&m.responses))),
-        ("bytes_written".into(), num(load(&m.bytes_written))),
-        (
-            "completions_per_wake".into(),
-            Json::Num(ratio(
-                load(&m.completions_delivered),
-                load(&m.reactor_wakeups),
-            )),
-        ),
-        (
-            "syscalls_per_response".into(),
-            Json::Num(ratio(load(&m.write_syscalls), load(&m.responses))),
-        ),
-    ]
+    global.render(snap)
 }
 
 #[cfg(test)]

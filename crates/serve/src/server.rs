@@ -28,11 +28,9 @@ use lca::prelude::QueryBudget;
 use serde::Json;
 
 use crate::budget::BudgetPolicyConfig;
-use crate::metrics::{
-    global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot, ReactorMetrics,
-};
+use crate::metrics::{GlobalMetrics, GlobalSnapshot, ReactorMetrics, SessionSnapshot};
 use crate::pool::{RejectReason, WorkerPool};
-use crate::proto::{ErrorCode, Request, Response};
+use crate::proto::{ErrorCode, Request, Response, SessionSpec};
 use crate::reactor::{Codec, Deliver, Framed, Outcome};
 use crate::session::SessionRegistry;
 
@@ -92,6 +90,17 @@ fn write_line(out: &SharedWriter, response: &Response) {
     // A vanished client is not a server error; drop the response.
     let _ = writeln!(w, "{line}");
     let _ = w.flush();
+}
+
+/// A session's spec as wire fields with the given `n`: `stats` reports the
+/// instance's actual vertex count, `sessions` the requested one.
+fn spec_fields(spec: &SessionSpec, n: usize) -> Vec<(String, Json)> {
+    vec![
+        ("kind".into(), Json::Str(spec.kind.to_string())),
+        ("family".into(), Json::Str(spec.family.to_string())),
+        ("n".into(), Json::Num(n as f64)),
+        ("seed".into(), Json::Num(spec.seed as f64)),
+    ]
 }
 
 /// What one request line turned into — the reactor and stdio loops route
@@ -164,19 +173,10 @@ impl Server {
             .map(|(name, s)| {
                 let cache = s.cache_stats();
                 cache_total = cache_total + cache;
-                let mut obj = match session_stats_json(
-                    &s.metrics,
-                    cache,
-                    s.started.elapsed().as_secs_f64(),
-                ) {
-                    Json::Obj(fields) => fields,
-                    // lint:allow(panic) — session_stats_json returns Obj by construction
-                    _ => unreachable!("session stats render as an object"),
-                };
-                obj.insert(0, ("kind".into(), Json::Str(s.spec.kind.to_string())));
-                obj.insert(1, ("family".into(), Json::Str(s.spec.family.to_string())));
-                obj.insert(2, ("n".into(), Json::Num(s.vertex_count() as f64)));
-                obj.insert(3, ("seed".into(), Json::Num(s.spec.seed as f64)));
+                let mut obj = spec_fields(&s.spec, s.vertex_count());
+                let uptime_s = s.started.elapsed().as_secs_f64();
+                s.metrics
+                    .render_into(&SessionSnapshot { cache, uptime_s }, &mut obj);
                 obj.push(("budget".into(), s.controller.stats_json()));
                 (name.clone(), Json::Obj(obj))
             })
@@ -191,7 +191,7 @@ impl Server {
             cache_total,
         };
         Response::Stats(Json::Obj(vec![
-            ("stats".into(), global_stats_json(&self.global, &snap)),
+            ("stats".into(), self.global.render(&snap)),
             ("sessions".into(), Json::Obj(session_objs)),
         ]))
     }
@@ -205,12 +205,7 @@ impl Server {
         let objs: Vec<(String, Json)> = sessions
             .iter()
             .map(|(name, s)| {
-                let mut fields = vec![
-                    ("kind".into(), Json::Str(s.spec.kind.to_string())),
-                    ("family".into(), Json::Str(s.spec.family.to_string())),
-                    ("n".into(), Json::Num(s.spec.n as f64)),
-                    ("seed".into(), Json::Num(s.spec.seed as f64)),
-                ];
+                let mut fields = spec_fields(&s.spec, s.spec.n);
                 if let Some(knob) = s.spec.knob {
                     fields.push(("knob".into(), Json::Num(knob)));
                 }

@@ -40,37 +40,6 @@ use crate::{algo_seed, input_seed};
 /// The session's oracle stack (see module docs for the layering).
 pub type OracleStack = CachedOracle<lca::family::BoxedImplicitOracle>;
 
-/// A cheap `Clone` handle to the stack, so [`LcaBuilder::build`] can take
-/// the oracle by value and the session can keep reading stats from it.
-#[derive(Clone)]
-pub struct SharedStack(pub Arc<OracleStack>);
-
-impl Oracle for SharedStack {
-    fn vertex_count(&self) -> usize {
-        self.0.vertex_count()
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        self.0.degree(v)
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.0.neighbor(v, i)
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.0.adjacency(u, v)
-    }
-
-    fn label(&self, v: VertexId) -> u64 {
-        self.0.label(v)
-    }
-
-    fn probe_cost_hint(&self) -> lca_graph::ProbeCost {
-        self.0.probe_cost_hint()
-    }
-}
-
 /// One resident instance: spec, oracle stack, built algorithm, metrics.
 pub struct Session {
     /// The pinned spec (spec fields in later requests must match).
@@ -116,7 +85,7 @@ impl Session {
         let oracle = Arc::new(CachedOracle::new(implicit));
         let algo = LcaBuilder::new(spec.kind)
             .seed(algo_seed(spec.seed))
-            .build(SharedStack(oracle.clone()));
+            .build(oracle.clone());
         let poll_stride = oracle.probe_cost_hint().poll_stride();
         Session {
             spec,

@@ -685,6 +685,9 @@ fn session_probe_totals_sum_every_metered_query() {
     assert_eq!(p.get("probes_total").and_then(Json::as_u64), Some(served));
     assert_eq!(p.get("errors").and_then(Json::as_u64), Some(1));
     assert_eq!(p.get("budget_exhausted").and_then(Json::as_u64), Some(1));
+    // Every metered probe passes through the serving cache exactly once.
+    let cache = |k: &str| p.get(k).and_then(Json::as_u64).expect(k);
+    assert_eq!(cache("cache_hits") + cache("cache_misses"), served);
 
     client.roundtrip(r#"{"op":"shutdown"}"#);
     handle.join().expect("drain");
