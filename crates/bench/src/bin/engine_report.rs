@@ -329,7 +329,7 @@ fn serve_report() {
     );
 
     // Third pass: the many-connection fan-in scenario. 1000 sockets held
-    // open simultaneously against the default-size worker pool, one
+    // open simultaneously against the default number of reactor loops, one
     // in-flight request per socket, every answer verified — the C10k
     // claim measured rather than asserted (`connections_open` is sampled
     // from the server's stats while all sockets are open). A stats

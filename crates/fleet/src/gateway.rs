@@ -97,10 +97,11 @@ impl Gateway {
     }
 
     /// Serves HTTP on `listener` until a shutdown request drains the
-    /// gateway. One reactor thread owns every socket; pool workers own
-    /// every backend round trip.
+    /// gateway. One reactor loop owns every socket; pool workers own
+    /// every backend round trip, which blocks, so it never runs on the
+    /// loop.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        let result = lca_serve::reactor::run(self.clone(), listener);
+        let result = lca_serve::reactor::run(self.clone(), listener, 1);
         self.pool.shutdown();
         result
     }
@@ -157,7 +158,13 @@ impl Codec for Gateway {
         Gateway::draining(self)
     }
 
-    fn frame(&self, scanned: &mut usize, buf: &[u8], _eof: bool) -> Framed<Self::Request> {
+    fn frame(
+        &self,
+        scanned: &mut usize,
+        buf: &[u8],
+        _eof: bool,
+        _backlog: usize,
+    ) -> Framed<Self::Request> {
         match http::try_parse(buf, scanned) {
             ParseOutcome::Incomplete => Framed::Incomplete,
             ParseOutcome::Request(request, len) => {
@@ -175,7 +182,6 @@ impl Codec for Gateway {
     fn handle(
         self: &Arc<Self>,
         _: &mut usize,
-        _raw: &[u8],
         request: Self::Request,
         deliver: Deliver<Vec<u8>>,
     ) -> Outcome {

@@ -19,11 +19,15 @@
 //! `max_probes` always wins, and sessions can opt in or out per request
 //! with the `budget_policy` field.
 //!
-//! TCP connections are served by a single-threaded event-driven reactor
-//! (no per-connection threads); `--max-connections` (default 10240) sizes
-//! the process's fd soft limit accordingly, and `--backend` forces a
-//! readiness backend (default: epoll on Linux, the portable sweep
-//! elsewhere).
+//! TCP connections are served by `--workers` event-driven reactor loops,
+//! one thread each (default: available parallelism; no per-connection
+//! threads). The first loop accepts and hands each connection to the loop
+//! with the fewest open; every loop answers its own connections' queries
+//! inline. `--queue` bounds the queries one loop holds admitted but not yet
+//! started; past it a query is answered `overloaded`. `--max-connections`
+//! (default 10240) sizes the process's fd soft limit accordingly, and
+//! `--backend` forces a readiness backend (default: epoll on Linux, the
+//! portable sweep elsewhere).
 //!
 //! Every response is one newline-JSON line, on every transport.
 //!

@@ -13,20 +13,24 @@
 //! * **Sessions** ([`session`]) — lazily built, pinned
 //!   `(kind, family, n, seed)` instances, each owning an algorithm over a
 //!   `CachedOracle → implicit oracle` stack, metered per query.
-//! * **Reactor** ([`reactor`], [`sys`]) — the event-driven TCP core: one
-//!   thread multiplexes every connection over nonblocking sockets and a
-//!   readiness loop (epoll on Linux via a thin `extern "C"` layer, a
+//! * **Reactor** ([`reactor`], [`sys`]) — the event-driven TCP core: N
+//!   readiness loops, one thread each, multiplex the connections over
+//!   nonblocking sockets (epoll on Linux via a thin `extern "C"` layer, a
 //!   portable poll-with-timeout sweep elsewhere), generic over a wire
 //!   [`reactor::Codec`] — this crate's newline-JSON protocol, and the
 //!   fleet gateway's HTTP/1.1. No per-connection threads at any load;
 //!   thousands of open connections cost buffers, not stacks.
-//! * **Admission** ([`pool`]) — a fixed worker pool behind a bounded queue;
-//!   a full queue answers `overloaded` instead of buffering unboundedly.
-//!   Workers return responses to the reactor through a completion queue
-//!   plus a wake pipe — they never block on a client socket.
+//! * **Admission** — each loop answers the queries it frames, inline on
+//!   its own thread, and bounds the queries it holds admitted but not yet
+//!   started; past the bound a query is answered `overloaded` instead of
+//!   buffered. A query never crosses threads.
+//! * **Worker pool** ([`pool`]) — a fixed pool behind a bounded queue, for
+//!   a codec whose requests block (the fleet gateway's backend round
+//!   trips). Workers return responses to their loop through a completion
+//!   queue plus a wake — they never block on a client socket.
 //! * **Budgets** — requests carry `max_probes`/`deadline_ms`; every query
 //!   runs in a `QueryCtx` enforcing them, over-budget queries fail with the
-//!   typed `budget-exhausted` code (never hang a worker), and `stats`
+//!   typed `budget-exhausted` code (never hang a loop), and `stats`
 //!   reports exhaustion counters plus a budget-utilization histogram.
 //!   Operators can install server-wide defaults
 //!   (`lca-serve --max-probes/--deadline-ms`).

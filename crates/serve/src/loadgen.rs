@@ -13,8 +13,8 @@
 //!   sender threads hold *many* sockets open at once (one in-flight
 //!   request per socket, sends issued across a thread's whole socket set
 //!   before any response is awaited, optional `rate` pacing), so a
-//!   thousand simultaneous open connections hit a daemon whose worker
-//!   pool is a handful of threads — exactly the shape the event-driven
+//!   thousand simultaneous open connections hit a daemon that runs a
+//!   handful of reactor threads — exactly the shape the event-driven
 //!   reactor exists for. The server's `stats` are fetched *while every
 //!   socket is still open*, so the report's `connections_open` witnesses
 //!   the simultaneity instead of asserting it.

@@ -251,19 +251,25 @@ stats_object! {
     /// serves: `lca-serve` splices them into its `stats` object, the gateway
     /// renders them as the `gateway` object of `GET /v1/stats`.
     #[derive(Debug)]
-    pub struct ReactorMetrics {}
+    pub struct ReactorMetrics {
+        /// Requests the loops have framed as queued work and not yet
+        /// started, summed over loops (a gauge, not a wire field of this
+        /// object: `lca-serve` renders it as `queue_len`).
+        pub backlog: AtomicU64,
+    }
     render(m) {
         /// Connections accepted since the process started.
         connections: counter,
         /// Connections currently open (a gauge: the reactor increments on
         /// accept and decrements on close — the C10k witness in `stats`).
         connections_open: counter,
-        /// Times the reactor was woken by a worker completion (the wake-pipe
-        /// side of the readiness loop).
+        /// Times a readiness loop was woken through its waker: a worker
+        /// completion, a connection handed over by loop 0, or the drain.
         reactor_wakeups: counter,
-        /// Worker completions pulled off the completion queue, across all
-        /// drains; per wakeup this is `completions_per_wake`, the direct
-        /// measure of drain batching.
+        /// Worker completions pulled off the loops' completion queues,
+        /// across all drains; per wakeup this is `completions_per_wake`, the
+        /// direct measure of drain batching. It stays 0 for a codec that
+        /// answers everything inline.
         completions_delivered: counter,
         /// Write syscalls the reactor issued (each `writev`/`write` counts
         /// once, including short writes and retries).
@@ -430,7 +436,8 @@ pub struct GlobalSnapshot {
     /// echoed in `stats` so a fleet rollup can tag which member answered;
     /// empty when the operator assigned none.
     pub backend_id: String,
-    /// Jobs waiting in the worker pool's admission queue.
+    /// Queries admitted but not yet started, summed over the loops'
+    /// backlogs.
     pub queue_len: usize,
     /// Whether a drain has begun.
     pub draining: bool,

@@ -102,7 +102,7 @@ pub enum ErrorCode {
     Overloaded,
     /// The server is draining and no longer accepts queries.
     Draining,
-    /// The query panicked inside the worker — a server bug, not a client
+    /// The query panicked while being answered — a server bug, not a client
     /// one; the session stays usable.
     Internal,
     /// A query exceeded the request's `max_probes` budget. A clean partial

@@ -1,35 +1,36 @@
 //! The daemon: request dispatch, stats, drain — transport-agnostic.
 //!
-//! Two transports share this module's dispatch core:
+//! Two transports share this module's dispatch core (`Server::respond`):
 //!
 //! * **TCP** ([`Server::serve`]) — the reactor core in [`crate::reactor`]
-//!   running this module's newline-JSON [`Codec`]: one thread multiplexes
-//!   every connection through a readiness loop (epoll on Linux, a portable
-//!   sweep elsewhere; see [`crate::sys`]), and the bounded [`WorkerPool`]
-//!   executes queries. Workers never touch sockets — they hand finished
-//!   responses back to the reactor through its completion queue + wake
-//!   pipe, so a stalled client can never block a worker.
+//!   running this module's newline-JSON [`Codec`] on `workers` readiness
+//!   loops (epoll on Linux, a portable sweep elsewhere; see
+//!   [`crate::sys`]). Each loop answers every request it frames, queries
+//!   included, on its own thread: an LCA answer is a function of the
+//!   input, the seed and the query alone, so any loop can compute any
+//!   answer without coordinating with the others. A `ping` or `stats`
+//!   therefore waits behind a query already running on its loop.
 //! * **stdio** ([`Server::serve_stdio`]) — a plain line loop, what the
 //!   integration tests and shell examples use.
 //!
-//! Dispatch itself ([`Server::handle_line`]) is sink-based: inline
-//! responses (ping/stats/shutdown, parse and session errors, backpressure)
-//! are returned to the caller, query work is admitted to the pool with a
-//! `deliver` callback the worker invokes when the response is ready.
+//! Admission happens at framing. A loop frames everything one readiness
+//! turn read before it runs any of it; a query framed while
+//! `queue_capacity` queries already wait on that loop is answered
+//! `overloaded` without being run. A query's deadline clock starts when it
+//! is framed, so time spent behind other requests on its loop counts.
 
 #![warn(clippy::unwrap_used)]
 use std::io::{self, Write};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lca::prelude::QueryBudget;
 use serde::Json;
 
 use crate::budget::BudgetPolicyConfig;
 use crate::metrics::{GlobalMetrics, GlobalSnapshot, ReactorMetrics, SessionSnapshot};
-use crate::pool::{RejectReason, WorkerPool};
 use crate::proto::{ErrorCode, Request, Response, SessionSpec};
 use crate::reactor::{Codec, Deliver, Framed, Outcome};
 use crate::session::SessionRegistry;
@@ -37,10 +38,12 @@ use crate::session::SessionRegistry;
 /// Sizing knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads answering queries (default: available parallelism).
+    /// Reactor loops serving TCP, one thread each; every loop answers the
+    /// queries of the connections it owns (default: available
+    /// parallelism).
     pub workers: usize,
-    /// Admission-queue bound; one more request than this in flight gets
-    /// `overloaded` (default 1024).
+    /// Admission bound per loop: queries framed but not yet started. A
+    /// query framed past it gets `overloaded` (default 1024).
     pub queue_capacity: usize,
     /// Server-side default budget applied to query requests that do not
     /// carry their own `max_probes`/`deadline_ms` (request fields win
@@ -79,19 +82,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A shared, locked line sink: the stdio loop and its workers interleave
-/// whole lines, never bytes.
-pub type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-fn write_line(out: &SharedWriter, response: &Response) {
-    let line = response.render();
-    // lint:allow(panic) — poison means a sibling writer panicked; propagate
-    let mut w = out.lock().expect("writer poisoned");
-    // A vanished client is not a server error; drop the response.
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
-}
-
 /// A session's spec as wire fields with the given `n`: `stats` reports the
 /// instance's actual vertex count, `sessions` the requested one.
 fn spec_fields(spec: &SessionSpec, n: usize) -> Vec<(String, Json)> {
@@ -103,26 +93,27 @@ fn spec_fields(spec: &SessionSpec, n: usize) -> Vec<(String, Json)> {
     ]
 }
 
-/// What one request line turned into — the reactor and stdio loops route
-/// responses differently depending on which.
-pub(crate) enum LineOutcome {
-    /// Answered synchronously; the caller owns delivery.
-    Inline(Response),
-    /// Admitted to the worker pool; the `deliver` callback passed to
-    /// [`Server::handle_line`] fires with the response when a worker
-    /// finishes (exactly once).
-    Deferred,
-    /// An empty line: no response owed.
-    Ignored,
+/// One framed request line: the serve codec's [`Codec::Request`].
+pub enum Line {
+    /// A blank line: no response owed.
+    Blank,
+    /// Answered at framing without running anything: a malformed line, or
+    /// a query past the loop's admission bound.
+    Answer(Response),
+    /// A parsed request and when it was framed (a query's deadline clock
+    /// starts there).
+    Request(Request, Instant),
 }
 
-/// The serving daemon: session registry + worker pool + metrics.
+/// The serving daemon: session registry + metrics + the reactor loops'
+/// sizing.
 pub struct Server {
     /// Resident sessions (sharded by name).
     pub registry: SessionRegistry,
     /// Whole-process counters.
     pub global: GlobalMetrics,
-    pub(crate) pool: WorkerPool,
+    loops: usize,
+    queue_capacity: usize,
     draining: AtomicBool,
     default_budget: QueryBudget,
     backend_id: String,
@@ -130,7 +121,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds a server (spawns its worker pool immediately).
+    /// Builds a server; its loops start with [`Server::serve`].
     pub fn new(config: ServerConfig) -> Arc<Server> {
         // The server's own `--max-probes` is the hard cap: an adaptive fit
         // may tighten the budget below it but never loosen past it.
@@ -143,7 +134,8 @@ impl Server {
         Arc::new(Server {
             registry: SessionRegistry::with_policy(policy),
             global: GlobalMetrics::default(),
-            pool: WorkerPool::new(config.workers, config.queue_capacity),
+            loops: config.workers.max(1),
+            queue_capacity: config.queue_capacity.max(1),
             draining: AtomicBool::new(false),
             default_budget: config.default_budget,
             backend_id: config.backend_id,
@@ -183,7 +175,7 @@ impl Server {
             .collect();
         let snap = GlobalSnapshot {
             backend_id: self.backend_id.clone(),
-            queue_len: self.pool.queue_len(),
+            queue_len: self.global.reactor.backlog.load(Ordering::Relaxed) as usize,
             draining: self.draining(),
             sessions: sessions.len(),
             registry_shards: self.registry.shard_count(),
@@ -215,59 +207,45 @@ impl Server {
         Response::Stats(Json::Obj(vec![("sessions".into(), Json::Obj(objs))]))
     }
 
-    /// Handles one raw wire line: non-UTF-8 is answered `bad-request`
-    /// without reaching the parser.
-    pub(crate) fn handle_raw_line(
-        self: &Arc<Self>,
-        raw: &[u8],
-        deliver: impl FnOnce(Response) + Send + 'static,
-    ) -> LineOutcome {
-        match std::str::from_utf8(raw) {
-            Ok(line) => self.handle_line(line, deliver),
-            Err(_) => {
-                self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
-                LineOutcome::Inline(Response::Error {
-                    id: None,
-                    code: ErrorCode::BadRequest,
-                    message: "request line is not UTF-8".to_owned(),
-                })
-            }
-        }
-    }
-
-    /// Handles one request line. Control requests, errors, and
-    /// backpressure are answered in the return value; query work is
-    /// admitted to the pool and `deliver` fires from a worker with the
-    /// response ([`LineOutcome::Deferred`] — exactly one call, even if the
-    /// query panics).
-    pub(crate) fn handle_line(
-        self: &Arc<Self>,
-        line: &str,
-        deliver: impl FnOnce(Response) + Send + 'static,
-    ) -> LineOutcome {
+    /// Parses one raw wire line and counts it: `None` for a blank line,
+    /// the `bad-request` response for non-UTF-8 or malformed input.
+    fn parse_line(&self, raw: &[u8]) -> Option<Result<Request, Response>> {
+        let Ok(line) = std::str::from_utf8(raw) else {
+            self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
+            return Some(Err(Response::Error {
+                id: None,
+                code: ErrorCode::BadRequest,
+                message: "request line is not UTF-8".to_owned(),
+            }));
+        };
         let line = line.trim();
         if line.is_empty() {
-            return LineOutcome::Ignored;
+            return None;
         }
-        let request = match Request::parse(line) {
+        Some(match Request::parse(line) {
             Ok(request) => {
                 self.global.requests.fetch_add(1, Ordering::Relaxed);
-                request
+                Ok(request)
             }
             Err(e) => {
                 self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
-                return LineOutcome::Inline(e.response());
+                Err(e.response())
             }
-        };
+        })
+    }
+
+    /// Answers one parsed request on the calling thread. `admitted` is
+    /// when the request was framed: a query's deadline runs from there.
+    pub(crate) fn respond(&self, request: Request, admitted: Instant) -> Response {
         match request {
-            Request::Ping => LineOutcome::Inline(Response::Ok {
+            Request::Ping => Response::Ok {
                 draining: self.draining(),
-            }),
-            Request::Stats => LineOutcome::Inline(self.stats_response()),
-            Request::Sessions => LineOutcome::Inline(self.sessions_response()),
+            },
+            Request::Stats => self.stats_response(),
+            Request::Sessions => self.sessions_response(),
             Request::Shutdown => {
                 self.begin_shutdown();
-                LineOutcome::Inline(Response::Ok { draining: true })
+                Response::Ok { draining: true }
             }
             Request::Query {
                 session,
@@ -279,17 +257,15 @@ impl Server {
                 budget_policy,
             } => {
                 if self.draining() {
-                    return LineOutcome::Inline(Response::Error {
+                    return Response::Error {
                         id,
                         code: ErrorCode::Draining,
                         message: "server is draining".to_owned(),
-                    });
+                    };
                 }
                 let resolved = match self.registry.resolve(&session, spec) {
                     Ok(resolved) => resolved,
-                    Err((code, message)) => {
-                        return LineOutcome::Inline(Response::Error { id, code, message })
-                    }
+                    Err((code, message)) => return Response::Error { id, code, message },
                 };
                 if let Some(policy) = budget_policy {
                     resolved
@@ -308,104 +284,83 @@ impl Server {
                         .or(self.default_budget.timeout),
                     cancel: None,
                 };
-                // The deadline clock starts now — at admission — so time
-                // spent waiting in the queue counts against the request's
+                // The deadline clock started at admission, so time spent
+                // behind other requests counts against the request's
                 // allowance (the documented whole-request contract).
-                let deadline = budget.timeout.map(|t| std::time::Instant::now() + t);
-                let server = self.clone();
-                let admitted = self.pool.try_execute(move || {
-                    // The pool also catches panics (to keep the worker), but
-                    // catching here too lets the client get a response
-                    // instead of a silent hang on this id.
-                    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        resolved.answer(&session, &queries, id, &budget, deadline)
-                    }))
-                    .unwrap_or_else(|_| Response::Error {
-                        id,
-                        code: ErrorCode::Internal,
-                        message: "query panicked in the worker (server bug)".to_owned(),
-                    });
-                    if matches!(
-                        &response,
-                        Response::Error {
-                            code: ErrorCode::BudgetExhausted | ErrorCode::DeadlineExceeded,
-                            ..
-                        }
-                    ) {
-                        server
-                            .global
-                            .budget_exhausted
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    deliver(response);
+                let deadline = budget.timeout.map(|t| admitted + t);
+                // A panicking query still owes its client a response, not
+                // a silent hang on this id.
+                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    resolved.answer(&session, &queries, id, &budget, deadline)
+                }))
+                .unwrap_or_else(|_| Response::Error {
+                    id,
+                    code: ErrorCode::Internal,
+                    message: "query panicked while being answered (server bug)".to_owned(),
                 });
-                match admitted {
-                    Ok(()) => LineOutcome::Deferred,
-                    Err(RejectReason::Full) => {
-                        self.global.overloaded.fetch_add(1, Ordering::Relaxed);
-                        LineOutcome::Inline(Response::overloaded(id))
+                if matches!(
+                    &response,
+                    Response::Error {
+                        code: ErrorCode::BudgetExhausted | ErrorCode::DeadlineExceeded,
+                        ..
                     }
-                    Err(RejectReason::ShuttingDown) => LineOutcome::Inline(Response::Error {
-                        id,
-                        code: ErrorCode::Draining,
-                        message: "server is draining".to_owned(),
-                    }),
+                ) {
+                    self.global.budget_exhausted.fetch_add(1, Ordering::Relaxed);
                 }
+                response
             }
         }
     }
 
-    /// Handles one request line against a [`SharedWriter`] (the stdio
-    /// transport): inline responses are written immediately, deferred ones
-    /// when their worker finishes.
-    pub fn dispatch(self: &Arc<Self>, line: &str, out: &SharedWriter) {
-        let deferred_out = out.clone();
-        match self.handle_line(line, move |response| write_line(&deferred_out, &response)) {
-            LineOutcome::Inline(response) => write_line(out, &response),
-            LineOutcome::Deferred | LineOutcome::Ignored => {}
-        }
-    }
-
-    /// Serves TCP connections on the event-driven reactor until a shutdown
-    /// request lands, then drains: accepting stops, admitted queries
-    /// finish, every connection's pending responses are flushed, the pool
-    /// joins.
+    /// Serves TCP connections on `workers` reactor loops until a shutdown
+    /// request lands, then drains: accepting stops, every loop answers
+    /// what it framed and flushes every connection's pending responses.
     ///
-    /// One reactor thread owns every socket; N pool workers own every
-    /// query. No per-connection threads exist at any load.
+    /// Each loop owns the sockets it was handed and answers their queries
+    /// itself. No per-connection threads exist at any load.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        let result = crate::reactor::run(self.clone(), listener);
-        self.pool.shutdown();
-        result
+        crate::reactor::run(self.clone(), listener, self.loops)
     }
 
     /// Serves newline requests from stdin to stdout until EOF or shutdown,
-    /// then drains (so every admitted response is flushed before return).
-    pub fn serve_stdio(self: &Arc<Self>) {
-        let out: SharedWriter = Arc::new(Mutex::new(Box::new(io::stdout())));
+    /// answering each line before reading the next.
+    pub fn serve_stdio(&self) {
         let stdin = io::stdin();
+        let mut out = io::stdout();
         let mut line = String::new();
         loop {
             line.clear();
             match stdin.read_line(&mut line) {
                 Ok(0) | Err(_) => break,
-                Ok(_) => self.dispatch(&line, &out),
+                Ok(_) => {
+                    let response = match self.parse_line(line.as_bytes()) {
+                        None => None,
+                        Some(Ok(request)) => Some(self.respond(request, Instant::now())),
+                        Some(Err(response)) => Some(response),
+                    };
+                    if let Some(response) = response {
+                        // A vanished client is not a server error; drop
+                        // the response.
+                        let _ = writeln!(out, "{}", response.render());
+                        let _ = out.flush();
+                    }
+                }
             }
             if self.draining() {
                 break;
             }
         }
-        self.pool.shutdown();
     }
 }
 
 /// `lca-serve`'s wire codec on the reactor core: newline-JSON requests in,
-/// newline-JSON responses out, no per-connection state. Requests on one
-/// connection may all be in flight at once — every response carries its
-/// request's `id`.
+/// newline-JSON responses out, no per-connection state. Every request is
+/// answered on the loop that framed it. Requests on one connection may be
+/// pipelined — every response carries its request's `id`.
 impl Codec for Server {
     type Conn = ();
-    type Request = ();
+    type Request = Line;
+    /// Never produced: this codec defers nothing.
     type Completion = Response;
     const PIPELINED: bool = true;
     /// No legitimate request line is 16 MiB.
@@ -419,28 +374,39 @@ impl Codec for Server {
         Server::draining(self)
     }
 
-    fn frame(&self, (): &mut (), buf: &[u8], eof: bool) -> Framed<()> {
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => Framed::Request((), pos + 1),
+    /// Frames and parses one line, admitting a query unless `backlog`
+    /// queries already wait on this loop: past `queue_capacity` it is
+    /// answered `overloaded` here, without being run.
+    fn frame(&self, (): &mut (), buf: &[u8], eof: bool, backlog: usize) -> Framed<Line> {
+        let len = match buf.iter().position(|&b| b == b'\n') {
+            Some(pos) => pos + 1,
             // A final unterminated line at EOF is still served — stdio
             // mode would serve it, TCP must too.
-            None if eof => Framed::Request((), buf.len()),
-            None => Framed::Incomplete,
-        }
+            None if eof => buf.len(),
+            None => return Framed::Incomplete,
+        };
+        let line = match self.parse_line(buf.get(..len).unwrap_or(buf)) {
+            None => Line::Blank,
+            Some(Err(response)) => Line::Answer(response),
+            Some(Ok(Request::Query { id, .. })) if backlog >= self.queue_capacity => {
+                self.global.overloaded.fetch_add(1, Ordering::Relaxed);
+                Line::Answer(Response::overloaded(id))
+            }
+            Some(Ok(request @ Request::Query { .. })) => {
+                return Framed::Queued(Line::Request(request, Instant::now()), len)
+            }
+            Some(Ok(request)) => Line::Request(request, Instant::now()),
+        };
+        Framed::Request(line, len)
     }
 
-    fn handle(
-        self: &Arc<Self>,
-        (): &mut (),
-        raw: &[u8],
-        (): (),
-        deliver: Deliver<Response>,
-    ) -> Outcome {
-        match self.handle_raw_line(raw, move |response| deliver.send(response)) {
-            LineOutcome::Inline(response) => Outcome::Inline(self.render(&(), response)),
-            LineOutcome::Deferred => Outcome::Deferred,
-            LineOutcome::Ignored => Outcome::Ignored,
-        }
+    fn handle(self: &Arc<Self>, (): &mut (), line: Line, _: Deliver<Response>) -> Outcome {
+        let response = match line {
+            Line::Blank => return Outcome::Ignored,
+            Line::Answer(response) => response,
+            Line::Request(request, admitted) => self.respond(request, admitted),
+        };
+        Outcome::Inline(self.render(&(), response))
     }
 
     fn render(&self, (): &(), response: Response) -> Vec<u8> {

@@ -4,7 +4,8 @@
 //!
 //! This is the only module in the workspace allowed to use `unsafe`: the
 //! Linux backend declares the four epoll syscalls (plus `prlimit64` for
-//! [`raise_fd_limit`]) as `extern "C"` against the libc the Rust standard
+//! [`raise_fd_limit`] and `listen` for [`deepen_accept_queue`]) as
+//! `extern "C"` against the libc the Rust standard
 //! library already links — no external crate, no new dependency. Every
 //! unsafe block wraps exactly one syscall on file descriptors this module
 //! owns or borrows for the duration of the call.
@@ -13,8 +14,9 @@
 //!
 //! * **Epoll** (`linux`): level-triggered `epoll_wait` over the registered
 //!   descriptors, plus a self-wake socketpair (`UnixStream::pair`) so
-//!   worker threads can interrupt a blocked wait when a completed query's
-//!   response is ready to flush.
+//!   other threads can interrupt a blocked wait: a worker with a response
+//!   to flush, the accepting loop with a connection to hand over, or the
+//!   loop that took a shutdown.
 //! * **Sweep** (portable fallback, also selectable on Linux with
 //!   `LCA_SERVE_BACKEND=sweep`): no kernel readiness at all — `wait`
 //!   parks on a condvar for a few milliseconds (or until a waker fires)
@@ -49,8 +51,9 @@ pub struct Event {
 }
 
 /// A cheap, clonable handle that interrupts a concurrent [`Poller::wait`].
-/// Worker threads hold one; waking an idle poller is one `write(2)` (epoll
-/// backend) or one condvar notify (sweep backend).
+/// Worker threads and the other reactor loops hold one; waking an idle
+/// poller is one `write(2)` (epoll backend) or one condvar notify (sweep
+/// backend).
 #[derive(Clone)]
 pub struct Waker(WakerInner);
 
@@ -188,7 +191,7 @@ impl Poller {
 
     /// Blocks until readiness, a wake, or `timeout`; fills `events`
     /// (cleared first). Returns `true` iff a [`Waker`] fired during the
-    /// wait — the reactor's signal to drain its completion queue.
+    /// wait — the loop's signal to take its mailboxes.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<bool> {
         events.clear();
         match self {
@@ -330,6 +333,33 @@ pub fn write_vectored(stream: &std::net::TcpStream, bufs: &[&[u8]]) -> io::Resul
 /// still coalescing a deep per-connection backlog into one syscall.
 pub const MAX_IOVECS: usize = 64;
 
+/// Deepens a listening socket's accept queue past std's fixed 128. The
+/// reactor's accepting loop also answers queries, so a burst of connects
+/// can arrive while it computes; a connect that finds the queue full has
+/// its handshake dropped and is retried only after a one-second SYN-ACK
+/// timeout. Calling `listen(2)` again on a listening socket only changes
+/// its backlog. No-op outside Linux.
+pub fn deepen_accept_queue(listener: &std::net::TcpListener) -> io::Result<()> {
+    #[cfg(all(unix, target_os = "linux"))]
+    {
+        use std::os::fd::AsRawFd;
+        // The kernel caps this at `net.core.somaxconn`.
+        const BACKLOG: i32 = 4096;
+        // SAFETY: plain syscall on the listener's fd, which it owns for
+        // the whole call; no pointers are passed.
+        let rc = unsafe { ffi::listen(listener.as_raw_fd(), BACKLOG) };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+    #[cfg(not(all(unix, target_os = "linux")))]
+    {
+        let _ = listener;
+        Ok(())
+    }
+}
+
 /// Shrinks (or grows) the socket's kernel receive buffer. The framing
 /// torture tests set a tiny `SO_RCVBUF` on the *client* side to force the
 /// server into partial writes; production code has no reason to call this.
@@ -415,6 +445,7 @@ mod ffi {
             timeout: c_int,
         ) -> c_int;
         pub fn close(fd: c_int) -> c_int;
+        pub fn listen(fd: c_int, backlog: c_int) -> c_int;
         pub fn writev(fd: c_int, iov: *const Iovec, iovcnt: c_int) -> isize;
         pub fn setsockopt(
             fd: c_int,
@@ -657,6 +688,33 @@ mod tests {
         let mut got = vec![0u8; 10];
         server_side.read_exact(&mut got).expect("read");
         assert_eq!(&got, b"alpha beta");
+    }
+
+    /// A burst of connects past std's 128-deep accept queue, with nobody
+    /// accepting meanwhile (a loop busy computing), must all be waiting in
+    /// the queue afterwards instead of having their handshakes dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn deepened_accept_queue_holds_a_connect_burst() {
+        raise_fd_limit(1024).expect("fd limit");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        deepen_accept_queue(&listener).expect("listen");
+        let addr = listener.local_addr().expect("addr");
+        const BURST: usize = 300;
+        // A connect whose handshake the kernel dropped hangs in SYN
+        // retransmits; the timeout turns that into a failure.
+        let clients: Vec<TcpStream> = (0..BURST)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(2))
+                    .unwrap_or_else(|e| panic!("connect {i} of a {BURST}-connect burst: {e}"))
+            })
+            .collect();
+        listener.set_nonblocking(true).expect("nonblocking");
+        let mut accepted = Vec::new();
+        while let Ok((stream, _)) = listener.accept() {
+            accepted.push(stream);
+        }
+        assert_eq!(accepted.len(), clients.len(), "handshakes were dropped");
     }
 
     #[test]

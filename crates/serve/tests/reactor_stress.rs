@@ -4,6 +4,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -320,4 +321,169 @@ fn queries_after_drain_are_refused_typed() {
     );
     drop((stream, reader));
     handle.join().expect("drain");
+}
+
+/// A cold MIS batch of `len` distinct vertices starting at `first`, on a
+/// million-vertex session (so no answer is memoized yet).
+fn cold_batch(id: u64, session: &str, first: u64, len: u64) -> String {
+    let queries: Vec<String> = (first..first + len).map(|v| v.to_string()).collect();
+    format!(
+        "{{\"id\":{id},\"session\":\"{session}\",\"kind\":\"mis\",\"family\":\"gnp\",\
+         \"n\":1000000,\"seed\":4,\"queries\":[{}]}}\n",
+        queries.join(",")
+    )
+}
+
+/// With an idle connection on each of four loops, `serve` must return soon
+/// after the `shutdown` reply: the loop that takes the shutdown wakes the
+/// others instead of leaving each to notice at its 100 ms wait timeout.
+/// Timed over five drains; the median must sit well below that timeout.
+#[test]
+fn drain_wakes_every_loop_promptly() {
+    let mut drains = Vec::new();
+    for _ in 0..5 {
+        let (addr, handle, _server) = spawn_server(ServerConfig {
+            workers: 4,
+            queue_capacity: 64,
+            ..ServerConfig::default()
+        });
+        // Each hand-off goes to the emptiest loop, so four connections
+        // land one per loop; a ping on each proves it is registered.
+        let idle: Vec<(TcpStream, BufReader<TcpStream>)> = (0..4)
+            .map(|_| {
+                let (mut stream, mut reader) = connect(&addr);
+                let pong = roundtrip(&mut stream, &mut reader, r#"{"op":"ping"}"#);
+                assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+                (stream, reader)
+            })
+            .collect();
+        let (mut ctl_stream, mut ctl_reader) = connect(&addr);
+        let bye = roundtrip(&mut ctl_stream, &mut ctl_reader, r#"{"op":"shutdown"}"#);
+        let acked = Instant::now();
+        assert_eq!(bye.get("draining").and_then(Json::as_bool), Some(true));
+        handle.join().expect("drain");
+        drains.push(acked.elapsed());
+        drop(idle);
+    }
+    drains.sort();
+    assert!(
+        drains[2] < Duration::from_millis(50),
+        "median drain {:?} (all: {drains:?}): idle loops were not woken",
+        drains[2]
+    );
+}
+
+/// The drain wake must not cut short a loop that is busy: a batch still
+/// computing on one loop when another loop takes the shutdown is answered
+/// in full, and its connection closed, before `serve` returns.
+#[test]
+fn drain_flushes_a_batch_computing_on_another_loop() {
+    let (addr, handle, server) = spawn_server(ServerConfig {
+        workers: 4,
+        queue_capacity: 64,
+        ..ServerConfig::default()
+    });
+    // The first connection lands on loop 0 (which accepts), the second on
+    // loop 1, so the batch computes off the accepting loop; loops 2 and 3
+    // stay idle and must be woken to finish the drain.
+    let (mut ctl_stream, mut ctl_reader) = connect(&addr);
+    roundtrip(&mut ctl_stream, &mut ctl_reader, r#"{"op":"ping"}"#);
+    let (mut slow_stream, mut slow_reader) = connect(&addr);
+    roundtrip(&mut slow_stream, &mut slow_reader, r#"{"op":"ping"}"#);
+
+    const LEN: u64 = 20_000;
+    slow_stream
+        .write_all(cold_batch(1, "busy", 0, LEN).as_bytes())
+        .expect("write batch");
+    // Shut down as soon as the batch is framed (it starts in the same
+    // turn), while its loop is still computing it.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.global.requests.load(Ordering::Relaxed) < 3 {
+        assert!(Instant::now() < deadline, "the batch was never framed");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let bye = roundtrip(&mut ctl_stream, &mut ctl_reader, r#"{"op":"shutdown"}"#);
+    assert_eq!(bye.get("draining").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        server.global.reactor.responses.load(Ordering::Relaxed),
+        3,
+        "the batch finished before the drain began: nothing was tested"
+    );
+
+    let mut line = String::new();
+    slow_reader.read_line(&mut line).expect("drain delivery");
+    let response: Json = serde_json::from_str(line.trim()).expect("json");
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        response
+            .get("answers")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len),
+        Some(LEN as usize),
+        "batch lost in drain: {line:?}"
+    );
+    line.clear();
+    assert_eq!(slow_reader.read_line(&mut line).expect("eof"), 0);
+    handle.join().expect("serve returns after the drain");
+}
+
+/// One loop, two connections: one pipelines cold MIS batches back to back
+/// as fast as the socket takes them, the other pings. A turn reads at most
+/// one chunk per connection, so the pings keep being answered while the
+/// batches compute inline on the same loop.
+#[test]
+fn pipelined_batches_do_not_starve_pings_on_their_loop() {
+    let (addr, handle, _server) = spawn_server(ServerConfig {
+        workers: 1,
+        queue_capacity: 1024,
+        ..ServerConfig::default()
+    });
+    let (mut flood, flood_reader) = connect(&addr);
+    flood
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .expect("write timeout");
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut first = 0;
+            let mut id = 0;
+            while !stop.load(Ordering::Relaxed) {
+                // Trailing blanks pad each line to 4 KiB, so one read
+                // chunk carries about four batches: a ping's wait is a few
+                // batches long on any host, while the flood still keeps
+                // the socket full.
+                let line = format!("{:<4096}\n", cold_batch(id, "flood", first, 50).trim_end());
+                if flood.write_all(line.as_bytes()).is_err() {
+                    break;
+                }
+                first = (first + 50) % 1_000_000;
+                id += 1;
+            }
+        })
+    };
+    // Drains the flood's answers so its writes never stall on a full
+    // socket.
+    let reader = std::thread::spawn(move || flood_reader.lines().take_while(Result::is_ok).count());
+    std::thread::sleep(Duration::from_millis(200));
+
+    let (mut stream, mut ping_reader) = connect(&addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    for i in 0..20 {
+        let sent = Instant::now();
+        let pong = roundtrip(&mut stream, &mut ping_reader, r#"{"op":"ping"}"#);
+        assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+        assert!(
+            sent.elapsed() < Duration::from_secs(1),
+            "ping {i} waited {:?} behind the pipelined batches",
+            sent.elapsed()
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    roundtrip(&mut stream, &mut ping_reader, r#"{"op":"shutdown"}"#);
+    handle.join().expect("drain");
+    writer.join().expect("writer");
+    assert!(reader.join().expect("reader") > 0, "no batch was answered");
 }
