@@ -28,13 +28,19 @@
 //!
 //! Algorithms access their input through [`BudgetedOracle`], a per-query
 //! view created by [`QueryCtx::budgeted`]. Each probe first calls
-//! [`QueryCtx::charge`]; once the budget trips, the view stops forwarding
-//! and returns the model's ⊥ answers (`degree = 0`, `neighbor = None`,
-//! `adjacency = None`), which drains every probe loop in the workspace
-//! immediately — a budgeted query can never hang. Any answer computed after
-//! the trip is garbage by construction, so `Lca::query_ctx` implementations
-//! call [`QueryCtx::checkpoint`] before trusting a result: an interrupted
-//! context always reports the typed budget error, never a wrong answer.
+//! [`QueryCtx::charge`]. A buffered scan (`neighbors_into`) is `deg(v) + 1`
+//! probes; when no probe of it can be refused (the remaining budget covers
+//! a scan of any vertex), the view forwards it to the inner oracle as one
+//! call and charges its probes in one step, so a caching layer below sees
+//! one call per scan instead of `deg(v) + 1`. A scan the budget could cut
+//! short is charged probe by probe. Once the budget trips, the view stops
+//! forwarding and returns the model's ⊥ answers (`degree = 0`,
+//! `neighbor = None`, `adjacency = None`), which drains every probe loop in
+//! the workspace immediately — a budgeted query can never hang. Any answer
+//! computed after the trip is garbage by construction, so `Lca::query_ctx`
+//! implementations call [`QueryCtx::checkpoint`] before trusting a result:
+//! an interrupted context always reports the typed budget error, never a
+//! wrong answer.
 //! Algorithms with cross-query memo tables (the classic LCAs) checkpoint
 //! *before every memo insert*, so a partially-computed decision is never
 //! persisted — budget exhaustion is a clean partial failure.
@@ -108,8 +114,16 @@ const INTERRUPT_CANCELLED: u8 = 3;
 /// of 64 and nanosecond in-memory probes that overshoot is microseconds —
 /// harmless; with millisecond remote probes it would be ~63 ms per miss,
 /// which is why expensive oracles must lower the stride (to 1, every probe
-/// pays a clock read, and the blind spot vanishes). The probe *budget* has
-/// no such blind spot — it is charged on every probe regardless of stride.
+/// pays a clock read, and the blind spot vanishes).
+///
+/// A buffered scan charged in one step (see [`BudgetedOracle`]) keeps the
+/// same schedule — it polls once, *after* the scan, if its charged range
+/// `(spent, spent + deg + 1]` holds the first probe or a multiple of the
+/// stride — but it cannot be interrupted half-way: its probes have already
+/// reached the stack, so they stay charged, and a failed poll refuses the
+/// *next* probe. The blind spot is therefore the larger of `stride − 1`
+/// probes and one scan, even at stride 1. The probe *budget* has no blind
+/// spot — a scan the budget could cut short is charged probe by probe.
 pub const POLL_STRIDE: u64 = 64;
 
 /// The per-query execution context: budget limits plus the shared probe
@@ -211,6 +225,34 @@ impl QueryCtx {
             return false;
         }
         true
+    }
+
+    /// Whether a buffered scan over an `n`-vertex oracle can be charged in
+    /// one step: the context is live and the remaining budget covers
+    /// `deg + 1 ≤ n` probes, so no probe of the scan can be refused.
+    #[inline]
+    fn scan_cannot_trip(&self, n: usize) -> bool {
+        self.interrupt.load(Ordering::Relaxed) == INTERRUPT_NONE
+            && self.limit.saturating_sub(self.spent()) >= n as u64
+    }
+
+    /// Charges `probes` that already reached the inner oracle as one scan,
+    /// polling once afterwards if the charged range `(spent, spent +
+    /// probes]` holds the first probe or a stride multiple — the polls
+    /// [`QueryCtx::charge`] would have made. A failed poll refuses the next
+    /// probe, not these.
+    fn charge_scan(&self, probes: u64) {
+        let before = self.spent.fetch_add(probes, Ordering::Relaxed);
+        let after = before + probes;
+        if after > self.limit {
+            // Only a context shared by concurrent queries can get here
+            // (another query charged between the check and this add); fail
+            // the query rather than report success over its limit.
+            self.interrupt.store(INTERRUPT_BUDGET, Ordering::Relaxed);
+        }
+        if before == 0 || after / self.poll_stride > before / self.poll_stride {
+            self.poll();
+        }
     }
 
     /// Polls deadline and cancellation; records the interruption on trip.
@@ -372,6 +414,22 @@ impl QueryBudget {
 /// terminates every probe loop promptly. `label` and `vertex_count` are
 /// probe-free in the model and always forward.
 ///
+/// A buffered scan (`neighbors_into`) takes one of two paths:
+///
+/// * **one inner call** when no probe of it can be refused — the view is
+///   unmetered, or its context is live with at least `vertex_count()`
+///   probes of budget left (a scan is `deg + 1 ≤ n` probes). The view
+///   forwards the scan to the inner oracle's `neighbors_into` and charges
+///   its `deg + 1` probes in one step ([`POLL_STRIDE`] describes the
+///   deadline poll that follows). Every wrapper below accounts a scan as
+///   those probes, so counters, transcripts and cache statistics read
+///   exactly what the decomposed scan would produce, while a shared cache
+///   is entered once per scan rather than once per probe;
+/// * **probe by probe** otherwise: `degree(v)` then `neighbor(v, 0..d)`,
+///   each charged on its own, so the probe that trips the budget is
+///   refused before it reaches the inner oracle and the buffer keeps the
+///   answered prefix.
+///
 /// Constructed by [`QueryCtx::budgeted`], or [`BudgetedOracle::unmetered`]
 /// for code paths that share the plumbing without a budget.
 #[derive(Debug, Clone, Copy)]
@@ -398,6 +456,21 @@ impl<'a, O: Oracle> BudgetedOracle<'a, O> {
             Some(ctx) => ctx.charge(),
             None => true,
         }
+    }
+
+    /// The scan as `degree(v)` + `neighbor(v, 0..d)` through the charged
+    /// point probes: a refusal mid-scan leaves the answered prefix in `out`.
+    fn neighbors_per_probe(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+        out.clear();
+        let d = self.degree(v);
+        out.reserve(d);
+        for i in 0..d {
+            match self.neighbor(v, i) {
+                Some(w) => out.push(w),
+                None => break,
+            }
+        }
+        d
     }
 }
 
@@ -430,16 +503,20 @@ impl<O: Oracle> Oracle for BudgetedOracle<'_, O> {
         }
     }
 
-    // `neighbors_into` deliberately stays on the trait default, which
-    // decomposes a buffered scan into `degree(v)` + `neighbor(v, 0..d)`
-    // through the charged methods above. That makes budget semantics exact
-    // by construction: each constituent probe is charged individually
-    // (`ctx.spent()` counts d + 1 for a full scan), the probe that trips
-    // the budget is refused before reaching the inner oracle, and a
-    // refusal mid-scan leaves the already-answered prefix in the buffer —
-    // identical behavior, probe for probe, to a hand-written scan loop.
-    // Bulk-generation savings still apply below this layer (the implicit
-    // oracles memoize the generated list across the constituent probes).
+    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+        match self.ctx {
+            None => self.inner.neighbors_into(v, out),
+            Some(ctx) if ctx.scan_cannot_trip(self.inner.vertex_count()) => {
+                let d = self.inner.neighbors_into(v, out);
+                // `degree` plus the `neighbor` probes the per-probe loop
+                // would issue: all `d`, or up to the first ⊥ if the inner
+                // oracle truncated the scan.
+                ctx.charge_scan(1 + d.min(out.len() + 1) as u64);
+                d
+            }
+            Some(_) => self.neighbors_per_probe(v, out),
+        }
+    }
 
     fn label(&self, v: VertexId) -> u64 {
         self.inner.label(v)
@@ -706,6 +783,115 @@ mod tests {
             ctx.checkpoint(),
             Err(LcaError::BudgetExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn bulk_scan_polls_after_crossing_a_stride_boundary() {
+        let small = structured::star(8); // centre degree 7: an 8-probe scan
+        let big = structured::star(64); // centre degree 63: a 64-probe scan
+        let centre = VertexId::new(0);
+        let mut buf = Vec::new();
+        let mk = || {
+            QueryCtx::new(
+                None,
+                Some(Instant::now() + Duration::from_millis(200)),
+                None,
+            )
+        };
+
+        // Spent 1 → 9 crosses no multiple of 64: the expired deadline stays
+        // in the blind spot and the scan's answer stands.
+        let ctx = mk();
+        let o = ctx.budgeted(&small);
+        assert_eq!(o.degree(centre), 7); // first probe polls, deadline ahead
+        std::thread::sleep(Duration::from_millis(250));
+        assert_eq!(o.neighbors_into(centre, &mut buf), 7);
+        assert_eq!(ctx.spent(), 9);
+        assert!(ctx.checkpoint().is_ok());
+
+        // Spent 1 → 65 crosses 64: the scan completes and stays charged,
+        // the poll after it records the deadline, and the next probe is
+        // refused.
+        let ctx = mk();
+        let o = ctx.budgeted(&big);
+        assert_eq!(o.degree(centre), 63);
+        std::thread::sleep(Duration::from_millis(250));
+        assert_eq!(o.neighbors_into(centre, &mut buf), 63);
+        assert_eq!(buf, big.neighbors(centre), "the scan's answer is complete");
+        assert_eq!(
+            ctx.checkpoint(),
+            Err(LcaError::DeadlineExceeded { spent: 65 })
+        );
+        assert_eq!(o.degree(centre), 0, "the next probe is refused");
+        assert_eq!(ctx.spent(), 65);
+    }
+
+    /// A graph whose scans stop after `k` neighbors through both entry
+    /// points, as a budgeted view that ran dry answers.
+    struct Truncated {
+        g: lca_graph::Graph,
+        k: usize,
+    }
+
+    impl Oracle for Truncated {
+        fn vertex_count(&self) -> usize {
+            self.g.vertex_count()
+        }
+        fn degree(&self, v: VertexId) -> usize {
+            self.g.degree(v)
+        }
+        fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
+            (i < self.k).then(|| self.g.neighbor(v, i)).flatten()
+        }
+        fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
+            self.g.adjacency_index(u, v)
+        }
+        fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+            let d = Oracle::neighbors_into(&self.g, v, out);
+            out.truncate(self.k);
+            d
+        }
+        fn label(&self, v: VertexId) -> u64 {
+            self.g.label(v)
+        }
+    }
+
+    #[test]
+    fn bulk_and_split_scans_charge_a_truncated_scan_alike() {
+        let o = Truncated {
+            g: structured::star(9),
+            k: 3,
+        };
+        let centre = VertexId::new(0);
+        let (mut bulk, mut split) = (Vec::new(), Vec::new());
+        let roomy = QueryCtx::unlimited();
+        let d = roomy.budgeted(&o).neighbors_into(centre, &mut bulk);
+        // Less than n = 9 probes of room: the view splits the scan.
+        let tight = QueryCtx::with_probe_limit(8);
+        assert_eq!(tight.budgeted(&o).neighbors_into(centre, &mut split), d);
+        assert_eq!((d, bulk.len()), (8, 3));
+        assert_eq!(bulk, split);
+        // degree + 3 answered neighbors + the neighbor probe that met ⊥.
+        assert_eq!((roomy.spent(), tight.spent()), (5, 5));
+        assert!(tight.checkpoint().is_ok());
+    }
+
+    #[test]
+    fn bulk_scan_over_its_limit_fails_the_query() {
+        // Two queries sharing one context can both pass the room check and
+        // together charge past the limit; the overrun is reported, not
+        // swallowed.
+        let ctx = QueryCtx::with_probe_limit(10);
+        ctx.charge_scan(6);
+        assert!(ctx.checkpoint().is_ok());
+        ctx.charge_scan(6);
+        assert_eq!(
+            ctx.checkpoint(),
+            Err(LcaError::BudgetExhausted {
+                spent: 12,
+                limit: 10
+            })
+        );
     }
 
     #[test]

@@ -19,8 +19,12 @@ const DEFAULT_SLAB_BYTES: usize = 1024 * 1024;
 const LIST_OVERHEAD_BYTES: usize = 48;
 
 /// An [`Oracle`] wrapper that caches whole adjacency lists **across
-/// queries**, sharded by vertex so concurrent `query_batch` workers rarely
-/// contend on one lock.
+/// queries**, sharded by vertex so concurrent workers rarely wait on one
+/// lock. Waiting is not what sharing costs: every call takes a shard lock,
+/// so threads probing one cache pass that lock's cache line back and forth.
+/// A caller that reads whole lists should therefore call
+/// [`Oracle::neighbors_into`] once per scan (one lock for `deg + 1`
+/// logical probes) rather than `degree` plus `deg` `neighbor` calls.
 ///
 /// This is serving-layer infrastructure, *not* part of the LCA model — and
 /// the distinction matters:

@@ -142,8 +142,9 @@ pub enum Response {
         session: String,
         /// The LCA's answer.
         answer: bool,
-        /// Oracle probes spent on this request (approximate when the same
-        /// session is being queried concurrently).
+        /// Oracle probes spent on this request, read from its own query
+        /// meter: exact even when the same session is being queried
+        /// concurrently.
         probes: u64,
         /// Wall-clock service time in microseconds (queue wait excluded).
         micros: u64,

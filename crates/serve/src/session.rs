@@ -523,9 +523,10 @@ mod tests {
     #[test]
     fn one_k2_query_leaves_exactly_its_probed_lists_resident() {
         // Every served probe goes through the query's budgeted view, which
-        // decomposes scans into point probes; each one must still read (or
-        // fill) its vertex's whole list, so the cache ends up holding one
-        // list per distinct vertex of the query's transcript.
+        // forwards an unlimited query's neighbor scans whole and its other
+        // probes one by one; either way each reads (or fills) its vertex's
+        // whole list and counts as its logical probes, so the cache ends up
+        // holding one list per distinct vertex of the query's transcript.
         let spec = SessionSpec {
             kind: AlgorithmKind::Spanner(SpannerKind::K2),
             family: ImplicitFamily::Gnp,

@@ -12,7 +12,10 @@
 //! A second phase prices a whole warm k2-spanner query — hundreds of
 //! probes against a resident serving cache — in allocator calls. That walk
 //! still builds per-query memos and result vectors, so the bound there is a
-//! budget per query, not zero.
+//! budget per query, not zero. The same phase counts the calls that reach
+//! the serving cache: the query's budgeted view forwards each buffered
+//! neighbor scan as one call, so a warm query enters the cache far fewer
+//! times than it probes.
 //!
 //! Everything lives in one `#[test]`: the counter is process-global, and a
 //! sibling test allocating on another thread would poison the measurement.
@@ -108,30 +111,89 @@ fn warmed_probes_do_not_allocate() {
     k2_query_alloc_budget();
 }
 
+/// Counts the calls that reach the oracle below it, whatever their kind.
+struct CallCounter<O> {
+    inner: O,
+    calls: AtomicU64,
+}
+
+impl<O> CallCounter<O> {
+    fn bump(&self) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl<O: Oracle> Oracle for CallCounter<O> {
+    fn vertex_count(&self) -> usize {
+        self.inner.vertex_count()
+    }
+    fn degree(&self, v: VertexId) -> usize {
+        self.bump();
+        self.inner.degree(v)
+    }
+    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
+        self.bump();
+        self.inner.neighbor(v, i)
+    }
+    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        self.bump();
+        self.inner.adjacency(u, v)
+    }
+    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+        self.bump();
+        self.inner.neighbors_into(v, out)
+    }
+    fn label(&self, v: VertexId) -> u64 {
+        self.inner.label(v)
+    }
+}
+
 /// The warm k2 walk's allocator budget: allocator calls per k2-spanner
 /// query on implicit G(10⁶, 4/n) behind a resident `CachedOracle`,
 /// averaged over 256 sampled edges. With SipHash maps built fresh for every
 /// center search this batch cost 257 calls per query; with the per-query
 /// scratch reused across searches it costs 92. The bound is half the
 /// former figure.
+///
+/// The same batch also bounds the calls into the cache at a quarter of the
+/// probes. A neighbor scan split into point probes made one cache call per
+/// probe; forwarded whole, this batch makes 55 calls per warm query for
+/// 302 probes.
 fn k2_query_alloc_budget() {
     const QUERIES: usize = 256;
     const BUDGET: u64 = 257 / 2;
     let kind = AlgorithmKind::Spanner(SpannerKind::K2);
     let oracle = ImplicitFamily::Gnp.build(1_000_000, Seed::new(1));
-    let cached = CachedOracle::new(&oracle);
+    let cached = CallCounter {
+        inner: CachedOracle::new(&oracle),
+        calls: AtomicU64::new(0),
+    };
     let algo = LcaBuilder::new(kind).seed(Seed::new(1)).build(&cached);
     let queries =
         LcaBuilder::new(kind).queries(&oracle, QuerySource::sample(QUERIES, Seed::new(2)));
     // Warm-up pass: fills the serving cache with every list the batch reads.
     let warm: Vec<bool> = queries.iter().map(|&q| algo.query(q).unwrap()).collect();
+    let calls_before = cached.calls.load(Ordering::Relaxed);
+    let mut probes = 0;
     let baseline = alloc_calls();
     for (&q, &want) in queries.iter().zip(&warm) {
-        assert_eq!(algo.query(q).unwrap(), want, "warm k2 answer drifted");
+        let ctx = QueryCtx::unlimited();
+        assert_eq!(
+            algo.query_ctx(q, &ctx).unwrap(),
+            want,
+            "warm k2 answer drifted"
+        );
+        probes += ctx.spent();
     }
     let per_query = (alloc_calls() - baseline) / QUERIES as u64;
     assert!(
         per_query <= BUDGET,
         "a warm k2 query made {per_query} allocator calls (budget {BUDGET})"
+    );
+    let cache_calls = cached.calls.load(Ordering::Relaxed) - calls_before;
+    assert!(
+        cache_calls * 4 <= probes,
+        "warm k2 queries made {cache_calls} calls into the serving cache for \
+         {probes} probes (bound: a quarter of the probes)"
     );
 }
