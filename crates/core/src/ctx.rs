@@ -19,10 +19,11 @@
 //!   another thread, failing the query with [`LcaError::Cancelled`];
 //! * the **meter** — one shared per-query probe counter. Every probe an
 //!   algorithm issues is charged here exactly once, at the top of the
-//!   oracle decorator stack (above `CountingOracle`/`CachedOracle`/the
-//!   input oracle), so [`QueryCtx::spent`] is the authoritative per-query
-//!   probe cost regardless of which accounting or caching wrappers sit
-//!   below.
+//!   oracle decorator stack (above any `CountingOracle` or `CachedOracle`
+//!   and the input oracle, whose lists may be served from the calling
+//!   thread's list store), so [`QueryCtx::spent`] is the authoritative
+//!   per-query probe cost regardless of which accounting or caching
+//!   layers sit below.
 //!
 //! # How enforcement works
 //!
@@ -422,9 +423,9 @@ impl QueryBudget {
 ///   forwards the scan to the inner oracle's `neighbors_into` and charges
 ///   its `deg + 1` probes in one step ([`POLL_STRIDE`] describes the
 ///   deadline poll that follows). Every wrapper below accounts a scan as
-///   those probes, so counters, transcripts and cache statistics read
-///   exactly what the decomposed scan would produce, while a shared cache
-///   is entered once per scan rather than once per probe;
+///   those probes, so counters, transcripts and list-store hit counts
+///   read exactly what the decomposed scan would produce, while the list
+///   store is entered once per scan rather than once per probe;
 /// * **probe by probe** otherwise: `degree(v)` then `neighbor(v, 0..d)`,
 ///   each charged on its own, so the probe that trips the budget is
 ///   refused before it reaches the inner oracle and the buffer keeps the

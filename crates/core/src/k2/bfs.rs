@@ -65,14 +65,16 @@ impl VertexStatus {
 }
 
 /// Reusable state of the center search: the discovered map (vertex → BFS
-/// parent), the FIFO queue of `(vertex, distance)` and the neighbor
-/// buffer. Each search clears it and keeps its capacity, so a query's
-/// searches after the first allocate only their result path.
+/// parent), the FIFO queue of `(vertex, distance)`, the neighbor buffer and
+/// the `(label, vertex)` buffer each expansion sorts. Each search clears it
+/// and keeps its capacity, so a query's searches after the first allocate
+/// only their result path.
 #[derive(Debug, Default)]
 pub(crate) struct BfsScratch {
     parent: VertexMap<u32, u32>,
     queue: VecDeque<(VertexId, usize)>,
     nbrs: Vec<VertexId>,
+    labeled: Vec<(u64, VertexId)>,
 }
 
 /// Runs the BFS variant from `v` with radius `k` against `is_center`.
@@ -85,18 +87,25 @@ pub fn center_search<O: Oracle>(
     k: usize,
     is_center: &Coin,
 ) -> VertexStatus {
-    center_search_in(oracle, v, k, is_center, &mut BfsScratch::default())
+    center_search_in(
+        oracle,
+        v,
+        k,
+        |label| is_center.flip(label),
+        &mut BfsScratch::default(),
+    )
 }
 
-/// [`center_search`] over caller-owned scratch.
+/// [`center_search`] over caller-owned scratch, with the center coin given
+/// as its flip on a vertex label.
 pub(crate) fn center_search_in<O: Oracle>(
     oracle: &O,
     v: VertexId,
     k: usize,
-    is_center: &Coin,
+    is_center: impl Fn(u64) -> bool,
     scratch: &mut BfsScratch,
 ) -> VertexStatus {
-    if is_center.flip(oracle.label(v)) {
+    if is_center(oracle.label(v)) {
         return VertexStatus::Dense {
             center: v,
             path: vec![v],
@@ -108,6 +117,7 @@ pub(crate) fn center_search_in<O: Oracle>(
         parent,
         queue,
         nbrs,
+        labeled,
     } = scratch;
     parent.clear();
     queue.clear();
@@ -119,14 +129,18 @@ pub(crate) fn center_search_in<O: Oracle>(
         }
         oracle.neighbors_into(x, nbrs);
         // Enqueue undiscovered neighbors in increasing label order — this is
-        // what makes discovery order lexicographic in π(v, ·).
-        nbrs.sort_by_key(|&w| oracle.label(w));
-        for &w in nbrs.iter() {
+        // what makes discovery order lexicographic in π(v, ·). Each label is
+        // read once; the sort is stable and keyed by the label alone, so
+        // equal labels keep their adjacency order.
+        labeled.clear();
+        labeled.extend(nbrs.iter().map(|&w| (oracle.label(w), w)));
+        labeled.sort_by_key(|&(label, _)| label);
+        for &(label, w) in labeled.iter() {
             let Entry::Vacant(slot) = parent.entry(w.raw()) else {
                 continue;
             };
             slot.insert(x.raw());
-            if is_center.flip(oracle.label(w)) {
+            if is_center(label) {
                 return VertexStatus::Dense {
                     center: w,
                     path: tree_path(parent, v, w, dx + 2),
@@ -303,7 +317,7 @@ mod tests {
         for k in [1usize, 3, 6] {
             for v in g.vertices() {
                 assert_eq!(
-                    center_search_in(&g, v, k, &coin, &mut scratch),
+                    center_search_in(&g, v, k, |x| coin.flip(x), &mut scratch),
                     center_search(&g, v, k, &coin),
                     "k={k} v={v}"
                 );

@@ -29,7 +29,7 @@ use std::rc::Rc;
 
 use lca_graph::VertexId;
 use lca_probe::{Oracle, VertexMap, VertexSet};
-use lca_rand::{Coin, RankAssigner, Seed};
+use lca_rand::{Coin, MemoCoin, RankAssigner, Seed};
 
 use bfs::{center_search_in, BfsScratch};
 
@@ -181,7 +181,9 @@ impl<'q> Ctx<'q> {
 pub struct K2Spanner<O> {
     oracle: O,
     params: K2Params,
-    center_coin: Coin,
+    /// Remembered across queries: a center search flips it on every vertex
+    /// it discovers, and most of those vertices recur.
+    center_coin: MemoCoin,
     mark_coin: Coin,
     ranks: RankAssigner,
     bs_seed: Seed,
@@ -191,7 +193,10 @@ impl<O: Oracle> K2Spanner<O> {
     /// Creates the LCA with explicit parameters.
     pub fn new(oracle: O, params: K2Params, seed: Seed) -> Self {
         let n = oracle.vertex_count();
-        let center_coin = Coin::new(seed.derive(0x4B31), params.center_prob, params.independence);
+        let center_coin = MemoCoin::new(
+            Coin::new(seed.derive(0x4B31), params.center_prob, params.independence),
+            n as u64,
+        );
         let mark_coin = Coin::new(seed.derive(0x4B32), params.mark_prob, params.independence);
         let ranks = RankAssigner::for_spanner(seed.derive(0x4B33), n.max(2), params.k);
         let bs_seed = seed.derive(0x4B34);
@@ -249,7 +254,13 @@ impl<O: Oracle> K2Spanner<O> {
             return Rc::clone(st);
         }
         let st = Rc::new(ctx.with_bfs(|scratch| {
-            center_search_in(&self.o(ctx), v, self.params.k, &self.center_coin, scratch)
+            center_search_in(
+                &self.o(ctx),
+                v,
+                self.params.k,
+                |label| self.center_coin.flip(label),
+                scratch,
+            )
         }));
         ctx.status.borrow_mut().insert(v.raw(), Rc::clone(&st));
         st

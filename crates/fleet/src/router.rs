@@ -164,16 +164,16 @@ lca_serve::stats_object! {
         parse_errors: counter,
         /// Resident sessions.
         sessions: counter,
-        /// Serving-cache hits, over every session.
+        /// List-store hits, over every session.
         cache_hits_total: counter,
-        /// Serving-cache misses (list fills), over every session.
+        /// List-store misses (list generations), over every session.
         cache_misses_total: counter,
-        /// Serving-cache bytes, over every session.
-        cache_bytes_total: counter,
         cache_hit_rate_total => hit_rate(
             r.cache_hits_total.load(Ordering::Relaxed),
             r.cache_misses_total.load(Ordering::Relaxed),
         ),
+        /// List-store bytes, over every reactor loop.
+        list_store_bytes: counter,
         routed => Json::Arr(fleet.routed.iter().map(count).collect()),
         retries => count(&fleet.retries),
         unavailable => count(&fleet.unavailable),

@@ -390,8 +390,8 @@ fn every_stats_object_keeps_its_key_order() {
             "sessions",
             "cache_hits_total",
             "cache_misses_total",
-            "cache_bytes_total",
             "cache_hit_rate_total",
+            "list_store_bytes",
             "routed",
             "retries",
             "unavailable",
@@ -436,8 +436,8 @@ fn every_stats_object_keeps_its_key_order() {
             "registry_shard_hits",
             "cache_hits_total",
             "cache_misses_total",
-            "cache_bytes_total",
             "cache_hit_rate_total",
+            "list_store_bytes",
             "draining",
         ]
     );
@@ -482,8 +482,6 @@ fn every_stats_object_keeps_its_key_order() {
             "budgeted_queries",
             "cache_hits",
             "cache_misses",
-            "cache_entries",
-            "cache_bytes",
             "cache_hit_rate",
             "budget",
         ]

@@ -30,16 +30,15 @@ fn global() -> Json {
         sessions: 0,
         registry_shards: 1,
         registry_shard_hits: vec![0],
-        cache_total: lca_probe::CacheStats::default(),
+        cache_hits_total: 0,
+        cache_misses_total: 0,
+        list_store_bytes: 0,
     })
 }
 
 /// `(object, field)` for every field the declarations render.
 fn rendered() -> BTreeSet<(String, String)> {
-    let session = SessionSnapshot {
-        cache: lca_probe::CacheStats::default(),
-        uptime_s: 0.0,
-    };
+    let session = SessionSnapshot { uptime_s: 0.0 };
     // Rendering the rollup reads the fleet's counters; it never connects.
     let fleet = Fleet::new(vec!["127.0.0.1:1".to_owned()]);
     let objects = [

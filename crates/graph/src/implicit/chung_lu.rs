@@ -5,7 +5,8 @@ use lca_rand::Seed;
 use crate::{Oracle, VertexId};
 
 use super::matchings::MatchingSlots;
-use super::{scratch, ImplicitOracle};
+use super::scratch::{stored_probes, Generator};
+use super::{Access, ImplicitOracle, ListStore};
 
 /// Exact weight-sum cutoff: below this `n` the normalizing sum is computed
 /// term by term; above it the tail is integrated (Euler–Maclaurin leading
@@ -43,7 +44,8 @@ pub struct ImplicitChungLu {
     scale: f64,
     /// `K · w̄` — the keep-probability denominator.
     denom: f64,
-    memo_id: u64,
+    /// This oracle's key in the per-thread [`ListStore`].
+    store_id: u32,
 }
 
 impl ImplicitChungLu {
@@ -76,7 +78,7 @@ impl ImplicitChungLu {
             gamma,
             scale,
             denom: slots as f64 * avg_degree,
-            memo_id: scratch::next_oracle_id(),
+            store_id: ListStore::next_oracle_id(),
         }
     }
 
@@ -90,31 +92,29 @@ impl ImplicitChungLu {
     pub fn weight(&self, v: VertexId) -> f64 {
         self.scale * ((v.index() + 1) as f64).powf(-self.gamma)
     }
+}
 
-    /// Runs `read` on `Γ(v)` through the per-thread generation scratch:
-    /// one weight/coin setup per generation instead of per probe.
-    fn with_list<R>(&self, v: VertexId, read: impl FnOnce(&[VertexId]) -> R) -> R {
+impl Generator for ImplicitChungLu {
+    fn store_id(&self) -> u32 {
+        self.store_id
+    }
+
+    /// One weight/coin setup per generation instead of per probe.
+    fn generate(&self, v: VertexId, out: &mut Vec<VertexId>) {
         assert!(v.index() < self.n, "vertex {v} out of range");
-        scratch::with_list(
-            self.memo_id,
+        let raw = v.raw() as u64;
+        let wv = self.weight(v);
+        self.core.neighbors_into(
             v,
-            |out| {
-                let raw = v.raw() as u64;
-                let wv = self.weight(v);
-                self.core.neighbors_into(
-                    v,
-                    |slot, w| {
-                        // Keep the exact float expression of the original
-                        // per-probe path: reassociating would flip ULP-edge
-                        // coins and silently regenerate a different graph.
-                        let q = (wv * self.weight(VertexId::from(w as u32)) / self.denom).min(1.0);
-                        self.core.pair_unit(slot, raw, w) < q
-                    },
-                    out,
-                );
+            |slot, w| {
+                // Keep the exact float expression of the original per-probe
+                // path: reassociating would flip ULP-edge coins and silently
+                // regenerate a different graph.
+                let q = (wv * self.weight(VertexId::from(w as u32)) / self.denom).min(1.0);
+                self.core.pair_unit(slot, raw, w) < q
             },
-            read,
-        )
+            out,
+        );
     }
 }
 
@@ -134,25 +134,7 @@ impl Oracle for ImplicitChungLu {
         self.n
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        self.with_list(v, |l| l.len())
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.with_list(v, |l| l.get(i).copied())
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.with_list(u, |l| l.iter().position(|&w| w == v))
-    }
-
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        self.with_list(v, |l| {
-            out.clear();
-            out.extend_from_slice(l);
-            l.len()
-        })
-    }
+    stored_probes!();
 
     fn label(&self, v: VertexId) -> u64 {
         v.index() as u64

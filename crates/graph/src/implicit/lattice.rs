@@ -1,15 +1,18 @@
 //! Implicit lattice families: grid, torus, hypercube.
 //!
-//! These have closed-form neighborhoods, so the oracle is pure arithmetic —
-//! the cleanest demonstration that "the input" can be a formula rather than
-//! a data structure. They mirror [`crate::gen::structured::grid`],
-//! [`crate::gen::structured::torus`] and
+//! These have closed-form neighborhoods, so generating a list is pure
+//! arithmetic — the cleanest demonstration that "the input" can be a
+//! formula rather than a data structure. Like every implicit family they
+//! read their lists through the calling thread's [`super::ListStore`], so a
+//! server's list-store counters cover every family alike. They mirror
+//! [`crate::gen::structured::grid`], [`crate::gen::structured::torus`] and
 //! [`crate::gen::structured::hypercube`] in shape (not in adjacency order:
 //! an implicit oracle fixes its own canonical order).
 
 use crate::{Oracle, VertexId};
 
-use super::ImplicitOracle;
+use super::scratch::{stored_probes, Generator};
+use super::{Access, ImplicitOracle, ListStore};
 
 /// The `rows × cols` grid served implicitly. Vertex `r·cols + c` is adjacent
 /// to its existing 4-neighborhood in the fixed order north, west, east,
@@ -28,19 +31,30 @@ use super::ImplicitOracle;
 pub struct ImplicitGrid {
     rows: usize,
     cols: usize,
+    /// This oracle's key in the per-thread [`ListStore`].
+    store_id: u32,
 }
 
 impl ImplicitGrid {
     /// Builds the oracle for a `rows × cols` grid.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Self { rows, cols }
+        Self {
+            rows,
+            cols,
+            store_id: ListStore::next_oracle_id(),
+        }
+    }
+}
+
+impl Generator for ImplicitGrid {
+    fn store_id(&self) -> u32 {
+        self.store_id
     }
 
-    fn fill(&self, v: VertexId, out: &mut Vec<VertexId>) {
+    fn generate(&self, v: VertexId, out: &mut Vec<VertexId>) {
         let i = v.index();
         assert!(i < self.rows * self.cols, "vertex {v} out of range");
         let (r, c) = (i / self.cols, i % self.cols);
-        out.clear();
         if r > 0 {
             out.push(VertexId::new(i - self.cols)); // north
         }
@@ -54,12 +68,6 @@ impl ImplicitGrid {
             out.push(VertexId::new(i + self.cols)); // south
         }
     }
-
-    fn list(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(4);
-        self.fill(v, &mut out);
-        out
-    }
 }
 
 impl Oracle for ImplicitGrid {
@@ -67,22 +75,7 @@ impl Oracle for ImplicitGrid {
         self.rows * self.cols
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        self.list(v).len()
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.list(v).get(i).copied()
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.list(u).iter().position(|&w| w == v)
-    }
-
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        self.fill(v, out);
-        out.len()
-    }
+    stored_probes!();
 
     fn label(&self, v: VertexId) -> u64 {
         v.index() as u64
@@ -104,6 +97,8 @@ impl ImplicitOracle for ImplicitGrid {
 pub struct ImplicitTorus {
     rows: usize,
     cols: usize,
+    /// This oracle's key in the per-thread [`ListStore`].
+    store_id: u32,
 }
 
 impl ImplicitTorus {
@@ -115,19 +110,29 @@ impl ImplicitTorus {
     /// parallel edges), matching [`crate::gen::structured::torus`].
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 3 && cols >= 3, "torus needs both dimensions ≥ 3");
-        Self { rows, cols }
+        Self {
+            rows,
+            cols,
+            store_id: ListStore::next_oracle_id(),
+        }
+    }
+}
+
+impl Generator for ImplicitTorus {
+    fn store_id(&self) -> u32 {
+        self.store_id
     }
 
-    fn list(&self, v: VertexId) -> [VertexId; 4] {
+    fn generate(&self, v: VertexId, out: &mut Vec<VertexId>) {
         let i = v.index();
         assert!(i < self.rows * self.cols, "vertex {v} out of range");
         let (r, c) = (i / self.cols, i % self.cols);
-        [
+        out.extend([
             VertexId::new(r * self.cols + (c + 1) % self.cols), // east
             VertexId::new(((r + 1) % self.rows) * self.cols + c), // south
             VertexId::new(r * self.cols + (c + self.cols - 1) % self.cols), // west
             VertexId::new(((r + self.rows - 1) % self.rows) * self.cols + c), // north
-        ]
+        ]);
     }
 }
 
@@ -136,23 +141,7 @@ impl Oracle for ImplicitTorus {
         self.rows * self.cols
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        self.list(v).len()
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.list(v).get(i).copied()
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.list(u).iter().position(|&w| w == v)
-    }
-
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        out.clear();
-        out.extend_from_slice(&self.list(v));
-        4
-    }
+    stored_probes!();
 
     fn label(&self, v: VertexId) -> u64 {
         v.index() as u64
@@ -169,12 +158,12 @@ impl ImplicitOracle for ImplicitTorus {
 }
 
 /// The `d`-dimensional hypercube on `2^d` vertices served implicitly:
-/// the `i`-th neighbor of `v` is `v XOR 2^i` — adjacency is a single
-/// XOR-and-popcount, the only oracle here with O(1) probes and O(1)
-/// adjacency without scanning.
+/// the `i`-th neighbor of `v` is `v XOR 2^i`.
 #[derive(Debug, Clone)]
 pub struct ImplicitHypercube {
     dim: u32,
+    /// This oracle's key in the per-thread [`ListStore`].
+    store_id: u32,
 }
 
 impl ImplicitHypercube {
@@ -185,7 +174,21 @@ impl ImplicitHypercube {
     /// Panics if `d == 0` or `d > 30` (vertex handles are `u32`).
     pub fn new(dim: u32) -> Self {
         assert!((1..=30).contains(&dim), "dimension must be in 1..=30");
-        Self { dim }
+        Self {
+            dim,
+            store_id: ListStore::next_oracle_id(),
+        }
+    }
+}
+
+impl Generator for ImplicitHypercube {
+    fn store_id(&self) -> u32 {
+        self.store_id
+    }
+
+    fn generate(&self, v: VertexId, out: &mut Vec<VertexId>) {
+        assert!(v.index() < self.vertex_count(), "vertex {v} out of range");
+        out.extend((0..self.dim).map(|i| VertexId::from(v.raw() ^ (1u32 << i))));
     }
 }
 
@@ -194,29 +197,7 @@ impl Oracle for ImplicitHypercube {
         1usize << self.dim
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        assert!(v.index() < self.vertex_count(), "vertex {v} out of range");
-        self.dim as usize
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        assert!(v.index() < self.vertex_count(), "vertex {v} out of range");
-        if i < self.dim as usize {
-            Some(VertexId::from(v.raw() ^ (1u32 << i)))
-        } else {
-            None
-        }
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        assert!(u.index() < self.vertex_count(), "vertex {u} out of range");
-        let x = u.raw() ^ v.raw();
-        if x.count_ones() == 1 && (x.trailing_zeros() as usize) < self.dim as usize {
-            Some(x.trailing_zeros() as usize)
-        } else {
-            None
-        }
-    }
+    stored_probes!();
 
     fn label(&self, v: VertexId) -> u64 {
         v.index() as u64

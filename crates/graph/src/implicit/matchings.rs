@@ -86,8 +86,8 @@ impl MatchingSlots {
     /// in several slots) reported once at their first kept slot.
     ///
     /// Cost: O(K) permutation evaluations — this is the per-*generation*
-    /// work bound of every matching-backed oracle (the per-thread scratch in
-    /// [`super::scratch`] amortizes it across repeated probes of one vertex).
+    /// work bound of every matching-backed oracle (the per-thread
+    /// [`super::ListStore`] amortizes it across repeated probes of one vertex).
     #[cfg(test)]
     pub(crate) fn neighbors_of(
         &self,

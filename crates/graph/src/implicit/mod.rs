@@ -48,6 +48,7 @@ mod sparse;
 pub use chung_lu::ImplicitChungLu;
 pub use lattice::{ImplicitGrid, ImplicitHypercube, ImplicitTorus};
 pub use regular::ImplicitRegular;
+pub use scratch::{Access, ListStore, StoreStats};
 pub use sparse::ImplicitGnp;
 
 use crate::{Graph, Oracle, VertexId};

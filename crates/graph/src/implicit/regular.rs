@@ -5,7 +5,8 @@ use lca_rand::Seed;
 use crate::{Oracle, VertexId};
 
 use super::matchings::MatchingSlots;
-use super::{scratch, ImplicitOracle};
+use super::scratch::{stored_probes, Generator};
+use super::{Access, ImplicitOracle, ListStore};
 
 /// A random (near-)d-regular graph served implicitly: the union of `d`
 /// seeded perfect matchings (the paper's §6 matching-table model), with
@@ -39,7 +40,8 @@ pub struct ImplicitRegular {
     core: MatchingSlots,
     n: usize,
     d: usize,
-    memo_id: u64,
+    /// This oracle's key in the per-thread [`ListStore`].
+    store_id: u32,
 }
 
 impl ImplicitRegular {
@@ -49,7 +51,7 @@ impl ImplicitRegular {
             core: MatchingSlots::new(n, d, seed),
             n,
             d,
-            memo_id: scratch::next_oracle_id(),
+            store_id: ListStore::next_oracle_id(),
         }
     }
 
@@ -58,20 +60,20 @@ impl ImplicitRegular {
         self.d
     }
 
-    /// Runs `read` on `Γ(v)` through the per-thread generation scratch.
-    fn with_list<R>(&self, v: VertexId, read: impl FnOnce(&[VertexId]) -> R) -> R {
-        assert!(v.index() < self.n, "vertex {v} out of range");
-        scratch::with_list(
-            self.memo_id,
-            v,
-            |out| self.core.neighbors_into(v, |_, _| true, out),
-            read,
-        )
-    }
-
     #[cfg(test)]
     fn list(&self, v: VertexId) -> Vec<VertexId> {
-        self.with_list(v, |l| l.to_vec())
+        self.read(v, Access::Point, <[VertexId]>::to_vec)
+    }
+}
+
+impl Generator for ImplicitRegular {
+    fn store_id(&self) -> u32 {
+        self.store_id
+    }
+
+    fn generate(&self, v: VertexId, out: &mut Vec<VertexId>) {
+        assert!(v.index() < self.n, "vertex {v} out of range");
+        self.core.neighbors_into(v, |_, _| true, out);
     }
 }
 
@@ -80,25 +82,7 @@ impl Oracle for ImplicitRegular {
         self.n
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        self.with_list(v, |l| l.len())
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.with_list(v, |l| l.get(i).copied())
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.with_list(u, |l| l.iter().position(|&w| w == v))
-    }
-
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        self.with_list(v, |l| {
-            out.clear();
-            out.extend_from_slice(l);
-            l.len()
-        })
-    }
+    stored_probes!();
 
     fn label(&self, v: VertexId) -> u64 {
         v.index() as u64

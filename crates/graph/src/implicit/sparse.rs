@@ -5,7 +5,8 @@ use lca_rand::Seed;
 use crate::{Oracle, VertexId};
 
 use super::matchings::MatchingSlots;
-use super::{scratch, ImplicitOracle};
+use super::scratch::{stored_probes, Generator};
+use super::{Access, ImplicitOracle, ListStore};
 
 /// A sparse random graph with expected degree `c` served implicitly — the
 /// G(n, c/n) regime of the paper, on graphs far too large to materialize.
@@ -39,7 +40,8 @@ pub struct ImplicitGnp {
     core: MatchingSlots,
     n: usize,
     keep: f64,
-    memo_id: u64,
+    /// This oracle's key in the per-thread [`ListStore`].
+    store_id: u32,
 }
 
 impl ImplicitGnp {
@@ -70,7 +72,7 @@ impl ImplicitGnp {
             core: MatchingSlots::new(n, slots, seed),
             n,
             keep: (c / slots as f64).min(1.0),
-            memo_id: scratch::next_oracle_id(),
+            store_id: ListStore::next_oracle_id(),
         }
     }
 
@@ -84,29 +86,25 @@ impl ImplicitGnp {
         self.keep * self.core.slots() as f64
     }
 
-    /// Runs `read` on `Γ(v)`, generating at most once per memo residency:
-    /// the per-thread scratch returns the remembered list when this oracle
-    /// generated `v` recently on this thread.
-    fn with_list<R>(&self, v: VertexId, read: impl FnOnce(&[VertexId]) -> R) -> R {
-        assert!(v.index() < self.n, "vertex {v} out of range");
-        scratch::with_list(
-            self.memo_id,
-            v,
-            |out| {
-                let raw = v.raw() as u64;
-                self.core.neighbors_into(
-                    v,
-                    |slot, w| self.core.pair_unit(slot, raw, w) < self.keep,
-                    out,
-                );
-            },
-            read,
-        )
-    }
-
     #[cfg(test)]
     fn list(&self, v: VertexId) -> Vec<VertexId> {
-        self.with_list(v, |l| l.to_vec())
+        self.read(v, Access::Point, <[VertexId]>::to_vec)
+    }
+}
+
+impl Generator for ImplicitGnp {
+    fn store_id(&self) -> u32 {
+        self.store_id
+    }
+
+    fn generate(&self, v: VertexId, out: &mut Vec<VertexId>) {
+        assert!(v.index() < self.n, "vertex {v} out of range");
+        let raw = v.raw() as u64;
+        self.core.neighbors_into(
+            v,
+            |slot, w| self.core.pair_unit(slot, raw, w) < self.keep,
+            out,
+        );
     }
 }
 
@@ -115,25 +113,7 @@ impl Oracle for ImplicitGnp {
         self.n
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        self.with_list(v, |l| l.len())
-    }
-
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.with_list(v, |l| l.get(i).copied())
-    }
-
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.with_list(u, |l| l.iter().position(|&w| w == v))
-    }
-
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        self.with_list(v, |l| {
-            out.clear();
-            out.extend_from_slice(l);
-            l.len()
-        })
-    }
+    stored_probes!();
 
     fn label(&self, v: VertexId) -> u64 {
         v.index() as u64

@@ -20,8 +20,8 @@ pub type VertexSet<K> = HashSet<K, MulShift>;
 /// its well-mixed bits, is rotated down to where the map takes bucket
 /// indices.
 ///
-/// This is the hasher of the serving cache's slab and of every per-query
-/// map and set in the k2-spanner walk. Iteration order is as arbitrary as
+/// This is the hasher of every per-query map and set in the k2-spanner
+/// walk. Iteration order is as arbitrary as
 /// under the standard `RandomState`, so callers must not depend on it.
 ///
 /// # Example

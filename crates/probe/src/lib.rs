@@ -23,12 +23,13 @@
 //!   for the lower-bound experiment's probe-answer histories.
 //! * [`MemoOracle`] — counts only *distinct* probes, modelling an LCA that
 //!   caches oracle answers in its local memory during one query.
-//! * [`CachedOracle`] — a sharded **serving-layer** cache that persists
-//!   across queries.
+//! * [`CachedOracle`] — routes any inner oracle through the calling
+//!   thread's **serving-layer** list store
+//!   ([`lca_graph::implicit::ListStore`]), which persists across queries.
+//!   The implicit families read that store themselves and need no wrapper.
 //!
-//! [`MulShift`] is the keyed vertex-key hasher behind the serving cache's
-//! slab and the per-query maps of the spanner walks ([`VertexMap`],
-//! [`VertexSet`]).
+//! [`MulShift`] is the keyed vertex-key hasher behind the per-query maps of
+//! the spanner walks ([`VertexMap`], [`VertexSet`]).
 //!
 //! # Two caches, two meanings
 //!
@@ -42,13 +43,13 @@
 //!   per query). It must be [`MemoOracle::clear`]ed between queries —
 //!   persisting it would quietly turn the LCA into a global algorithm with
 //!   precomputed state.
-//! * **[`CachedOracle`] is part of the serving stack.** When the input
-//!   oracle is expensive — an implicit generator recomputing adjacency per
-//!   probe, a remote store — the *server* may cache input answers across
-//!   queries, because probes are pure reads and caching cannot change any
-//!   answer. It deliberately never appears in a probe-cost report: it
-//!   reduces the cost of answering probes, not the number of probes the
-//!   algorithm needs.
+//! * **The list store behind [`CachedOracle`] is part of the serving
+//!   stack.** When the input oracle is expensive — an implicit generator
+//!   recomputing adjacency per probe, a remote store — the *server* may
+//!   keep input answers across queries, because probes are pure reads and
+//!   keeping them cannot change any answer. It deliberately never appears
+//!   in a probe-cost report: it reduces the cost of answering probes, not
+//!   the number of probes the algorithm needs.
 //!
 //! # Example
 //!
@@ -73,7 +74,7 @@ mod keyhash;
 mod memo;
 mod tracing;
 
-pub use cached::{CacheStats, CachedOracle};
+pub use cached::CachedOracle;
 pub use counting::{CountingOracle, ProbeCounts, QueryScope};
 pub use keyhash::{MulShift, MulShiftHasher, VertexMap, VertexSet};
 pub use memo::{measure_distinct, MemoOracle};
@@ -84,9 +85,9 @@ pub use lca_graph::{Oracle, ProbeCost};
 /// Routes a 64-bit key to one of `len` shards (Fibonacci hashing: the
 /// golden-ratio multiply spreads consecutive keys across shards while
 /// staying a pure function of the key). This is **the** workspace shard
-/// router — [`MemoOracle`], [`CachedOracle`], and the serve layer's session
-/// registry all route through it, so a key lands on the same shard index
-/// no matter which layer asks.
+/// router — [`MemoOracle`] and the serve layer's session registry both
+/// route through it, so a key lands on the same shard index no matter
+/// which layer asks.
 pub fn shard_for_key(key: u64, len: usize) -> usize {
     let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (h >> 32) as usize % len.max(1)
@@ -105,7 +106,7 @@ pub fn shard_for_str(key: &str, len: usize) -> usize {
 }
 
 /// Routes a vertex to one of `len` shards — the [`shard_for_key`]
-/// specialization the sharded caches use.
+/// specialization [`MemoOracle`]'s shards use.
 pub(crate) fn shard_index(v: u32, len: usize) -> usize {
     shard_for_key(v as u64, len)
 }

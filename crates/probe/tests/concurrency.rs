@@ -1,12 +1,13 @@
-//! Concurrency contracts of the sharded caches: hammer one shared
-//! `MemoOracle` (and `CachedOracle`) from many threads and assert the
-//! exactly-once forwarding guarantee (one inner probe per distinct probe
-//! for the memo, one list fill per miss for the cache) plus answer
-//! correctness survive the races the sharding is supposed to make cheap.
-//! CI also runs this suite under ThreadSanitizer: the cache's counters live
-//! under its shard locks.
+//! Concurrency contracts of the probe caches. One shared `MemoOracle` is
+//! hammered from many threads and must keep its exactly-once forwarding
+//! guarantee (one inner probe per distinct probe). One shared
+//! `CachedOracle` is hammered the same way: its lists live in each
+//! thread's own list store, so every thread must fill each list exactly
+//! once, share nothing with the others, and answer exactly as the bare
+//! graph does.
 
 use lca_graph::gen::GnpBuilder;
+use lca_graph::implicit::ListStore;
 use lca_graph::{Oracle, VertexId};
 use lca_probe::{CachedOracle, CountingOracle, MemoOracle};
 use lca_rand::Seed;
@@ -87,65 +88,70 @@ fn memo_answers_after_contention_match_a_fresh_run() {
     }
 }
 
+/// Hammers `oracle` from every thread and returns each thread's list-store
+/// traffic (hits, misses) and resident list count.
+fn hammer_stores<O: Oracle + Sync>(
+    oracle: &O,
+    graph: &lca_graph::Graph,
+    bound: usize,
+    seed: u64,
+) -> Vec<(u64, u64, usize)> {
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                s.spawn(move || {
+                    ListStore::set_byte_bound(bound);
+                    hammer(oracle, graph, seed + t as u64);
+                    let stats = ListStore::stats();
+                    (stats.hits, stats.misses, stats.entries)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    })
+}
+
 #[test]
-fn cached_oracle_is_exactly_once_under_contention() {
+fn cached_oracle_fills_each_list_once_per_thread() {
     let g = GnpBuilder::new(64, 0.2).seed(Seed::new(3)).build();
     let counted = CountingOracle::new(&g);
     let cached = CachedOracle::new(&counted);
+    let per_thread = hammer_stores(&cached, &g, ListStore::DEFAULT_BYTES, 0xE0);
 
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let cached = &cached;
-            let g = &g;
-            s.spawn(move || hammer(cached, g, 0xE0 + t as u64));
-        }
-    });
-
-    // 160k probes over 64 vertices touch every one, and the default slab
-    // holds them all: each list was filled exactly once, as one
-    // `deg(v) + 1` scan of the inner oracle, no matter how many threads
-    // raced on its first probe.
-    let stats = cached.stats();
-    assert_eq!(stats.entries, g.vertex_count());
-    assert_eq!(
-        stats.misses, stats.entries as u64,
-        "a miss is one list fill"
-    );
+    // 20k probes over 64 vertices touch every one, and the default store
+    // holds them all: each thread filled each list exactly once, as one
+    // `deg(v) + 1` scan of the inner oracle, and no thread's fill served
+    // another thread.
+    for &(hits, misses, entries) in &per_thread {
+        assert_eq!(entries, g.vertex_count());
+        assert_eq!(misses, entries as u64, "a miss is one list fill");
+        assert_eq!(hits + misses, PROBES_PER_THREAD as u64);
+    }
     let fills: u64 = g.vertices().map(|v| g.degree(v) as u64 + 1).sum();
     assert_eq!(
         counted.counts().total(),
-        fills,
-        "a raced miss was filled twice"
-    );
-    assert_eq!(
-        stats.hits + stats.misses,
-        (THREADS * PROBES_PER_THREAD) as u64
+        THREADS as u64 * fills,
+        "a list was filled twice on one thread, or shared between threads"
     );
 }
 
 #[test]
 fn cached_oracle_fills_once_per_miss_under_eviction() {
-    // Every list of K48 has 47 neighbors; a 4-list slab per shard keeps the
-    // cache evicting while 8 threads race on it. Answers must stay exact
-    // (checked inside `hammer`) and every miss must cost exactly one fill.
+    // Every list of K48 has 47 neighbors; a store bound that gives each of
+    // a thread's two generations its first 4 KiB index plus room for four
+    // lists keeps each thread turning its store over while 8 threads probe
+    // one shared oracle. Answers must stay exact (checked inside `hammer`)
+    // and every miss must cost exactly one fill.
     let g = lca_graph::gen::structured::complete(48);
     let counted = CountingOracle::new(&g);
-    let cached = CachedOracle::with_shards(&counted, 4).with_slab_bytes(4 * (47 * 4 + 48));
+    let cached = CachedOracle::new(&counted);
+    let per_thread = hammer_stores(&cached, &g, 2 * (4096 + 4 * 47 * 4), 0xF0);
 
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let cached = &cached;
-            let g = &g;
-            s.spawn(move || hammer(cached, g, 0xF0 + t as u64));
-        }
-    });
-
-    let stats = cached.stats();
-    assert!(stats.entries <= 4 * 4, "slab over budget: {stats:?}");
-    assert!(stats.misses > stats.entries as u64, "no eviction happened");
-    assert_eq!(counted.counts().total(), stats.misses * 48);
-    assert_eq!(
-        stats.hits + stats.misses,
-        (THREADS * PROBES_PER_THREAD) as u64
-    );
+    for &(hits, misses, entries) in &per_thread {
+        assert!(entries <= 8, "store over its bound: {entries} lists");
+        assert!(misses > entries as u64, "no eviction happened");
+        assert_eq!(hits + misses, PROBES_PER_THREAD as u64);
+    }
+    let misses: u64 = per_thread.iter().map(|t| t.1).sum();
+    assert_eq!(counted.counts().total(), misses * 48);
 }

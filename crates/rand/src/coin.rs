@@ -1,5 +1,7 @@
 //! Per-ID biased coins and pseudorandom index sequences.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::field::MERSENNE_PRIME_61;
 use crate::kwise::KWiseHash;
 use crate::splitmix::Seed;
@@ -57,6 +59,74 @@ impl Coin {
     /// Flips the coin for ID `x`.
     pub fn flip(&self, x: u64) -> bool {
         self.hash.hash(x) < self.threshold
+    }
+}
+
+/// A [`Coin`] that remembers its flips: each id below
+/// min(`ids`, [`MemoCoin::MAX_COVERED`]) keeps two bits (known, value) in
+/// shared `AtomicU64` words, so a repeated flip is one relaxed load instead
+/// of a Θ(log n)-wise hash. A first flip hashes and then sets both bits in
+/// one `fetch_or`; ids outside the covered range hash every time.
+///
+/// The memo is safe to share across threads and across queries, because a
+/// flip is a pure function of the seed and the id: a racing first flip
+/// computes the same bits, and a reader sees either both bits or neither.
+/// Nothing here changes any flip, so an LCA keeps the state bound of its
+/// seed (Observation 2.3); the memo only spends up to 1 MiB per coin to
+/// skip recomputation.
+///
+/// # Example
+///
+/// ```
+/// use lca_rand::{Coin, MemoCoin, Seed};
+/// let coin = Coin::new(Seed::new(1), 0.3, 16);
+/// let memo = MemoCoin::new(coin.clone(), 1000);
+/// for x in 0..2000 {
+///     assert_eq!(memo.flip(x), coin.flip(x));
+///     assert_eq!(memo.flip(x), coin.flip(x)); // remembered below 1000
+/// }
+/// ```
+#[derive(Debug)]
+pub struct MemoCoin {
+    coin: Coin,
+    /// Two bits per covered id, 32 ids per word: bit `2i + 1` says id
+    /// `32w + i` was flipped, bit `2i` holds the outcome.
+    words: Box<[AtomicU64]>,
+}
+
+impl MemoCoin {
+    /// Ids at or above this never get a memo slot: 2²² ids × 2 bits is
+    /// 1 MiB.
+    pub const MAX_COVERED: u64 = 1 << 22;
+
+    /// Wraps `coin`, remembering flips of the ids below
+    /// min(`ids`, [`MemoCoin::MAX_COVERED`]).
+    pub fn new(coin: Coin, ids: u64) -> Self {
+        let words = ids.min(Self::MAX_COVERED).div_ceil(32) as usize;
+        Self {
+            coin,
+            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// The wrapped coin.
+    pub fn coin(&self) -> &Coin {
+        &self.coin
+    }
+
+    /// Flips the coin for ID `x`: exactly [`Coin::flip`], remembered.
+    pub fn flip(&self, x: u64) -> bool {
+        let Some(word) = usize::try_from(x / 32).ok().and_then(|w| self.words.get(w)) else {
+            return self.coin.flip(x);
+        };
+        let shift = 2 * (x % 32);
+        let bits = word.load(Ordering::Relaxed) >> shift;
+        if bits & 0b10 != 0 {
+            return bits & 1 != 0;
+        }
+        let heads = self.coin.flip(x);
+        word.fetch_or((0b10 | u64::from(heads)) << shift, Ordering::Relaxed);
+        heads
     }
 }
 
@@ -201,6 +271,60 @@ mod tests {
         let b = Coin::new(Seed::new(10), 0.3, 8);
         for x in 0..500 {
             assert_eq!(a.flip(x), b.flip(x));
+        }
+    }
+
+    #[test]
+    fn memo_coin_flips_equal_the_coin_inside_and_outside_its_range() {
+        let coin = Coin::new(Seed::new(21), 0.4, 12);
+        let memo = MemoCoin::new(coin.clone(), 100);
+        for round in 0..3 {
+            for x in (0..300).chain([u64::MAX, 1 << 40]) {
+                assert_eq!(memo.flip(x), coin.flip(x), "round {round} id {x}");
+            }
+        }
+        // Covered ids hold their bits; uncovered ones never get a word.
+        assert_eq!(memo.words.len(), 4);
+        let known = memo
+            .words
+            .iter()
+            .map(|w| (w.load(Ordering::Relaxed) & 0xAAAA_AAAA_AAAA_AAAA).count_ones())
+            .sum::<u32>();
+        assert_eq!(known, 128, "every id of the four words was flipped");
+    }
+
+    #[test]
+    fn memo_coin_is_capped_at_one_mebibyte() {
+        let memo = MemoCoin::new(Coin::new(Seed::new(1), 0.5, 4), u64::MAX);
+        assert_eq!(memo.words.len() * 8, 1 << 20);
+        let x = MemoCoin::MAX_COVERED;
+        assert_eq!(memo.flip(x), memo.coin().flip(x));
+    }
+
+    #[test]
+    fn memo_coin_is_shared_safely_across_threads() {
+        // Threads race on first flips of the same ids and must all read
+        // the coin's own outcome, whichever thread set the bits.
+        let coin = Coin::new(Seed::new(8), 0.25, 16);
+        let memo = MemoCoin::new(coin.clone(), 4096);
+        let seen: Vec<Vec<bool>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let memo = &memo;
+                    s.spawn(move || {
+                        (0..5000u64)
+                            .map(|i| memo.flip((i * (t + 1) * 7919) % 5000))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (t, flips) in seen.iter().enumerate() {
+            for (i, &got) in flips.iter().enumerate() {
+                let x = (i as u64 * (t as u64 + 1) * 7919) % 5000;
+                assert_eq!(got, coin.flip(x), "thread {t} id {x}");
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //! * [`KWiseHash`] — a d-wise independent hash family implemented as random
 //!   degree-(d−1) polynomials over the Mersenne prime field GF(2⁶¹−1)
 //!   (the classical construction behind Lemma 5.2 of the paper).
-//! * [`Coin`] — per-ID biased coins (“is v a center?”) built on a hash.
+//! * [`Coin`] — per-ID biased coins (“is v a center?”) built on a hash, and
+//!   [`MemoCoin`], which remembers a coin's flips across queries.
 //! * [`IndexSampler`] — per-ID pseudorandom index sequences (the Θ(log n)
 //!   random neighbor-list indices used by the representative method, §3).
 //! * [`RankAssigner`] — the block-concatenated rank function
@@ -43,7 +44,7 @@ mod kwise;
 mod rank;
 mod splitmix;
 
-pub use coin::{Coin, IndexSampler};
+pub use coin::{Coin, IndexSampler, MemoCoin};
 pub use field::{add_mod, mul_mod, pow_mod, MERSENNE_PRIME_61};
 pub use kwise::KWiseHash;
 pub use rank::{Rank, RankAssigner};

@@ -11,8 +11,9 @@
 //! * **Protocol** ([`proto`]) — newline-JSON over TCP or stdin; one request
 //!   line in, one response line out. Spec: `docs/PROTOCOL.md`.
 //! * **Sessions** ([`session`]) — lazily built, pinned
-//!   `(kind, family, n, seed)` instances, each owning an algorithm over a
-//!   `CachedOracle → implicit oracle` stack, metered per query.
+//!   `(kind, family, n, seed)` instances, each owning an algorithm over
+//!   its implicit oracle, metered per query; generated lists live in each
+//!   reactor loop's own list store.
 //! * **Reactor** ([`reactor`], [`sys`]) — the event-driven TCP core: N
 //!   readiness loops, one thread each, multiplex the connections over
 //!   nonblocking sockets (epoll on Linux via a thin `extern "C"` layer, a

@@ -320,10 +320,10 @@ stats_object! {
         sessions => num(snap.sessions as u64),
         registry_shards => num(snap.registry_shards as u64),
         registry_shard_hits => Json::Arr(snap.registry_shard_hits.iter().map(|&h| num(h)).collect()),
-        cache_hits_total => num(snap.cache_total.hits),
-        cache_misses_total => num(snap.cache_total.misses),
-        cache_bytes_total => num(snap.cache_total.bytes as u64),
-        cache_hit_rate_total => hit_rate(snap.cache_total.hits, snap.cache_total.misses),
+        cache_hits_total => num(snap.cache_hits_total),
+        cache_misses_total => num(snap.cache_misses_total),
+        cache_hit_rate_total => hit_rate(snap.cache_hits_total, snap.cache_misses_total),
+        list_store_bytes => num(snap.list_store_bytes),
         draining => Json::Bool(snap.draining),
     }
 }
@@ -369,11 +369,12 @@ stats_object! {
         budget_utilization_pct_p50 => num(m.budget_utilization.quantile(0.5)),
         budget_utilization_pct_p99 => num(m.budget_utilization.quantile(0.99)),
         budgeted_queries => num(m.budget_utilization.count()),
-        cache_hits => num(snap.cache.hits),
-        cache_misses => num(snap.cache.misses),
-        cache_entries => num(snap.cache.entries as u64),
-        cache_bytes => num(snap.cache.bytes as u64),
-        cache_hit_rate => hit_rate(snap.cache.hits, snap.cache.misses),
+        /// Probes answered from a resident list of the answering loop's
+        /// list store.
+        cache_hits: counter,
+        /// Probes that generated a list: one per list-store miss.
+        cache_misses: counter,
+        cache_hit_rate => hit_rate(load(&m.cache_hits), load(&m.cache_misses)),
     }
 }
 
@@ -389,6 +390,16 @@ impl SessionMetrics {
     /// Adds one query's metered probes to the session total.
     pub fn record_probes(&self, probes: u64) {
         self.probes_total.fetch_add(probes, Ordering::Relaxed);
+    }
+
+    /// Adds one request's list-store hits and misses.
+    pub fn record_store(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.cache_misses.fetch_add(misses, Ordering::Relaxed);
+        }
     }
 
     /// Records one failed request.
@@ -412,24 +423,19 @@ impl SessionMetrics {
 /// time.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionSnapshot {
-    /// The session's serving-cache counters.
-    pub cache: lca_probe::CacheStats,
     /// Seconds since the session was built (for `qps`).
     pub uptime_s: f64,
 }
 
 /// Renders one session's stats object.
-pub fn session_stats_json(
-    metrics: &SessionMetrics,
-    cache: lca_probe::CacheStats,
-    uptime_s: f64,
-) -> Json {
-    metrics.render(&SessionSnapshot { cache, uptime_s })
+pub fn session_stats_json(metrics: &SessionMetrics, uptime_s: f64) -> Json {
+    metrics.render(&SessionSnapshot { uptime_s })
 }
 
 /// The non-atomic half of the global `stats` object: values the server
 /// snapshots at render time (queue depth, drain flag, the registry-shard
-/// rollup and the fleet-wide cache rollup built with `CacheStats + CacheStats`).
+/// rollup, the sessions' list-store counters summed, and the loops' list
+/// store bytes summed).
 #[derive(Debug, Clone)]
 pub struct GlobalSnapshot {
     /// Operator-assigned backend identity (`lca-serve --backend-id`),
@@ -449,8 +455,13 @@ pub struct GlobalSnapshot {
     /// session), in shard order — skew here means hot session names, not
     /// lock contention (shards lock independently).
     pub registry_shard_hits: Vec<u64>,
-    /// All sessions' serving-cache stats rolled up via `CacheStats::add`.
-    pub cache_total: lca_probe::CacheStats,
+    /// `cache_hits` summed over sessions.
+    pub cache_hits_total: u64,
+    /// `cache_misses` summed over sessions.
+    pub cache_misses_total: u64,
+    /// Bytes the reactor loops' list stores have allocated, summed over
+    /// loops as each published them after its last turn.
+    pub list_store_bytes: u64,
 }
 
 /// Renders the global half of the `stats` response.
@@ -499,7 +510,7 @@ mod tests {
     #[test]
     fn stats_render_without_traffic() {
         let m = SessionMetrics::default();
-        let json = session_stats_json(&m, lca_probe::CacheStats::default(), 0.0);
+        let json = session_stats_json(&m, 0.0);
         let mut s = String::new();
         json.render(&mut s);
         assert!(s.contains("\"cache_hit_rate\":0"), "{s}");

@@ -15,7 +15,7 @@ use crate::budget::BudgetPolicy;
 /// fleet front end can tag (and age out) backends speaking an older
 /// schema. Bump when a field changes meaning or disappears — additive
 /// fields do not require a bump.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// A parsed session specification: the four scalars (plus one optional
 /// knob) that pin a served instance.
@@ -452,10 +452,16 @@ impl Request {
         let knob = field(v, "knob", id, "a finite number", |x| {
             x.as_f64().filter(|k| k.is_finite())
         })?;
+        let n = n as usize;
+        // A shape the family cannot build is refused here, naming the
+        // field: building it would panic inside the registry.
+        family
+            .check(n, knob)
+            .map_err(|message| ParseError::new(id, ErrorCode::BadRequest, message))?;
         Ok(Some(SessionSpec {
             kind,
             family,
-            n: n as usize,
+            n,
             seed,
             knob,
         }))
@@ -671,6 +677,38 @@ mod tests {
     }
 
     #[test]
+    fn specs_no_family_can_build_are_bad_requests_that_echo_the_id() {
+        for (family, n, knob) in [
+            ("chung-lu", "1000", "0"),
+            ("torus", "4", "1"),
+            ("hypercube", "1", "1"),
+            ("gnp", "1000", "-1"),
+            ("gnp", "1000", "1e9"),
+            ("regular", "1000", "1e9"),
+            ("gnp", "0", "4"),
+            ("grid", "8589934592", "1"),
+        ] {
+            let line = format!(
+                r#"{{"id": 7, "session": "a", "kind": "mis", "n": {n}, "family": "{family}", "knob": {knob}, "query": 1}}"#
+            );
+            let err = Request::parse(&line).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+            assert_eq!(err.id, Some(7), "{line}");
+            assert!(
+                err.message.contains("`n`") || err.message.contains("`knob`"),
+                "{line}: {err:?}"
+            );
+        }
+        // The lattices ignore their knob, so any finite one is served.
+        for family in ["grid", "torus", "hypercube"] {
+            let line = format!(
+                r#"{{"session": "a", "kind": "mis", "n": 1000, "family": "{family}", "knob": -5, "query": 1}}"#
+            );
+            assert!(Request::parse(&line).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
     fn ill_typed_fields_are_named_bad_requests_not_defaults() {
         // Each value is present but unreadable as its field's type, so it
         // must fail by name rather than be served as if absent.
@@ -749,23 +787,18 @@ mod tests {
             sessions: 2,
             registry_shards: 4,
             registry_shard_hits: vec![5, 0, 9, 1],
-            cache_total: lca_probe::CacheStats {
-                hits: 30,
-                misses: 10,
-                entries: 10,
-                bytes: 4096,
-            },
+            cache_hits_total: 30,
+            cache_misses_total: 10,
+            list_store_bytes: 4096,
         };
         let session = SessionMetrics::default();
         session.record(10, 4, 250, 99);
+        session.record_store(30, 10);
         let response = Response::Stats(Json::Obj(vec![
             ("stats".into(), global_stats_json(&global, &snap)),
             (
                 "sessions".into(),
-                Json::Obj(vec![(
-                    "s".into(),
-                    session_stats_json(&session, snap.cache_total, 1.0),
-                )]),
+                Json::Obj(vec![("s".into(), session_stats_json(&session, 1.0))]),
             ),
         ]));
         let line = response.render();
@@ -814,10 +847,7 @@ mod tests {
         assert_eq!(hits, vec![5, 0, 9, 1]);
         assert_eq!(g.get("cache_hits_total").and_then(Json::as_u64), Some(30));
         assert_eq!(g.get("cache_misses_total").and_then(Json::as_u64), Some(10));
-        assert_eq!(
-            g.get("cache_bytes_total").and_then(Json::as_u64),
-            Some(4096)
-        );
+        assert_eq!(g.get("list_store_bytes").and_then(Json::as_u64), Some(4096));
         assert_eq!(
             g.get("cache_hit_rate_total").and_then(Json::as_f64),
             Some(0.75)
@@ -826,7 +856,8 @@ mod tests {
         let s = parsed.get("sessions").and_then(|s| s.get("s")).expect("s");
         assert_eq!(s.get("queries").and_then(Json::as_u64), Some(10));
         assert_eq!(s.get("cache_hits").and_then(Json::as_u64), Some(30));
-        assert_eq!(s.get("cache_bytes").and_then(Json::as_u64), Some(4096));
+        assert_eq!(s.get("cache_misses").and_then(Json::as_u64), Some(10));
+        assert_eq!(s.get("cache_hit_rate").and_then(Json::as_f64), Some(0.75));
     }
 
     #[test]
@@ -841,7 +872,9 @@ mod tests {
                 sessions: 0,
                 registry_shards: 16,
                 registry_shard_hits: vec![0; 16],
-                cache_total: lca_probe::CacheStats::default(),
+                cache_hits_total: 0,
+                cache_misses_total: 0,
+                list_store_bytes: 0,
             },
         );
         let mut line = String::new();

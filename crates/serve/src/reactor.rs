@@ -162,6 +162,9 @@ pub trait Codec: Send + Sync + Sized + 'static {
     ) -> Outcome;
     /// Renders a worker's completion into the bytes queued for the peer.
     fn render(&self, conn: &Self::Conn, completion: Self::Completion) -> Vec<u8>;
+    /// Called on loop `loop_index`'s own thread after each turn's burst
+    /// has run, for per-loop state a codec publishes (none by default).
+    fn turn_done(&self, _loop_index: usize) {}
 }
 
 /// A handoff into one loop from other threads: items parked until the
@@ -230,6 +233,19 @@ impl<T> Deliver<T> {
     /// generation), never misdelivered.
     pub fn send(self, value: T) {
         self.completions.push((self.token, value));
+    }
+}
+
+#[cfg(test)]
+impl<T> Deliver<T> {
+    /// A handle onto a mailbox no loop drains, for unit tests that call
+    /// [`Codec::handle`] directly.
+    pub(crate) fn detached() -> Deliver<T> {
+        let poller = Poller::new().expect("poller");
+        Deliver {
+            completions: Arc::new(Completions::new(poller.waker())),
+            token: 0,
+        }
     }
 }
 
@@ -532,6 +548,7 @@ impl<C: Codec> Reactor<C> {
             }
             self.deliver_completions();
             self.run_burst();
+            self.codec.turn_done(self.index);
             if self.codec.draining() && self.drain_step() {
                 return Ok(());
             }

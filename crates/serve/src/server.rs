@@ -16,17 +16,20 @@
 //! Admission happens at framing. A loop frames everything one readiness
 //! turn read before it runs any of it; a query framed while
 //! `queue_capacity` queries already wait on that loop is answered
-//! `overloaded` without being run. A query's deadline clock starts when it
-//! is framed, so time spent behind other requests on its loop counts.
+//! `overloaded` without being run. The drain begins when a shutdown
+//! request is framed: a query framed after it is answered `draining`, and
+//! one framed before it is answered even if it runs after. A query's
+//! deadline clock starts when it is framed, so time spent behind other
+//! requests on its loop counts.
 
 #![warn(clippy::unwrap_used)]
 use std::io::{self, Write};
 use std::net::{TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lca::prelude::QueryBudget;
+use lca::prelude::{ListStore, QueryBudget};
 use serde::Json;
 
 use crate::budget::BudgetPolicyConfig;
@@ -118,6 +121,9 @@ pub struct Server {
     default_budget: QueryBudget,
     backend_id: String,
     budget_percentile: f64,
+    /// Each loop's list-store bytes as it published them after its last
+    /// turn, indexed by loop (stdio mode publishes as loop 0).
+    store_bytes: Vec<AtomicU64>,
 }
 
 impl Server {
@@ -140,7 +146,18 @@ impl Server {
             default_budget: config.default_budget,
             backend_id: config.backend_id,
             budget_percentile: config.budget_percentile,
+            store_bytes: (0..config.workers.max(1))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
         })
+    }
+
+    /// Publishes the calling thread's list-store bytes as loop `index`'s
+    /// share of `list_store_bytes`.
+    fn publish_store_bytes(&self, index: usize) {
+        if let Some(slot) = self.store_bytes.get(index) {
+            slot.store(ListStore::stats().bytes as u64, Ordering::Relaxed);
+        }
     }
 
     /// `true` once a shutdown request has been accepted.
@@ -154,21 +171,21 @@ impl Server {
     }
 
     /// The `stats` response: global counters plus one object per session.
-    /// The global half carries the shard and cache rollups
-    /// ([`GlobalSnapshot`], summed with `CacheStats::add` across sessions).
-    /// Rendered fresh on every request.
+    /// The global half carries the registry-shard rollup, the sessions'
+    /// list-store hits and misses summed, and the loops' list-store bytes
+    /// summed ([`GlobalSnapshot`]). Rendered fresh on every request.
     pub fn stats_response(&self) -> Response {
         let sessions = self.registry.snapshot();
-        let mut cache_total = lca_probe::CacheStats::default();
+        let (mut hits, mut misses) = (0, 0);
         let session_objs: Vec<(String, Json)> = sessions
             .iter()
             .map(|(name, s)| {
-                let cache = s.cache_stats();
-                cache_total = cache_total + cache;
+                hits += s.metrics.cache_hits.load(Ordering::Relaxed);
+                misses += s.metrics.cache_misses.load(Ordering::Relaxed);
                 let mut obj = spec_fields(&s.spec, s.vertex_count());
                 let uptime_s = s.started.elapsed().as_secs_f64();
                 s.metrics
-                    .render_into(&SessionSnapshot { cache, uptime_s }, &mut obj);
+                    .render_into(&SessionSnapshot { uptime_s }, &mut obj);
                 obj.push(("budget".into(), s.controller.stats_json()));
                 (name.clone(), Json::Obj(obj))
             })
@@ -180,7 +197,13 @@ impl Server {
             sessions: sessions.len(),
             registry_shards: self.registry.shard_count(),
             registry_shard_hits: self.registry.shard_hits(),
-            cache_total,
+            cache_hits_total: hits,
+            cache_misses_total: misses,
+            list_store_bytes: self
+                .store_bytes
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .sum(),
         };
         Response::Stats(Json::Obj(vec![
             ("stats".into(), self.global.render(&snap)),
@@ -256,47 +279,42 @@ impl Server {
                 deadline_ms,
                 budget_policy,
             } => {
-                if self.draining() {
-                    return Response::Error {
-                        id,
-                        code: ErrorCode::Draining,
-                        message: "server is draining".to_owned(),
-                    };
-                }
-                let resolved = match self.registry.resolve(&session, spec) {
-                    Ok(resolved) => resolved,
-                    Err((code, message)) => return Response::Error { id, code, message },
-                };
-                if let Some(policy) = budget_policy {
-                    resolved
-                        .controller
-                        .set_policy(policy, self.budget_percentile);
-                }
-                // Precedence: an explicit request budget always wins, then
-                // the session's fitted adaptive budget, then the server
-                // default.
-                let budget = QueryBudget {
-                    max_probes: max_probes
-                        .or_else(|| resolved.controller.fitted())
-                        .or(self.default_budget.max_probes),
-                    timeout: deadline_ms
-                        .map(Duration::from_millis)
-                        .or(self.default_budget.timeout),
-                    cancel: None,
-                };
-                // The deadline clock started at admission, so time spent
-                // behind other requests counts against the request's
-                // allowance (the documented whole-request contract).
-                let deadline = budget.timeout.map(|t| admitted + t);
-                // A panicking query still owes its client a response, not
-                // a silent hang on this id.
+                // A panicking build or query still owes its client a
+                // response, not a silent hang on this id, and must not take
+                // the loop down with it.
                 let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let resolved = match self.registry.resolve(&session, spec) {
+                        Ok(resolved) => resolved,
+                        Err((code, message)) => return Response::Error { id, code, message },
+                    };
+                    if let Some(policy) = budget_policy {
+                        resolved
+                            .controller
+                            .set_policy(policy, self.budget_percentile);
+                    }
+                    // Precedence: an explicit request budget always wins,
+                    // then the session's fitted adaptive budget, then the
+                    // server default.
+                    let budget = QueryBudget {
+                        max_probes: max_probes
+                            .or_else(|| resolved.controller.fitted())
+                            .or(self.default_budget.max_probes),
+                        timeout: deadline_ms
+                            .map(Duration::from_millis)
+                            .or(self.default_budget.timeout),
+                        cancel: None,
+                    };
+                    // The deadline clock started at admission, so time
+                    // spent behind other requests counts against the
+                    // request's allowance (the documented whole-request
+                    // contract).
+                    let deadline = budget.timeout.map(|t| admitted + t);
                     resolved.answer(&session, &queries, id, &budget, deadline)
                 }))
                 .unwrap_or_else(|_| Response::Error {
                     id,
                     code: ErrorCode::Internal,
-                    message: "query panicked while being answered (server bug)".to_owned(),
+                    message: "request panicked while being answered (server bug)".to_owned(),
                 });
                 if matches!(
                     &response,
@@ -344,6 +362,7 @@ impl Server {
                         let _ = writeln!(out, "{}", response.render());
                         let _ = out.flush();
                     }
+                    self.publish_store_bytes(0);
                 }
             }
             if self.draining() {
@@ -374,9 +393,11 @@ impl Codec for Server {
         Server::draining(self)
     }
 
-    /// Frames and parses one line, admitting a query unless `backlog`
-    /// queries already wait on this loop: past `queue_capacity` it is
-    /// answered `overloaded` here, without being run.
+    /// Frames and parses one line, admitting a query unless the drain has
+    /// begun (answered `draining`) or `backlog` queries already wait on
+    /// this loop (past `queue_capacity`, answered `overloaded`); either
+    /// answer is given here, without running the query. Framing a
+    /// `shutdown` begins the drain.
     fn frame(&self, (): &mut (), buf: &[u8], eof: bool, backlog: usize) -> Framed<Line> {
         let len = match buf.iter().position(|&b| b == b'\n') {
             Some(pos) => pos + 1,
@@ -388,6 +409,21 @@ impl Codec for Server {
         let line = match self.parse_line(buf.get(..len).unwrap_or(buf)) {
             None => Line::Blank,
             Some(Err(response)) => Line::Answer(response),
+            // The drain begins when a shutdown is framed, so a query
+            // pipelined behind it is refused...
+            Some(Ok(request @ Request::Shutdown)) => {
+                self.begin_shutdown();
+                Line::Request(request, Instant::now())
+            }
+            // ...decided here, not when the query runs: a query framed
+            // before the drain began is owed its answer.
+            Some(Ok(Request::Query { id, .. })) if self.draining() => {
+                Line::Answer(Response::Error {
+                    id,
+                    code: ErrorCode::Draining,
+                    message: "server is draining".to_owned(),
+                })
+            }
             Some(Ok(Request::Query { id, .. })) if backlog >= self.queue_capacity => {
                 self.global.overloaded.fetch_add(1, Ordering::Relaxed);
                 Line::Answer(Response::overloaded(id))
@@ -414,10 +450,90 @@ impl Codec for Server {
         bytes.push(b'\n');
         bytes
     }
+
+    fn turn_done(&self, loop_index: usize) {
+        self.publish_store_bytes(loop_index);
+    }
 }
 
 /// Binds a listener, resolving `addr` (`host:port`; port 0 picks an
 /// ephemeral port — read it back from `TcpListener::local_addr`).
 pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)] // tests assert; unwrap IS the assertion
+mod tests {
+    use super::*;
+
+    fn frame(server: &Server, line: &str) -> Line {
+        match Codec::frame(server, &mut (), line.as_bytes(), false, 0) {
+            Framed::Request(line, _) | Framed::Queued(line, _) => line,
+            Framed::Incomplete => panic!("a whole line frames"),
+        }
+    }
+
+    fn handle(server: &Arc<Server>, line: Line) -> String {
+        match Codec::handle(server, &mut (), line, Deliver::detached()) {
+            Outcome::Inline(bytes) => String::from_utf8(bytes).unwrap(),
+            _ => panic!("the serve codec answers inline"),
+        }
+    }
+
+    fn list_store_bytes(server: &Server) -> u64 {
+        let Response::Stats(json) = server.stats_response() else {
+            panic!("stats renders a stats object")
+        };
+        json.get("stats")
+            .and_then(|g| g.get("list_store_bytes"))
+            .and_then(Json::as_u64)
+            .unwrap()
+    }
+
+    #[test]
+    fn list_store_bytes_sum_what_each_loop_published() {
+        // Two loop threads each fill their own store and publish it after
+        // their turn; `stats`, read on a third thread, sums the two.
+        let server = Server::new(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        let oracle = lca::family::ImplicitFamily::Gnp.build(10_000, lca::prelude::Seed::new(3));
+        let published: Vec<u64> = std::thread::scope(|s| {
+            let loops: Vec<_> = (0..2usize)
+                .map(|i| {
+                    let (server, oracle) = (&server, &oracle);
+                    s.spawn(move || {
+                        for v in 0..500 * (i + 1) {
+                            oracle.degree(lca::graph::VertexId::new(v));
+                        }
+                        server.turn_done(i);
+                        lca::prelude::ListStore::stats().bytes as u64
+                    })
+                })
+                .collect();
+            loops.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(published.iter().all(|&b| b > 0), "{published:?}");
+        assert_eq!(list_store_bytes(&server), published.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn a_query_framed_before_the_drain_is_answered_after_it() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let query = "{\"id\":3,\"session\":\"d\",\"kind\":\"mis\",\"family\":\"gnp\",\
+                     \"n\":1000,\"seed\":1,\"query\":7}\n";
+        let framed = frame(&server, query);
+        server.begin_shutdown();
+        let reply = handle(&server, framed);
+        assert!(reply.contains("\"answer\""), "{reply}");
+        // A query framed after the drain began is refused at framing.
+        let late = handle(&server, frame(&server, query));
+        assert!(late.contains("\"error\":\"draining\""), "{late}");
+        assert!(late.contains("\"id\":3"), "{late}");
+    }
 }

@@ -5,10 +5,18 @@
 //!
 //! ```text
 //! DynLca (built once via LcaBuilder)
-//!   └─ BudgetedOracle    — per query: QueryCtx meter, max_probes, deadline
-//!        └─ CachedOracle — cross-query cache of whole adjacency lists
-//!             └─ implicit oracle — the input, regenerated per list fill
+//!   └─ BudgetedOracle      — per query: QueryCtx meter, max_probes, deadline
+//!        └─ implicit oracle — the input; its lists live in the calling
+//!                             thread's ListStore (one per reactor loop)
 //! ```
+//!
+//! The session shares no list state between loops: each loop answers its
+//! queries on its own thread, and each thread keeps one byte-bounded
+//! [`ListStore`] of generated adjacency lists, keyed by (oracle id,
+//! vertex), for every session it serves. List memory is therefore bounded
+//! by loops × [`ListStore::DEFAULT_BYTES`], whatever the session count. A
+//! k2 session also keeps its center coin's flips (`lca_rand::MemoCoin`,
+//! at most 1 MiB), shared by every loop.
 //!
 //! Probe accounting lives entirely in the per-query `QueryCtx` meters: a
 //! response's `probes` is the sum of its queries' `ctx.spent()`, and the
@@ -16,19 +24,25 @@
 //! success and on error alike. No shared counter sits on the probe path,
 //! and nothing is lost by that: a probe the budget refuses never reaches
 //! the oracle stack, so the meters count exactly the probes a counter
-//! below them would see. The cache absorbs the cost of regenerating
+//! below them would see. The list store absorbs the cost of regenerating
 //! implicit adjacency — the division of labor documented in `lca-probe`
-//! ("two caches, two meanings"). The same contexts enforce the request's
+//! ("two caches, two meanings"). Its hit and miss counts are taken per
+//! request on the answering thread and added to the session's
+//! `cache_hits`/`cache_misses` the way `probes_total` is. Every implicit
+//! family reads its lists through the store, and every metered probe
+//! reaches it exactly once, so `cache_hits + cache_misses` equals
+//! `probes_total`. The same contexts enforce the request's
 //! `max_probes`/`deadline_ms` budget; a tripped query fails the request
 //! with `budget-exhausted` (or `deadline-exceeded`) and bumps the session's
 //! `budget_exhausted` counter and utilization histogram.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use lca::core::{DynQuery, QueryKind};
-use lca::prelude::{CachedOracle, LcaBuilder, LcaError, Oracle, QueryBudget};
+use lca::graph::implicit::StoreStats;
+use lca::prelude::{LcaBuilder, LcaError, ListStore, Oracle, QueryBudget};
 use lca::registry::DynLca;
 use lca_graph::VertexId;
 
@@ -37,8 +51,9 @@ use crate::metrics::SessionMetrics;
 use crate::proto::{ErrorCode, QueryPayload, Response, SessionSpec};
 use crate::{algo_seed, input_seed};
 
-/// The session's oracle stack (see module docs for the layering).
-pub type OracleStack = CachedOracle<lca::family::BoxedImplicitOracle>;
+/// The session's oracle stack below the per-query budget meter (see module
+/// docs for the layering).
+pub type OracleStack = lca::family::BoxedImplicitOracle;
 
 /// One resident instance: spec, oracle stack, built algorithm, metrics.
 pub struct Session {
@@ -71,7 +86,9 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// Builds the session's oracle stack and algorithm from its spec.
     /// Construction is probe-free and cheap (the input is a generator, not
-    /// a graph), so building lazily inside the registry lock is fine.
+    /// a graph), so building lazily inside the registry lock is fine. The
+    /// spec must pass [`lca::family::ImplicitFamily::check`], as every
+    /// spec parsed off the wire has.
     pub fn build(spec: SessionSpec) -> Session {
         Self::build_with_policy(spec, BudgetPolicyConfig::default())
     }
@@ -82,7 +99,7 @@ impl Session {
         let implicit = spec
             .family
             .build_with(spec.n, input_seed(spec.seed), spec.knob);
-        let oracle = Arc::new(CachedOracle::new(implicit));
+        let oracle = Arc::new(implicit);
         let algo = LcaBuilder::new(spec.kind)
             .seed(algo_seed(spec.seed))
             .build(oracle.clone());
@@ -102,11 +119,6 @@ impl Session {
     /// requested `n`).
     pub fn vertex_count(&self) -> usize {
         self.oracle.vertex_count()
-    }
-
-    /// Serving-cache counters.
-    pub fn cache_stats(&self) -> lca_probe::CacheStats {
-        self.oracle.stats()
     }
 
     fn to_dyn(&self, q: QueryPayload) -> Result<DynQuery, String> {
@@ -164,6 +176,7 @@ impl Session {
         deadline: Option<Instant>,
     ) -> Response {
         let deadline = deadline.or_else(|| budget.timeout.map(|t| Instant::now() + t));
+        let _tally = StoreTally::start(&self.metrics);
         let start = Instant::now();
         let mut answers = Vec::with_capacity(queries.len());
         let mut probes = 0u64;
@@ -253,8 +266,36 @@ impl Session {
     }
 }
 
-/// Default number of registry shards — matches the serving cache's shard
-/// count, and like it is a concurrency knob, not a capacity one.
+/// The calling thread's list-store traffic during one request: created
+/// when [`Session::answer`] starts, it adds the hits and misses since then
+/// to the session's counters when dropped, on every exit path. The request
+/// runs wholly on this thread, so the difference is exactly its traffic.
+struct StoreTally<'a> {
+    metrics: &'a SessionMetrics,
+    start: StoreStats,
+}
+
+impl<'a> StoreTally<'a> {
+    fn start(metrics: &'a SessionMetrics) -> Self {
+        Self {
+            metrics,
+            start: ListStore::stats(),
+        }
+    }
+}
+
+impl Drop for StoreTally<'_> {
+    fn drop(&mut self) {
+        let now = ListStore::stats();
+        self.metrics.record_store(
+            now.hits.saturating_sub(self.start.hits),
+            now.misses.saturating_sub(self.start.misses),
+        );
+    }
+}
+
+/// Default number of registry shards: a concurrency knob, not a capacity
+/// one.
 const DEFAULT_REGISTRY_SHARDS: usize = 16;
 
 /// One registry shard: its slice of the name space plus a resolve-hit
@@ -269,11 +310,10 @@ struct RegistryShard {
 ///
 /// Sharded with the workspace's Fibonacci-hash router
 /// ([`lca_probe::shard_for_str`]) so concurrent resolves of *different*
-/// sessions never serialize on one lock — the same routing scheme the
-/// probe caches use for vertices, applied to session names. Each shard is
+/// sessions never serialize on one lock — the same routing scheme
+/// `MemoOracle` uses for vertices, applied to session names. Each shard is
 /// an independent `Mutex<HashMap>`; a resolve locks exactly one shard, and
-/// `stats` rolls shard counters up the same way `CacheStats::add` rolls up
-/// session cache stats.
+/// `stats` reads the shards' resolve-hit counters one by one.
 pub struct SessionRegistry {
     shards: Vec<RegistryShard>,
     /// Server-side budget policy every newly built session starts with.
@@ -349,7 +389,7 @@ impl SessionRegistry {
         spec: Option<SessionSpec>,
     ) -> Result<Arc<Session>, (ErrorCode, String)> {
         let shard = &self.shards[self.shard_of(name)];
-        let mut sessions = shard.sessions.lock().expect("session registry poisoned");
+        let mut sessions = lock_sessions(&shard.sessions);
         match (sessions.get(name), spec) {
             (Some(session), None) => {
                 shard.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -392,8 +432,7 @@ impl SessionRegistry {
             .shards
             .iter()
             .flat_map(|shard| {
-                let sessions = shard.sessions.lock().expect("session registry poisoned");
-                sessions
+                lock_sessions(&shard.sessions)
                     .iter()
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect::<Vec<_>>()
@@ -407,13 +446,7 @@ impl SessionRegistry {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| {
-                shard
-                    .sessions
-                    .lock()
-                    .expect("session registry poisoned")
-                    .len()
-            })
+            .map(|shard| lock_sessions(&shard.sessions).len())
             .sum()
     }
 
@@ -425,9 +458,18 @@ impl SessionRegistry {
     /// Test hook: holds shard `i`'s lock, so tests can prove resolves on
     /// *other* shards do not serialize behind it.
     #[cfg(test)]
-    fn lock_shard(&self, i: usize) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Session>>> {
-        self.shards[i].sessions.lock().expect("poisoned")
+    fn lock_shard(&self, i: usize) -> MutexGuard<'_, HashMap<String, Arc<Session>>> {
+        lock_sessions(&self.shards[i].sessions)
     }
+}
+
+/// Locks a registry shard, recovering the guard if a holder panicked: a
+/// session is inserted whole or not at all, so a poisoned map is still
+/// valid, and one failed build must not refuse every later resolve.
+fn lock_sessions(
+    m: &Mutex<HashMap<String, Arc<Session>>>,
+) -> MutexGuard<'_, HashMap<String, Arc<Session>>> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
@@ -474,10 +516,14 @@ mod tests {
         }
     }
 
+    fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {
+        counter.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     #[test]
-    fn repeat_queries_hit_the_serving_cache() {
+    fn repeat_queries_hit_the_list_store() {
         // Spanners have no cross-query memo, so repeating an edge query
-        // re-issues its probes — which the serving cache must absorb.
+        // re-issues its probes — which the list store must absorb.
         let spec = SessionSpec {
             kind: AlgorithmKind::Spanner(SpannerKind::Three),
             family: ImplicitFamily::Regular,
@@ -492,25 +538,20 @@ mod tests {
         let edge = QuerySource::sample(1, Seed::new(3))
             .queries(spec.kind, &oracle)
             .pop()
-            .map(|q| match q {
-                lca::core::DynQuery::Edge(u, v) => {
-                    QueryPayload::Edge(u.raw() as u64, v.raw() as u64)
-                }
-                lca::core::DynQuery::Vertex(_) => unreachable!("spanner queries are edges"),
-            })
+            .map(edge_payload)
             .unwrap();
-        session.answer("s", &[edge], None, &QueryBudget::unlimited(), None);
-        let after_first = session.cache_stats();
-        session.answer("s", &[edge], None, &QueryBudget::unlimited(), None);
-        let after_second = session.cache_stats();
-        assert!(
-            after_second.hits > after_first.hits,
-            "first {after_first:?} second {after_second:?}"
-        );
-        // The session total counts the probes of both queries, hits too.
         let m = &session.metrics;
+        session.answer("s", &[edge], None, &QueryBudget::unlimited(), None);
+        let (hits, misses) = (load(&m.cache_hits), load(&m.cache_misses));
+        session.answer("s", &[edge], None, &QueryBudget::unlimited(), None);
+        assert!(load(&m.cache_hits) > hits, "the replay hit nothing");
+        assert_eq!(load(&m.cache_misses), misses, "the replay generated a list");
+        // Every probe of a matching family is a hit or a miss.
         assert_eq!(m.queries.load(std::sync::atomic::Ordering::Relaxed), 2);
-        assert!(m.probes_total.load(std::sync::atomic::Ordering::Relaxed) > after_second.misses);
+        assert_eq!(
+            load(&m.cache_hits) + load(&m.cache_misses),
+            load(&m.probes_total)
+        );
     }
 
     fn edge_payload(q: lca::core::DynQuery) -> QueryPayload {
@@ -521,12 +562,13 @@ mod tests {
     }
 
     #[test]
-    fn one_k2_query_leaves_exactly_its_probed_lists_resident() {
-        // Every served probe goes through the query's budgeted view, which
-        // forwards an unlimited query's neighbor scans whole and its other
-        // probes one by one; either way each reads (or fills) its vertex's
-        // whole list and counts as its logical probes, so the cache ends up
-        // holding one list per distinct vertex of the query's transcript.
+    fn a_k2_query_generates_each_probed_list_once_per_thread() {
+        // Every served probe goes through the query's budgeted view to the
+        // implicit oracle, which reads (or generates) its vertex's whole
+        // list in the answering thread's store: the first query generates
+        // one list per distinct vertex of its transcript, and a replay on
+        // the same thread generates none. Another thread has a store of
+        // its own, so it generates each list once more and answers alike.
         let spec = SessionSpec {
             kind: AlgorithmKind::Spanner(SpannerKind::K2),
             family: ImplicitFamily::Gnp,
@@ -554,56 +596,103 @@ mod tests {
         assert!(probed.len() > 1, "a k2 query probes several vertices");
 
         let edge = [edge_payload(query)];
-        let resp = session.answer("k2", &edge, None, &QueryBudget::unlimited(), None);
-        let Response::Answer { probes, .. } = resp else {
-            panic!("expected answer, got {resp:?}")
+        let answer_on_this_thread = move |session: &Arc<Session>| {
+            let before = ListStore::stats();
+            let resp = session.answer("k2", &edge, None, &QueryBudget::unlimited(), None);
+            let Response::Answer { answer, probes, .. } = resp else {
+                panic!("expected answer, got {resp:?}")
+            };
+            let after = ListStore::stats();
+            (
+                answer,
+                probes,
+                after.hits - before.hits,
+                after.misses - before.misses,
+            )
         };
+        let (answer, probes, _, misses) = answer_on_this_thread(&session);
         assert_eq!(probes, trace.len() as u64);
-        let first = session.cache_stats();
-        assert_eq!(first.entries, probed.len());
-        assert_eq!(first.misses, probed.len() as u64);
-        assert_eq!(first.requests(), probes);
+        assert_eq!(misses, probed.len() as u64);
+        // A replay on this thread is answered entirely from resident lists.
+        let replay = answer_on_this_thread(&session);
+        assert_eq!(replay, (answer, probes, probes, 0));
+        // A second thread fills its own store once, and answers alike.
+        let shared = session.clone();
+        let elsewhere = std::thread::spawn(move || answer_on_this_thread(&shared))
+            .join()
+            .unwrap();
+        assert_eq!(elsewhere, (answer, probes, probes - misses, misses));
+        let m = &session.metrics;
+        assert_eq!(load(&m.cache_misses), 2 * misses);
+        assert_eq!(load(&m.cache_hits) + load(&m.cache_misses), 3 * probes);
+    }
 
-        // A replay is answered entirely from resident lists.
-        session.answer("k2", &edge, None, &QueryBudget::unlimited(), None);
-        let second = session.cache_stats();
-        assert_eq!(second.misses, first.misses, "replay filled a list");
-        assert_eq!(second.hits, first.hits + probes);
+    /// One loop's share of a session flood: every `loops`-th of `queries`
+    /// distinct MIS vertices of each session, answered on the calling
+    /// thread and checked against an LCA over the bare oracle, with the
+    /// thread's store checked against its bound after every batch.
+    fn flood_one_loop(sessions: &[Arc<Session>], queries: u64, loops: u64, l: u64) -> StoreStats {
+        for (seed, session) in (0u64..).zip(sessions) {
+            let spec = &session.spec;
+            let oracle = spec.family.build_with(spec.n, input_seed(spec.seed), None);
+            let direct = LcaBuilder::new(spec.kind)
+                .seed(algo_seed(spec.seed))
+                .build(&oracle);
+            let vertices: Vec<u64> = (0..queries)
+                .filter(|i| i % loops == l)
+                .map(|i| 73 * i + seed)
+                .collect();
+            for chunk in vertices.chunks(1250) {
+                let batch: Vec<QueryPayload> =
+                    chunk.iter().map(|&v| QueryPayload::Vertex(v)).collect();
+                let resp = session.answer("flood", &batch, None, &QueryBudget::unlimited(), None);
+                let Response::Answers { answers, .. } = resp else {
+                    panic!("expected batch answers, got {resp:?}")
+                };
+                for (&v, &answer) in chunk.iter().zip(&answers) {
+                    let q = lca::core::DynQuery::Vertex(VertexId::new(v as usize));
+                    assert_eq!(answer, direct.query(q).unwrap(), "vertex {v}");
+                }
+                let bytes = ListStore::stats().bytes;
+                assert!(
+                    bytes <= ListStore::DEFAULT_BYTES,
+                    "a store grew to {bytes} bytes"
+                );
+            }
+        }
+        ListStore::stats()
     }
 
     #[test]
-    fn a_flood_of_distinct_vertices_stays_inside_the_slab_bound() {
-        // 10^5 distinct MIS queries touch far more lists than 16 MiB holds:
-        // the slab must evict to its bound (16 shards × 1 MiB) while every
-        // answer still matches an LCA over the bare oracle.
-        const SLAB_BOUND: usize = 16 << 20;
-        let spec = mis_spec(1_000_000, 13);
-        let session = Arc::new(Session::build(spec.clone()));
-        let oracle = spec.family.build_with(spec.n, input_seed(spec.seed), None);
-        let direct = LcaBuilder::new(spec.kind)
-            .seed(algo_seed(spec.seed))
-            .build(&oracle);
-        let vertices: Vec<u64> = (0..100_000u64).map(|i| 9 * i + 1).collect();
-        for chunk in vertices.chunks(1000) {
-            let queries: Vec<QueryPayload> =
-                chunk.iter().map(|&v| QueryPayload::Vertex(v)).collect();
-            let resp = session.answer("flood", &queries, None, &QueryBudget::unlimited(), None);
-            let Response::Answers { answers, .. } = resp else {
-                panic!("expected batch answers, got {resp:?}")
-            };
-            for (&v, &answer) in chunk.iter().zip(&answers) {
-                let q = lca::core::DynQuery::Vertex(VertexId::new(v as usize));
-                assert_eq!(answer, direct.query(q).unwrap(), "vertex {v}");
-            }
-            let bytes = session.cache_stats().bytes;
-            assert!(bytes <= SLAB_BOUND, "slab grew to {bytes} bytes");
+    fn a_session_flood_stays_inside_loops_times_one_bound() {
+        // Two loop threads answer 8 sessions × 12,500 distinct MIS queries
+        // between them, touching far more lists than 16 MiB holds.
+        // Per-session slabs would allow 8 × 16 MiB; each thread's one store
+        // must stay inside its single bound, so the process holds at most
+        // 2 × 16 MiB of lists whatever the session count.
+        const LOOPS: u64 = 2;
+        let bound = ListStore::DEFAULT_BYTES;
+        let sessions: Vec<Arc<Session>> = (0..8)
+            .map(|s| Arc::new(Session::build(mis_spec(1_000_000, 13 + s))))
+            .collect();
+        let per_loop: Vec<StoreStats> = std::thread::scope(|s| {
+            let loops: Vec<_> = (0..LOOPS)
+                .map(|l| {
+                    let sessions = &sessions;
+                    s.spawn(move || flood_one_loop(sessions, 12_500, LOOPS, l))
+                })
+                .collect();
+            loops.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for stats in &per_loop {
+            assert!(
+                stats.misses > stats.entries as u64,
+                "the flood never turned a store over: {stats:?}"
+            );
+            assert!(stats.bytes > bound / 2, "store barely used: {stats:?}");
         }
-        let stats = session.cache_stats();
-        assert!(
-            stats.misses > stats.entries as u64,
-            "the flood never forced an eviction: {stats:?}"
-        );
-        assert!(stats.bytes > SLAB_BOUND / 2, "slab barely used: {stats:?}");
+        let total: usize = per_loop.iter().map(|s| s.bytes).sum();
+        assert!(total <= LOOPS as usize * bound, "{total} bytes of lists");
     }
 
     #[test]

@@ -123,10 +123,13 @@ fn hundred_mixed_queries_match_direct_builder_queries() {
     }
     assert_eq!(compared, 100);
 
-    // Stats must show traffic and serving-cache hits.
+    // Stats must show traffic and list-store hits.
     let stats = client.roundtrip(r#"{"op":"stats"}"#);
     let global = stats.get("stats").expect("global stats");
     assert!(global.get("requests").and_then(Json::as_u64).unwrap() >= 100);
+    // The answering loop published its list store's bytes after each turn.
+    let store_bytes = global.get("list_store_bytes").and_then(Json::as_u64);
+    assert!(store_bytes.unwrap() > 0, "{global:?}");
     let sessions = stats.get("sessions").expect("sessions");
     let mut cache_hits = 0;
     for kind in kinds {
@@ -136,7 +139,7 @@ fn hundred_mixed_queries_match_direct_builder_queries() {
         assert_eq!(s.get("errors").and_then(Json::as_u64), Some(0));
         cache_hits += s.get("cache_hits").and_then(Json::as_u64).unwrap();
     }
-    assert!(cache_hits > 0, "expected serving-cache hits: {stats:?}");
+    assert!(cache_hits > 0, "expected list-store hits: {stats:?}");
 
     // Graceful drain.
     let bye = client.roundtrip(r#"{"op":"shutdown"}"#);
@@ -188,6 +191,46 @@ fn protocol_errors_are_typed_and_session_pinning_is_enforced() {
     let answers = r.get("answers").and_then(Json::as_array).expect("answers");
     assert_eq!(answers.len(), 3);
 
+    client.roundtrip(r#"{"op":"shutdown"}"#);
+    handle.join().expect("drain");
+}
+
+#[test]
+fn specs_no_family_can_build_are_refused_and_the_daemon_keeps_serving() {
+    // Each of these once panicked while the session was built, inside the
+    // registry lock and outside the query's unwind guard, and the daemon
+    // stopped accepting connections after it.
+    let (addr, handle, _server) = spawn_server(ServerConfig {
+        workers: 2,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    });
+    let bad = [
+        r#"{"id":1,"session":"a","kind":"mis","n":1000,"family":"chung-lu","knob":0,"query":1}"#,
+        r#"{"id":2,"session":"a","kind":"mis","n":4,"family":"torus","query":1}"#,
+        r#"{"id":3,"session":"a","kind":"mis","n":1,"family":"hypercube","query":0}"#,
+        r#"{"id":4,"session":"s","kind":"mis","n":100,"family":"gnp","knob":-1,"query":0}"#,
+        r#"{"id":5,"session":"a","kind":"mis","n":1000,"family":"gnp","knob":1e12,"query":1}"#,
+        r#"{"id":6,"session":"a","kind":"mis","n":1000,"family":"regular","knob":1e12,"query":1}"#,
+    ];
+    for (i, line) in bad.iter().enumerate() {
+        let mut client = Client::connect(&addr);
+        let r = client.roundtrip(line);
+        assert_eq!(
+            r.get("error").and_then(Json::as_str),
+            Some("bad-request"),
+            "{line}: {r:?}"
+        );
+        assert_eq!(r.get("id").and_then(Json::as_u64), Some(i as u64 + 1));
+        // A fresh connection is still accepted and answered.
+        let mut fresh = Client::connect(&addr);
+        let pong = fresh.roundtrip(r#"{"op":"ping"}"#);
+        assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+    }
+    // No failed spec pinned the name: a buildable one still can.
+    let mut client = Client::connect(&addr);
+    let r = client.roundtrip(r#"{"session":"a","kind":"mis","n":1000,"family":"torus","query":1}"#);
+    assert!(r.get("answer").is_some(), "{r:?}");
     client.roundtrip(r#"{"op":"shutdown"}"#);
     handle.join().expect("drain");
 }
@@ -685,7 +728,7 @@ fn session_probe_totals_sum_every_metered_query() {
     assert_eq!(p.get("probes_total").and_then(Json::as_u64), Some(served));
     assert_eq!(p.get("errors").and_then(Json::as_u64), Some(1));
     assert_eq!(p.get("budget_exhausted").and_then(Json::as_u64), Some(1));
-    // Every metered probe passes through the serving cache exactly once.
+    // Every metered probe passes through the loop's list store exactly once.
     let cache = |k: &str| p.get(k).and_then(Json::as_u64).expect(k);
     assert_eq!(cache("cache_hits") + cache("cache_misses"), served);
 

@@ -29,6 +29,11 @@ use lca_rand::Seed;
 /// A boxed implicit oracle, shareable across serving threads.
 pub type BoxedImplicitOracle = Box<dyn ImplicitOracle + Send + Sync>;
 
+/// Largest shape knob [`ImplicitFamily::check`] accepts: a degree of 1024
+/// keeps a matching family's slot count, and so its per-list generation
+/// work and seed table, bounded.
+pub const MAX_KNOB: f64 = 1024.0;
+
 /// The generator-backed input families of `lca_graph::implicit`, as an
 /// enumerable registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,6 +111,51 @@ impl ImplicitFamily {
         Some(family)
     }
 
+    /// Checks that [`ImplicitFamily::build_with`] can build `(n, knob)`:
+    /// `1 ≤ n ≤ 2³²` (vertex handles are `u32`), a knob inside
+    /// `[0, MAX_KNOB]` (`(0, MAX_KNOB]` for Chung–Lu, whose average degree
+    /// must be positive) for the families that read one (the lattices
+    /// ignore theirs), at least 9 vertices for a torus (3 × 3) and
+    /// `2 ≤ n < 2³¹` for a hypercube (dimension 1 to 30). The knob bound
+    /// also bounds the matching families' slot count, which sizes their
+    /// seed tables. The error names the offending field.
+    ///
+    /// ```
+    /// use lca::family::ImplicitFamily;
+    ///
+    /// assert!(ImplicitFamily::Gnp.check(1_000, Some(4.0)).is_ok());
+    /// assert!(ImplicitFamily::Gnp.check(1_000, Some(-1.0)).is_err());
+    /// assert!(ImplicitFamily::Torus.check(4, None).is_err());
+    /// assert!(ImplicitFamily::Grid.check(1_000, Some(-1.0)).is_ok());
+    /// ```
+    pub fn check(self, n: usize, knob: Option<f64>) -> Result<(), String> {
+        if n == 0 || n as u64 > 1 << 32 {
+            return Err(format!("`n` must be in 1..=2^32, got {n}"));
+        }
+        let too_small = match self {
+            ImplicitFamily::Torus => n < 9,
+            ImplicitFamily::Hypercube => !(2..1 << 31).contains(&n),
+            _ => false,
+        };
+        if too_small {
+            return Err(format!(
+                "`n` = {n} is outside the sizes {self} can build \
+                 (torus: n ≥ 9; hypercube: 2 ≤ n < 2^31)"
+            ));
+        }
+        let (knob, low_ok) = match (self, knob) {
+            (ImplicitFamily::Gnp | ImplicitFamily::Regular, Some(k)) => (k, k >= 0.0),
+            (ImplicitFamily::ChungLu, Some(k)) => (k, k > 0.0),
+            _ => return Ok(()),
+        };
+        if !(low_ok && knob <= MAX_KNOB) {
+            return Err(format!(
+                "`knob` must be in [0, {MAX_KNOB}] (positive for chung-lu), got {knob}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the family's oracle at (approximately) `n` vertices with the
     /// default shape knob — see [`ImplicitFamily::build_with`].
     pub fn build(self, n: usize, seed: Seed) -> BoxedImplicitOracle {
@@ -123,6 +173,11 @@ impl ImplicitFamily {
     /// and tori use the most-square `rows × cols ≤ n` factorization with
     /// `rows = ⌊√n⌋`, the hypercube uses dimension `⌊log₂ n⌋`. Check
     /// `vertex_count()` on the result rather than assuming `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape the family cannot build; every `(n, knob)` that
+    /// [`ImplicitFamily::check`] accepts builds.
     pub fn build_with(self, n: usize, seed: Seed, knob: Option<f64>) -> BoxedImplicitOracle {
         match self {
             ImplicitFamily::Gnp => Box::new(ImplicitGnp::new(n, knob.unwrap_or(4.0), seed)),
@@ -224,6 +279,52 @@ mod tests {
                 .sum::<usize>()
         };
         assert!(deg(&dense) > deg(&sparse));
+    }
+
+    #[test]
+    fn every_checked_shape_builds_and_every_rejected_one_is_refused() {
+        let sizes = [0, 1, 2, 4, 8, 9, 12, 100, (1 << 31) - 1, 1 << 31];
+        let knobs = [
+            None,
+            Some(-1.0),
+            Some(0.0),
+            Some(0.5),
+            Some(4.0),
+            Some(MAX_KNOB),
+            Some(1e6),
+        ];
+        for family in ImplicitFamily::all() {
+            for n in sizes {
+                for knob in knobs {
+                    let verdict = family.check(n, knob);
+                    // Building allocates O(slots), not O(n), so even the
+                    // largest accepted n builds instantly.
+                    let built = std::panic::catch_unwind(|| {
+                        family.build_with(n, Seed::new(1), knob).vertex_count()
+                    });
+                    if verdict.is_ok() {
+                        assert!(
+                            built.is_ok(),
+                            "{family} n={n} knob={knob:?} passed check but panicked"
+                        );
+                    }
+                }
+            }
+            // The rejections the daemon must answer instead of building.
+            assert!(family.check(0, None).is_err());
+            assert!(family.check(1 << 33, None).is_err());
+            // Only the families that read the knob judge it.
+            let reads_knob = matches!(
+                family,
+                ImplicitFamily::Gnp | ImplicitFamily::Regular | ImplicitFamily::ChungLu
+            );
+            assert_eq!(family.check(100, Some(-1.0)).is_err(), reads_knob);
+            assert_eq!(family.check(100, Some(1e6)).is_err(), reads_knob);
+        }
+        assert!(ImplicitFamily::Torus.check(4, None).is_err());
+        assert!(ImplicitFamily::Hypercube.check(1, None).is_err());
+        assert!(ImplicitFamily::ChungLu.check(100, Some(0.0)).is_err());
+        assert!(ImplicitFamily::Gnp.check(100, Some(0.0)).is_ok());
     }
 
     #[test]

@@ -46,17 +46,16 @@ pub mod prelude {
     pub use lca_graph::gen::{GnmBuilder, GnpBuilder, RegularBuilder};
     pub use lca_graph::implicit::{
         ImplicitChungLu, ImplicitGnp, ImplicitGrid, ImplicitHypercube, ImplicitOracle,
-        ImplicitRegular, ImplicitTorus,
+        ImplicitRegular, ImplicitTorus, ListStore,
     };
     // `Oracle` is defined in `lca-graph` (the crate owning both backing
     // stores); `lca-probe` re-exports it for the accounting wrappers.
     pub use lca_graph::{Graph, GraphBuilder, Oracle, ProbeCost, VertexId};
     // `shard_for_*` is the workspace's one deterministic placement
-    // function: probe-cache shards, the serve registry's shards, and the
-    // fleet gateway's session→backend routing all agree through it.
+    // function: memo shards, the serve registry's shards, and the fleet
+    // gateway's session→backend routing all agree through it.
     pub use lca_probe::{
-        shard_for_key, shard_for_str, CacheStats, CachedOracle, CountingOracle, MemoOracle,
-        ProbeCounts,
+        shard_for_key, shard_for_str, CachedOracle, CountingOracle, MemoOracle, ProbeCounts,
     };
     pub use lca_rand::Seed;
 

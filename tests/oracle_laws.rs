@@ -83,6 +83,36 @@ fn assert_oracle_laws<O: Oracle>(o: &O, context: &str) {
     }
 }
 
+/// A list-store bound whose two generations each hold their first 4 KiB
+/// index and 256 neighbors: a few lists of these graphs at a time, so one
+/// pass over a graph turns the generations over many times.
+const TINY_STORE: usize = 2 * (4096 + 256 * 4);
+
+/// Asserts that `o` answers every probe of every vertex as `bare` does.
+fn assert_same_answers<A: Oracle, B: Oracle>(o: &A, bare: &B, context: &str) {
+    let mut buf = Vec::new();
+    for v in (0..bare.vertex_count()).map(VertexId::new) {
+        let d = bare.degree(v);
+        assert_eq!(o.degree(v), d, "{context}: degree({v})");
+        for i in 0..=d {
+            assert_eq!(
+                o.neighbor(v, i),
+                bare.neighbor(v, i),
+                "{context}: neighbor({v}, {i})"
+            );
+        }
+        assert_eq!(o.neighbors_into(v, &mut buf), d, "{context}: scan of {v}");
+        for (i, &w) in buf.iter().enumerate() {
+            assert_eq!(bare.neighbor(v, i), Some(w), "{context}: scan of {v}");
+            assert_eq!(
+                o.adjacency(w, v),
+                bare.adjacency(w, v),
+                "{context}: adjacency({w}, {v})"
+            );
+        }
+    }
+}
+
 #[test]
 fn graph_satisfies_the_laws() {
     let g = GnpBuilder::new(300, 0.05).seed(Seed::new(1)).build();
@@ -97,15 +127,19 @@ fn accounting_wrappers_satisfy_the_laws() {
     assert_oracle_laws(&CountingOracle::new(&g), "CountingOracle");
     assert_oracle_laws(&MemoOracle::new(&g), "MemoOracle");
     assert_oracle_laws(&CachedOracle::new(&g), "CachedOracle");
-    // A bounded cache must stay law-abiding through evictions: 256 bytes
-    // per shard holds a few of these ~15-neighbor lists at a time.
-    let tiny = CachedOracle::with_shards(&g, 4).with_slab_bytes(256);
-    assert_oracle_laws(&tiny, "CachedOracle[tiny slab]");
-    let stats = tiny.stats();
+    // A bounded store must stay law-abiding and transparent while its
+    // generations turn over.
+    let default = ListStore::set_byte_bound(TINY_STORE);
+    let tiny = CachedOracle::new(&g);
+    assert_oracle_laws(&tiny, "CachedOracle[tiny store]");
+    assert_same_answers(&tiny, &g, "CachedOracle[tiny store]");
+    let after = ListStore::stats();
+    ListStore::set_byte_bound(default);
     assert!(
-        stats.misses > stats.entries as u64,
-        "no eviction: {stats:?}"
+        after.misses > after.entries as u64,
+        "no list was ever dropped: {after:?}"
     );
+    assert!(after.bytes <= TINY_STORE, "bound exceeded: {after:?}");
     // And the full serving stack composes.
     let counted = CountingOracle::new(&g);
     let cached = CachedOracle::new(&counted);
@@ -127,6 +161,43 @@ fn implicit_oracles_satisfy_the_laws() {
     assert_oracle_laws(&ImplicitGrid::new(17, 23), "ImplicitGrid");
     assert_oracle_laws(&ImplicitTorus::new(9, 14), "ImplicitTorus");
     assert_oracle_laws(&ImplicitHypercube::new(8), "ImplicitHypercube");
+}
+
+#[test]
+fn implicit_oracles_keep_their_answers_through_a_tiny_store() {
+    let seed = Seed::new(0x71);
+    let oracles: Vec<(BoxedImplicitOracle, &str)> = vec![
+        (
+            Box::new(ImplicitRegular::new(501, 4, seed)),
+            "ImplicitRegular",
+        ),
+        (Box::new(ImplicitGnp::new(800, 3.5, seed)), "ImplicitGnp"),
+        (
+            Box::new(ImplicitChungLu::power_law(800, 2.4, 6.0, seed)),
+            "ImplicitChungLu",
+        ),
+        (Box::new(ImplicitGrid::new(17, 23)), "ImplicitGrid"),
+        (Box::new(ImplicitTorus::new(9, 14)), "ImplicitTorus"),
+        (Box::new(ImplicitHypercube::new(8)), "ImplicitHypercube"),
+    ];
+    // Materialized under the default bound: the reference answers.
+    let bare: Vec<Graph> = oracles.iter().map(|(o, _)| o.materialize()).collect();
+    let default = ListStore::set_byte_bound(TINY_STORE);
+    for ((o, context), g) in oracles.iter().zip(&bare) {
+        let before = ListStore::stats();
+        assert_oracle_laws(o, context);
+        assert_same_answers(o, g, context);
+        let after = ListStore::stats();
+        assert!(
+            after.bytes <= TINY_STORE,
+            "{context}: bound exceeded: {after:?}"
+        );
+        assert!(
+            after.misses - before.misses > o.vertex_count() as u64,
+            "{context}: the generations never turned over"
+        );
+    }
+    ListStore::set_byte_bound(default);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Alloc-counting shim for the probe hot path.
 //!
 //! The amortized probe pipeline promises that steady-state probing of an
-//! implicit oracle allocates nothing: the per-thread generation memo owns
-//! reusable buffers, and `neighbors_into` copies into a caller-provided
+//! implicit oracle allocates nothing: the per-thread list store keeps each
+//! generated list, and `neighbors_into` copies into a caller-provided
 //! `Vec` whose capacity survives across probes. This binary installs a
 //! counting global allocator and asserts the promise literally — after one
 //! warm-up scan per vertex, a storm of `degree`/`neighbor`/`adjacency`/
@@ -10,12 +10,11 @@
 //! allocator calls.
 //!
 //! A second phase prices a whole warm k2-spanner query — hundreds of
-//! probes against a resident serving cache — in allocator calls. That walk
-//! still builds per-query memos and result vectors, so the bound there is a
-//! budget per query, not zero. The same phase counts the calls that reach
-//! the serving cache: the query's budgeted view forwards each buffered
-//! neighbor scan as one call, so a warm query enters the cache far fewer
-//! times than it probes.
+//! probes against lists resident in the thread's list store — in allocator
+//! calls. That walk still builds per-query memos and result vectors, so the
+//! bound there is a budget per query, not zero; the store's own share is
+//! zero, because a warm query fills no list, which the phase checks query
+//! by query.
 //!
 //! Everything lives in one `#[test]`: the counter is process-global, and a
 //! sibling test allocating on another thread would poison the measurement.
@@ -68,12 +67,12 @@ fn warmed_probes_do_not_allocate() {
         ImplicitFamily::ChungLu,
     ] {
         let oracle = family.build(N, Seed::new(0xA110C));
-        // Two resident vertices — well under the memo's associativity, so
+        // Two resident vertices — far inside the list store's bound, so
         // alternating probes never evict each other.
         let targets = [VertexId::new(17), VertexId::new(2048)];
         let mut buf: Vec<VertexId> = Vec::new();
         let mut warm_lists: Vec<Vec<VertexId>> = Vec::new();
-        // Warm-up: generate both lists once (fills the per-thread memo and
+        // Warm-up: generate both lists once (fills the per-thread store and
         // grows `buf` to the working-set high-water mark), and snapshot the
         // answers the storm must keep reproducing.
         for &v in &targets {
@@ -111,78 +110,39 @@ fn warmed_probes_do_not_allocate() {
     k2_query_alloc_budget();
 }
 
-/// Counts the calls that reach the oracle below it, whatever their kind.
-struct CallCounter<O> {
-    inner: O,
-    calls: AtomicU64,
-}
-
-impl<O> CallCounter<O> {
-    fn bump(&self) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl<O: Oracle> Oracle for CallCounter<O> {
-    fn vertex_count(&self) -> usize {
-        self.inner.vertex_count()
-    }
-    fn degree(&self, v: VertexId) -> usize {
-        self.bump();
-        self.inner.degree(v)
-    }
-    fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.bump();
-        self.inner.neighbor(v, i)
-    }
-    fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.bump();
-        self.inner.adjacency(u, v)
-    }
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        self.bump();
-        self.inner.neighbors_into(v, out)
-    }
-    fn label(&self, v: VertexId) -> u64 {
-        self.inner.label(v)
-    }
-}
-
 /// The warm k2 walk's allocator budget: allocator calls per k2-spanner
-/// query on implicit G(10⁶, 4/n) behind a resident `CachedOracle`,
-/// averaged over 256 sampled edges. With SipHash maps built fresh for every
-/// center search this batch cost 257 calls per query; with the per-query
-/// scratch reused across searches it costs 92. The bound is half the
-/// former figure.
+/// query on implicit G(10⁶, 4/n) with every list it reads resident in the
+/// thread's list store, averaged over 256 sampled edges. With SipHash maps
+/// built fresh for every center search this batch cost 257 calls per
+/// query; with the per-query scratch reused across searches it costs 92.
+/// The bound is half the former figure.
 ///
-/// The same batch also bounds the calls into the cache at a quarter of the
-/// probes. A neighbor scan split into point probes made one cache call per
-/// probe; forwarded whole, this batch makes 55 calls per warm query for
-/// 302 probes.
+/// The same batch checks that a warm query fills no list: every one of its
+/// probes is answered by a resident list, so the store itself allocates
+/// nothing, and every probe reaches the store exactly once.
 fn k2_query_alloc_budget() {
     const QUERIES: usize = 256;
     const BUDGET: u64 = 257 / 2;
     let kind = AlgorithmKind::Spanner(SpannerKind::K2);
     let oracle = ImplicitFamily::Gnp.build(1_000_000, Seed::new(1));
-    let cached = CallCounter {
-        inner: CachedOracle::new(&oracle),
-        calls: AtomicU64::new(0),
-    };
-    let algo = LcaBuilder::new(kind).seed(Seed::new(1)).build(&cached);
+    let algo = LcaBuilder::new(kind).seed(Seed::new(1)).build(&oracle);
     let queries =
         LcaBuilder::new(kind).queries(&oracle, QuerySource::sample(QUERIES, Seed::new(2)));
-    // Warm-up pass: fills the serving cache with every list the batch reads.
+    // Warm-up pass: fills the list store with every list the batch reads.
     let warm: Vec<bool> = queries.iter().map(|&q| algo.query(q).unwrap()).collect();
-    let calls_before = cached.calls.load(Ordering::Relaxed);
+    let store_before = ListStore::stats();
     let mut probes = 0;
+    let mut filled = 0;
     let baseline = alloc_calls();
     for (&q, &want) in queries.iter().zip(&warm) {
         let ctx = QueryCtx::unlimited();
+        let misses = ListStore::stats().misses;
         assert_eq!(
             algo.query_ctx(q, &ctx).unwrap(),
             want,
             "warm k2 answer drifted"
         );
+        filled += ListStore::stats().misses - misses;
         probes += ctx.spent();
     }
     let per_query = (alloc_calls() - baseline) / QUERIES as u64;
@@ -190,10 +150,11 @@ fn k2_query_alloc_budget() {
         per_query <= BUDGET,
         "a warm k2 query made {per_query} allocator calls (budget {BUDGET})"
     );
-    let cache_calls = cached.calls.load(Ordering::Relaxed) - calls_before;
-    assert!(
-        cache_calls * 4 <= probes,
-        "warm k2 queries made {cache_calls} calls into the serving cache for \
-         {probes} probes (bound: a quarter of the probes)"
+    assert_eq!(filled, 0, "warm k2 queries filled {filled} lists");
+    let store = ListStore::stats();
+    assert_eq!(
+        store.requests() - store_before.requests(),
+        probes,
+        "every probe reaches the store exactly once"
     );
 }
