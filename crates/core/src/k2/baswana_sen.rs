@@ -29,25 +29,25 @@ use lca_graph::VertexId;
 use lca_probe::{VertexMap, VertexSet};
 use lca_rand::{Coin, Seed};
 
+use super::{map_bytes, set_bytes, vec_bytes};
+
 /// An explicit graph fragment with stable vertex identities, labels and
-/// *original* adjacency order — the simulation substrate.
-#[derive(Debug, Clone)]
+/// *original* adjacency order — the simulation substrate. Adjacency is one
+/// flat list of `(v, w)` pushes; the simulation groups it by `v` in push
+/// order, so clearing the fragment keeps every buffer's capacity.
+#[derive(Debug, Clone, Default)]
 pub struct LocalGraph {
     ids: Vec<VertexId>,
     labels: Vec<u64>,
     index: VertexMap<u32, usize>,
-    adj: Vec<Vec<usize>>,
+    /// Every pushed `(v, w)` pair, as local indices, in push order.
+    pushes: Vec<(usize, usize)>,
 }
 
 impl LocalGraph {
     /// Creates an empty fragment.
     pub fn new() -> Self {
-        Self {
-            ids: Vec::new(),
-            labels: Vec::new(),
-            index: VertexMap::default(),
-            adj: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Adds a vertex (idempotent); returns its local index.
@@ -59,7 +59,6 @@ impl LocalGraph {
         self.ids.push(v);
         self.labels.push(label);
         self.index.insert(v.raw(), i);
-        self.adj.push(Vec::new());
         i
     }
 
@@ -72,7 +71,7 @@ impl LocalGraph {
     pub fn push_neighbor(&mut self, v: VertexId, w: VertexId) {
         let iv = self.index[&v.raw()];
         let iw = self.index[&w.raw()];
-        self.adj[iv].push(iw);
+        self.pushes.push((iv, iw));
     }
 
     /// Whether `v` is present.
@@ -89,11 +88,21 @@ impl LocalGraph {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
-}
 
-impl Default for LocalGraph {
-    fn default() -> Self {
-        Self::new()
+    /// Empties the fragment and keeps its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
+        self.labels.clear();
+        self.index.clear();
+        self.pushes.clear();
+    }
+
+    /// Bytes the fragment holds allocated.
+    pub(crate) fn bytes(&self) -> usize {
+        vec_bytes(&self.ids)
+            + vec_bytes(&self.labels)
+            + map_bytes(&self.index)
+            + vec_bytes(&self.pushes)
     }
 }
 
@@ -110,14 +119,118 @@ pub struct BsParams {
     pub independence: usize,
 }
 
+impl BsParams {
+    /// The `k − 1` per-round cluster sampling coins under `seed`.
+    pub(crate) fn round_coins(&self, seed: Seed) -> Vec<Coin> {
+        (1..self.k.max(1) as u64)
+            .map(|round| {
+                Coin::new(
+                    seed.derive2(0xB5_0000, round),
+                    self.sample_prob,
+                    self.independence,
+                )
+            })
+            .collect()
+    }
+}
+
+/// Reusable state of one simulation: the fragment's adjacency grouped by
+/// vertex (`adj[start[v]..start[v + 1]]`), the per-round cluster tables and
+/// edge sets, and the kept edges. Each run clears it and keeps its
+/// capacity.
+#[derive(Debug, Default)]
+pub(crate) struct BsScratch {
+    start: Vec<usize>,
+    adj: Vec<usize>,
+    cluster: Vec<Option<usize>>,
+    next: Vec<Option<usize>>,
+    active: VertexSet<(usize, usize)>,
+    seen: VertexSet<usize>,
+    resolved: VertexSet<usize>,
+    firsts: Vec<(usize, usize)>,
+    removals: Vec<(usize, usize)>,
+    /// The kept edges of the last run, normalized on global vertex ids.
+    pub(crate) added: VertexSet<(u32, u32)>,
+}
+
+impl BsScratch {
+    /// Drops every value and keeps the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.start.clear();
+        self.adj.clear();
+        self.cluster.clear();
+        self.next.clear();
+        self.active.clear();
+        self.seen.clear();
+        self.resolved.clear();
+        self.firsts.clear();
+        self.removals.clear();
+        self.added.clear();
+    }
+
+    /// Bytes the buffers hold allocated.
+    pub(crate) fn bytes(&self) -> usize {
+        vec_bytes(&self.start)
+            + vec_bytes(&self.adj)
+            + vec_bytes(&self.cluster)
+            + vec_bytes(&self.next)
+            + set_bytes(&self.active)
+            + set_bytes(&self.seen)
+            + set_bytes(&self.resolved)
+            + vec_bytes(&self.firsts)
+            + vec_bytes(&self.removals)
+            + set_bytes(&self.added)
+    }
+}
+
 /// Runs the simulation and returns the kept edges, normalized on global
 /// vertex ids.
 pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(u32, u32)> {
+    let mut scratch = BsScratch::default();
+    simulate_in(graph, &params.round_coins(seed), &mut scratch);
+    scratch.added
+}
+
+/// [`simulate`] over caller-owned scratch with prebuilt round coins
+/// (`coins[i]` samples the clusters surviving round `i + 1`); the kept
+/// edges land in `scratch.added`.
+pub(crate) fn simulate_in(graph: &LocalGraph, coins: &[Coin], scratch: &mut BsScratch) {
+    scratch.clear();
     let n = graph.len();
-    let mut added: VertexSet<(u32, u32)> = VertexSet::default();
     if n == 0 {
-        return added;
+        return;
     }
+    let BsScratch {
+        start,
+        adj,
+        cluster,
+        next,
+        active,
+        seen,
+        resolved,
+        firsts,
+        removals,
+        added,
+    } = scratch;
+    // Group the pushes by vertex, keeping push order (a counting sort).
+    start.resize(n + 1, 0);
+    for &(v, _) in &graph.pushes {
+        start[v + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    adj.resize(graph.pushes.len(), 0);
+    for &(v, w) in &graph.pushes {
+        adj[start[v]] = w;
+        start[v] += 1;
+    }
+    for v in (0..n).rev() {
+        start[v + 1] = start[v];
+    }
+    start[0] = 0;
+    let nbrs = |v: usize| &adj[start[v]..start[v + 1]];
+
     let key = |a: usize, b: usize| {
         let (x, y) = (graph.ids[a].raw(), graph.ids[b].raw());
         if x < y {
@@ -127,32 +240,24 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
         }
     };
     // cluster[v] = Some(local index of the cluster center), None = retired.
-    let mut cluster: Vec<Option<usize>> = (0..n).map(Some).collect();
+    cluster.extend((0..n).map(Some));
     // Active edges (normalized local pairs).
-    let mut active: VertexSet<(usize, usize)> = VertexSet::default();
     let norm = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
-    for (v, nbrs) in graph.adj.iter().enumerate() {
-        for &w in nbrs {
+    for v in 0..n {
+        for &w in nbrs(v) {
             if v != w {
                 active.insert(norm(v, w));
             }
         }
     }
 
-    // Per-vertex scratch sets, cleared rather than rebuilt per vertex.
-    let mut seen: VertexSet<usize> = VertexSet::default();
-    let mut resolved: VertexSet<usize> = VertexSet::default();
-    let mut firsts: Vec<(usize, usize)> = Vec::new(); // (center, nbr)
-    let rounds = params.k.saturating_sub(1);
-    for round in 1..=rounds {
-        let coin = Coin::new(
-            seed.derive2(0xB5_0000, round as u64),
-            params.sample_prob,
-            params.independence,
-        );
+    // Per-vertex scratch sets, cleared rather than rebuilt per vertex;
+    // `firsts` holds (center, nbr) pairs.
+    for coin in coins {
         let sampled = |c: usize| coin.flip(graph.labels[c]);
-        let mut next: Vec<Option<usize>> = vec![None; n];
-        let mut removals: Vec<(usize, usize)> = Vec::new();
+        next.clear();
+        next.resize(n, None);
+        removals.clear();
         for v in 0..n {
             let Some(cv) = cluster[v] else {
                 continue;
@@ -165,7 +270,7 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
             // adjacency order.
             seen.clear();
             firsts.clear();
-            for &w in &graph.adj[v] {
+            for &w in nbrs(v) {
                 if !active.contains(&norm(v, w)) {
                     continue;
                 }
@@ -184,10 +289,10 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
                 None => {
                     // Retire: keep one edge per neighboring cluster, drop all
                     // incident edges.
-                    for &(_, w) in &firsts {
+                    for &(_, w) in firsts.iter() {
                         added.insert(key(v, w));
                     }
-                    for &w in &graph.adj[v] {
+                    for &w in nbrs(v) {
                         removals.push(norm(v, w));
                     }
                     next[v] = None;
@@ -205,7 +310,7 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
                     for &(_, w) in &firsts[..pos] {
                         added.insert(key(v, w));
                     }
-                    for &w in &graph.adj[v] {
+                    for &w in nbrs(v) {
                         if let Some(cw) = cluster[w] {
                             if resolved.contains(&cw) {
                                 removals.push(norm(v, w));
@@ -215,10 +320,10 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
                 }
             }
         }
-        for e in removals {
-            active.remove(&e);
+        for e in removals.iter() {
+            active.remove(e);
         }
-        cluster = next;
+        std::mem::swap(cluster, next);
         // Drop retired endpoints and (new) intra-cluster edges.
         active.retain(|&(a, b)| match (cluster[a], cluster[b]) {
             (Some(ca), Some(cb)) => ca != cb,
@@ -232,7 +337,7 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
             continue;
         };
         seen.clear();
-        for &w in &graph.adj[v] {
+        for &w in nbrs(v) {
             if !active.contains(&norm(v, w)) {
                 continue;
             }
@@ -244,8 +349,6 @@ pub fn simulate(graph: &LocalGraph, params: BsParams, seed: Seed) -> VertexSet<(
             }
         }
     }
-
-    added
 }
 
 #[cfg(test)]

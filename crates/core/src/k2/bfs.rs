@@ -20,6 +20,8 @@ use lca_graph::VertexId;
 use lca_probe::{Oracle, VertexMap};
 use lca_rand::Coin;
 
+use super::{deque_bytes, map_bytes, vec_bytes};
+
 /// Outcome of the center search from one vertex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VertexStatus {
@@ -62,19 +64,80 @@ impl VertexStatus {
             VertexStatus::Sparse { .. } => None,
         }
     }
+
+    /// The public form of a search record whose path lives in `paths`.
+    pub(crate) fn from_record(st: Status, paths: &[VertexId]) -> VertexStatus {
+        let discovered = st.discovered;
+        match st.center {
+            Some(center) => VertexStatus::Dense {
+                center,
+                path: st.path(paths).to_vec(),
+                discovered,
+            },
+            None => VertexStatus::Sparse { discovered },
+        }
+    }
+}
+
+/// A center search's outcome as a flat `Copy` record: [`VertexStatus`]
+/// with its path `π(v, c(v))` kept in a caller-owned arena, at
+/// `paths[path_start..path_start + path_len]` (empty when sparse). The
+/// walk memoizes these by value, so a lookup copies five words instead of
+/// sharing a heap-allocated status.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Status {
+    /// The first-discovered center `c(v)`; `None` when sparse.
+    pub(crate) center: Option<VertexId>,
+    /// The next vertex on `π(v, c(v))`; `None` when sparse or a center.
+    pub(crate) parent: Option<VertexId>,
+    path_start: usize,
+    path_len: usize,
+    /// Vertices discovered before the search stopped.
+    discovered: usize,
+}
+
+impl Status {
+    /// Whether the vertex is sparse.
+    pub(crate) fn is_sparse(&self) -> bool {
+        self.center.is_none()
+    }
+
+    /// The path `π(v, c(v))` inside the arena the search appended it to.
+    pub(crate) fn path<'a>(&self, paths: &'a [VertexId]) -> &'a [VertexId] {
+        paths
+            .get(self.path_start..self.path_start + self.path_len)
+            .unwrap_or_default()
+    }
 }
 
 /// Reusable state of the center search: the discovered map (vertex → BFS
 /// parent), the FIFO queue of `(vertex, distance)`, the neighbor buffer and
 /// the `(label, vertex)` buffer each expansion sorts. Each search clears it
-/// and keeps its capacity, so a query's searches after the first allocate
-/// only their result path.
+/// and keeps its capacity, so a warm search allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct BfsScratch {
     parent: VertexMap<u32, u32>,
     queue: VecDeque<(VertexId, usize)>,
     nbrs: Vec<VertexId>,
     labeled: Vec<(u64, VertexId)>,
+}
+
+impl BfsScratch {
+    /// Drops every value and keeps the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.parent.clear();
+        self.queue.clear();
+        self.nbrs.clear();
+        self.labeled.clear();
+    }
+
+    /// Bytes the buffers hold allocated.
+    pub(crate) fn bytes(&self) -> usize {
+        map_bytes(&self.parent)
+            + deque_bytes(&self.queue)
+            + vec_bytes(&self.nbrs)
+            + vec_bytes(&self.labeled)
+    }
 }
 
 /// Runs the BFS variant from `v` with radius `k` against `is_center`.
@@ -87,30 +150,31 @@ pub fn center_search<O: Oracle>(
     k: usize,
     is_center: &Coin,
 ) -> VertexStatus {
-    center_search_in(
+    let mut paths = Vec::new();
+    let st = center_search_in(
         oracle,
         v,
         k,
         |label| is_center.flip(label),
         &mut BfsScratch::default(),
-    )
+        &mut paths,
+    );
+    VertexStatus::from_record(st, &paths)
 }
 
 /// [`center_search`] over caller-owned scratch, with the center coin given
-/// as its flip on a vertex label.
+/// as its flip on a vertex label. A dense result's path is appended to
+/// `paths` and the record points into it.
 pub(crate) fn center_search_in<O: Oracle>(
     oracle: &O,
     v: VertexId,
     k: usize,
     is_center: impl Fn(u64) -> bool,
     scratch: &mut BfsScratch,
-) -> VertexStatus {
+    paths: &mut Vec<VertexId>,
+) -> Status {
     if is_center(oracle.label(v)) {
-        return VertexStatus::Dense {
-            center: v,
-            path: vec![v],
-            discovered: 1,
-        };
+        return dense(v, [v].into_iter(), paths, 1);
     }
     // The parent map doubles as the discovered set.
     let BfsScratch {
@@ -141,34 +205,53 @@ pub(crate) fn center_search_in<O: Oracle>(
             };
             slot.insert(x.raw());
             if is_center(label) {
-                return VertexStatus::Dense {
-                    center: w,
-                    path: tree_path(parent, v, w, dx + 2),
-                    discovered: parent.len(),
-                };
+                return dense(w, tree_path(parent, v, w), paths, parent.len());
             }
             queue.push_back((w, dx + 1));
         }
     }
-    VertexStatus::Sparse {
+    Status {
+        center: None,
+        parent: None,
+        path_start: 0,
+        path_len: 0,
         discovered: parent.len(),
     }
 }
 
-/// Reconstructs π(v, w) (`len` vertices) from the BFS-tree parents.
-fn tree_path(parent: &VertexMap<u32, u32>, v: VertexId, w: VertexId, len: usize) -> Vec<VertexId> {
-    let mut path = Vec::with_capacity(len);
-    path.push(w);
-    let mut cur = w.raw();
-    while cur != v.raw() {
-        let Some(&p) = parent.get(&cur) else {
-            break;
-        };
-        cur = p;
-        path.push(VertexId::from(cur));
-    }
+/// Appends π(v, `center`) (given center-first) to `paths` and returns the
+/// dense record pointing at it.
+fn dense(
+    center: VertexId,
+    center_first: impl Iterator<Item = VertexId>,
+    paths: &mut Vec<VertexId>,
+    discovered: usize,
+) -> Status {
+    let start = paths.len();
+    paths.extend(center_first);
+    let path = paths.get_mut(start..).unwrap_or_default();
     path.reverse();
-    path
+    Status {
+        center: Some(center),
+        parent: path.get(1).copied(),
+        path_start: start,
+        path_len: path.len(),
+        discovered,
+    }
+}
+
+/// Walks π(v, w) backwards, from `w` up the BFS-tree parents to `v`.
+fn tree_path<'a>(
+    parent: &'a VertexMap<u32, u32>,
+    v: VertexId,
+    w: VertexId,
+) -> impl Iterator<Item = VertexId> + 'a {
+    let mut cur = Some(w.raw());
+    std::iter::from_fn(move || {
+        let at = cur?;
+        cur = (at != v.raw()).then(|| parent.get(&at).copied()).flatten();
+        Some(VertexId::from(at))
+    })
 }
 
 #[cfg(test)]
@@ -309,18 +392,21 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_searches() {
-        // One scratch across every search — dense, sparse, self-center —
-        // must give exactly the fresh-scratch answers.
+        // One scratch and one path arena across every search — dense,
+        // sparse, self-center — must give exactly the fresh-scratch answers.
         let g = structured::grid(6, 7);
         let coin = Coin::new(Seed::new(5), 0.1, 8);
         let mut scratch = BfsScratch::default();
+        let mut paths = Vec::new();
         for k in [1usize, 3, 6] {
             for v in g.vertices() {
+                let st = center_search_in(&g, v, k, |x| coin.flip(x), &mut scratch, &mut paths);
                 assert_eq!(
-                    center_search_in(&g, v, k, |x| coin.flip(x), &mut scratch),
+                    VertexStatus::from_record(st, &paths),
                     center_search(&g, v, k, &coin),
                     "k={k} v={v}"
                 );
+                assert_eq!(st.parent, center_search(&g, v, k, &coin).parent());
             }
         }
     }

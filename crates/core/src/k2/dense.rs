@@ -1,45 +1,61 @@
 //! H_dense: Voronoi trees, cluster refinement, and the inter-cell
 //! connection rules (paper Sections 4.3.1–4.3.4).
 
-use std::rc::Rc;
-
 use lca_graph::VertexId;
-use lca_probe::{Oracle, VertexSet};
+use lca_probe::Oracle;
 
-use super::bfs::VertexStatus;
-use super::{Ctx, K2Spanner};
+use super::{sort_dedup_tail, Ctx, K2Spanner, Span};
 use crate::common::edge_key;
 
 /// A cluster of the Voronoi-cell refinement (Section 4.3.2): `O(L)` member
 /// vertices of one cell, produced by rule (a) (whole light cell), (b)
 /// (heavy singleton) or (c) (grouped light subtrees under a heavy parent).
-#[derive(Debug)]
-pub(crate) struct ClusterInfo {
-    /// Members, sorted by vertex index (deterministic identity).
-    pub members: Vec<VertexId>,
-    /// Members as a raw-index set.
-    pub member_set: VertexSet<u32>,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cluster {
+    /// Members, sorted by vertex index: a span of the walk's member arena.
+    pub members: Span,
     /// The center of the Voronoi cell containing this cluster.
     pub cell_center: VertexId,
+    /// Stable identity: the smallest member index.
+    pub id: u32,
 }
 
-impl ClusterInfo {
-    /// Stable identity: the smallest member index.
-    pub fn id(&self) -> u32 {
-        self.members.first().map_or(u32::MAX, |m| m.raw())
+impl Cluster {
+    /// Whether `w` is a member (binary search of the sorted members).
+    fn contains(&self, ctx: &Ctx<'_>, w: VertexId) -> bool {
+        self.members
+            .of(&ctx.members.borrow())
+            .binary_search(&w)
+            .is_ok()
+    }
+
+    /// Member `i`, in index order.
+    fn member(&self, ctx: &Ctx<'_>, i: usize) -> VertexId {
+        self.members.at(&ctx.members.borrow(), i)
     }
 }
 
 impl<O: Oracle> K2Spanner<O> {
-    /// Children of `x` in its Voronoi tree, in adjacency-list order
-    /// (Table 5: O(∆²L) probes).
-    pub(crate) fn tree_children(&self, ctx: &Ctx<'_>, x: VertexId) -> Rc<Vec<VertexId>> {
-        if let Some(c) = ctx.children.borrow().get(&x.raw()) {
-            return Rc::clone(c);
+    /// Children of `x` in its Voronoi tree, in adjacency-list order, as a
+    /// span of the walk's children arena (Table 5: O(∆²L) probes).
+    pub(crate) fn tree_children(&self, ctx: &Ctx<'_>, x: VertexId) -> Span {
+        if let Some(&c) = ctx.children.borrow().get(&x.raw()) {
+            return c;
         }
         let o = self.o(ctx);
-        let st = self.status(ctx, x);
-        let Some(cx) = st.center() else {
+        let start = ctx.kids.borrow().len();
+        if let Some(cx) = self.status(ctx, x).center {
+            // A status fill appends no child, so `x`'s children stay one run.
+            ctx.with_buf(|nbrs| {
+                o.neighbors_into(x, nbrs);
+                for &w in nbrs.iter() {
+                    let stw = self.status(ctx, w);
+                    if stw.center == Some(cx) && stw.parent == Some(x) {
+                        ctx.kids.borrow_mut().push(w);
+                    }
+                }
+            });
+        } else {
             // Children are only requested for dense vertices; a tripped
             // budget can degenerate a status to sparse mid-walk, and the
             // query is about to fail its checkpoint — report no children.
@@ -48,24 +64,10 @@ impl<O: Oracle> K2Spanner<O> {
                 ctx.interrupted(),
                 "children only defined for dense vertices"
             );
-            let rc = Rc::new(Vec::new());
-            ctx.children.borrow_mut().insert(x.raw(), Rc::clone(&rc));
-            return rc;
-        };
-        let kids = ctx.with_nbrs(|nbrs| {
-            o.neighbors_into(x, nbrs);
-            let mut kids = Vec::new();
-            for &w in nbrs.iter() {
-                let stw = self.status(ctx, w);
-                if stw.center() == Some(cx) && stw.parent() == Some(x) {
-                    kids.push(w);
-                }
-            }
-            kids
-        });
-        let rc = Rc::new(kids);
-        ctx.children.borrow_mut().insert(x.raw(), Rc::clone(&rc));
-        rc
+        }
+        let span = Span::tail(start, ctx.kids.borrow().len());
+        ctx.children.borrow_mut().insert(x.raw(), span);
+        span
     }
 
     /// Subtree size of `x` capped at `L`: `Some(size)` for light vertices,
@@ -75,212 +77,230 @@ impl<O: Oracle> K2Spanner<O> {
             return s;
         }
         let cap = self.params().l;
-        let mut count = 0usize;
-        let mut stack = vec![x];
-        let mut result = Some(0usize);
-        while let Some(y) = stack.pop() {
-            count += 1;
-            if count > cap {
-                result = None;
-                break;
+        let result = ctx.with_buf(|stack| {
+            stack.push(x);
+            let mut count = 0usize;
+            while let Some(y) = stack.pop() {
+                count += 1;
+                if count > cap {
+                    return None;
+                }
+                let kids = self.tree_children(ctx, y);
+                stack.extend_from_slice(kids.of(&ctx.kids.borrow()));
             }
-            stack.extend(self.tree_children(ctx, y).iter().copied());
-        }
-        if result.is_some() {
-            result = Some(count);
-        }
+            Some(count)
+        });
         ctx.subtree.borrow_mut().insert(x.raw(), result);
         result
     }
 
-    /// All vertices of the (light) subtree rooted at `x`.
-    fn collect_subtree(&self, ctx: &Ctx<'_>, x: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        let mut stack = vec![x];
-        while let Some(y) = stack.pop() {
-            out.push(y);
-            stack.extend(self.tree_children(ctx, y).iter().copied());
-        }
-        out
+    /// Appends every vertex of the (light) subtree rooted at `x` to the
+    /// walk's member arena.
+    fn collect_subtree(&self, ctx: &Ctx<'_>, x: VertexId) {
+        ctx.with_buf(|stack| {
+            stack.push(x);
+            while let Some(y) = stack.pop() {
+                ctx.members.borrow_mut().push(y);
+                let kids = self.tree_children(ctx, y);
+                stack.extend_from_slice(kids.of(&ctx.kids.borrow()));
+            }
+        });
     }
 
     /// The cluster containing dense vertex `x` (Section 4.3.2 rules (a)–(c);
-    /// Table 5: O(∆³L²) probes).
-    pub(crate) fn cluster(&self, ctx: &Ctx<'_>, x: VertexId) -> Rc<ClusterInfo> {
-        if let Some(c) = ctx.clusters.borrow().get(&x.raw()) {
-            return Rc::clone(c);
+    /// Table 5: O(∆³L²) probes). Its members are appended to the walk's
+    /// member arena as one run: nothing a cluster computation calls
+    /// appends members of its own.
+    pub(crate) fn cluster(&self, ctx: &Ctx<'_>, x: VertexId) -> Cluster {
+        if let Some(&c) = ctx.clusters.borrow().get(&x.raw()) {
+            return c;
         }
         let st = self.status(ctx, x);
-        let s = st
-            .center()
-            .expect("clusters only defined for dense vertices");
-        let members: Vec<VertexId> = if self.subtree_size(ctx, s).is_some() {
+        let s = st.center.expect("clusters only defined for dense vertices");
+        let start = ctx.members.borrow().len();
+        if self.subtree_size(ctx, s).is_some() {
             // (a) Light cell: the whole cell is one cluster.
-            self.collect_subtree(ctx, s)
+            self.collect_subtree(ctx, s);
         } else if self.subtree_size(ctx, x).is_none() {
             // (b) Heavy vertex: singleton.
-            vec![x]
+            ctx.members.borrow_mut().push(x);
         } else {
             // (c) Light vertex under a heavy cell: group the light child
-            // subtrees of the first heavy ancestor.
-            let path = match &*st {
-                VertexStatus::Dense { path, .. } => path.clone(),
-                VertexStatus::Sparse { .. } => unreachable!("dense checked above"),
-            };
-            let mut heavy_idx = None;
-            for (i, &p) in path.iter().enumerate().skip(1) {
+            // subtrees of the first heavy ancestor on π(x, s).
+            let mut hop = 1;
+            let heavy_parent = loop {
+                let p = ctx
+                    .path_at(st, hop)
+                    .expect("cell center is heavy, so a heavy ancestor exists");
                 if self.subtree_size(ctx, p).is_none() {
-                    heavy_idx = Some(i);
-                    break;
+                    break p;
                 }
-            }
-            let hi = heavy_idx.expect("cell center is heavy, so a heavy ancestor exists");
-            let heavy_parent = path[hi];
-            let below = path[hi - 1];
-            let mut groups: Vec<Vec<VertexId>> = Vec::new();
-            let mut cur: Vec<VertexId> = Vec::new();
-            let mut cur_size = 0usize;
-            for &w in self.tree_children(ctx, heavy_parent).iter() {
+                hop += 1;
+            };
+            let below = ctx.path_at(st, hop - 1).expect("dense path starts at x");
+            // Groups are runs of light children, closed once their sizes
+            // reach L; take the first group holding `below`, as child
+            // positions `from..to` (heavy children in between are skipped).
+            let kids = self.tree_children(ctx, heavy_parent);
+            let mut group = None;
+            let mut open: Option<(usize, bool)> = None;
+            let mut size = 0usize;
+            for i in 0..kids.len() {
+                let w = kids.at(&ctx.kids.borrow(), i);
                 let Some(sz) = self.subtree_size(ctx, w) else {
                     continue; // heavy children form their own singletons
                 };
-                cur.push(w);
-                cur_size += sz;
-                if cur_size >= self.params().l {
-                    groups.push(std::mem::take(&mut cur));
-                    cur_size = 0;
+                let (from, has_below) = open.get_or_insert((i, false));
+                *has_below |= w == below;
+                size += sz;
+                if size >= self.params().l {
+                    if *has_below && group.is_none() {
+                        group = Some((*from, i + 1));
+                    }
+                    open = None;
+                    size = 0;
                 }
             }
-            if !cur.is_empty() {
-                groups.push(cur);
+            if let Some((from, true)) = open {
+                group = group.or(Some((from, kids.len())));
             }
-            // Within budget the group containing `below` always exists; a
-            // tripped budget can degenerate the children enumeration, in
-            // which case the query fails its checkpoint anyway — fall back
-            // to a singleton. On the unbudgeted path a missing group is a
-            // real bug and must stay loud.
-            let group = groups
-                .into_iter()
-                .find(|g| g.contains(&below))
-                .unwrap_or_else(|| {
+            match group {
+                Some((from, to)) => {
+                    for i in from..to {
+                        let w = kids.at(&ctx.kids.borrow(), i);
+                        if self.subtree_size(ctx, w).is_some() {
+                            self.collect_subtree(ctx, w);
+                        }
+                    }
+                }
+                None => {
+                    // Within budget the group containing `below` always
+                    // exists; a tripped budget can degenerate the children
+                    // enumeration, in which case the query fails its
+                    // checkpoint anyway — fall back to a singleton. On the
+                    // unbudgeted path a missing group is a real bug and
+                    // must stay loud.
                     assert!(
                         ctx.interrupted(),
                         "the subtree containing x must be in some group"
                     );
-                    vec![x]
-                });
-            group
-                .into_iter()
-                .flat_map(|w| self.collect_subtree(ctx, w))
-                .collect()
-        };
-        let mut members = members;
-        members.sort_by_key(|m| m.raw());
-        members.dedup();
-        let info = Rc::new(ClusterInfo {
-            member_set: members.iter().map(|m| m.raw()).collect(),
+                    ctx.members.borrow_mut().push(x);
+                }
+            }
+        }
+        let mut arena = ctx.members.borrow_mut();
+        let members = sort_dedup_tail(&mut arena, start);
+        let cluster = Cluster {
             members,
             cell_center: s,
-        });
+            id: members.of(&arena).first().map_or(u32::MAX, |m| m.raw()),
+        };
         let mut cache = ctx.clusters.borrow_mut();
-        for &m in &info.members {
-            cache.insert(m.raw(), Rc::clone(&info));
+        for m in members.of(&arena) {
+            cache.insert(m.raw(), cluster);
         }
-        Rc::clone(&info)
+        cluster
     }
 
     /// `c(∂A)`: centers of the (dense) neighbors of cluster `A`, excluding
-    /// `A`'s own cell (Table 5: O(∆²L²) probes). Memoized by cluster id.
-    pub(crate) fn boundary(&self, ctx: &Ctx<'_>, a: &ClusterInfo) -> Rc<VertexSet<u32>> {
-        if let Some(b) = ctx.boundaries.borrow().get(&a.id()) {
-            return Rc::clone(b);
+    /// `A`'s own cell, sorted and distinct as a span of the walk's boundary
+    /// arena (Table 5: O(∆²L²) probes). Memoized by cluster id.
+    pub(crate) fn boundary(&self, ctx: &Ctx<'_>, a: &Cluster) -> Span {
+        if let Some(&b) = ctx.boundaries.borrow().get(&a.id) {
+            return b;
         }
         let o = self.o(ctx);
-        let mut out: VertexSet<u32> = VertexSet::default();
-        for &m in &a.members {
-            ctx.with_nbrs(|nbrs| {
+        let start = ctx.bounds.borrow().len();
+        for i in 0..a.members.len() {
+            let m = a.member(ctx, i);
+            ctx.with_buf(|nbrs| {
                 o.neighbors_into(m, nbrs);
                 for &w in nbrs.iter() {
-                    if let Some(c) = self.status(ctx, w).center() {
+                    if let Some(c) = self.status(ctx, w).center {
                         if c != a.cell_center {
-                            out.insert(c.raw());
+                            ctx.bounds.borrow_mut().push(c.raw());
                         }
                     }
                 }
             });
         }
-        let rc = Rc::new(out);
-        ctx.boundaries.borrow_mut().insert(a.id(), Rc::clone(&rc));
-        rc
+        let span = sort_dedup_tail(&mut ctx.bounds.borrow_mut(), start);
+        ctx.boundaries.borrow_mut().insert(a.id, span);
+        span
+    }
+
+    /// Minimum-label-ID edge from `a` to a neighbor that `to` accepts
+    /// (endpoints returned A-side first).
+    fn min_edge_from(
+        &self,
+        ctx: &Ctx<'_>,
+        a: &Cluster,
+        to: impl Fn(VertexId) -> bool,
+    ) -> Option<(VertexId, VertexId)> {
+        let o = self.o(ctx);
+        let mut best: Option<((u64, u64), (VertexId, VertexId))> = None;
+        for i in 0..a.members.len() {
+            let m = a.member(ctx, i);
+            ctx.with_buf(|nbrs| {
+                o.neighbors_into(m, nbrs);
+                for &w in nbrs.iter() {
+                    if to(w) {
+                        let k = edge_key(o.label(m), o.label(w));
+                        if best.is_none_or(|(cur, _)| k < cur) {
+                            best = Some((k, (m, w)));
+                        }
+                    }
+                }
+            });
+        }
+        best.map(|(_, e)| e)
     }
 
     /// Minimum-label-ID edge in `E(A, B)` (endpoints returned A-side first).
     fn min_edge_between(
         &self,
         ctx: &Ctx<'_>,
-        a: &ClusterInfo,
-        b_set: &VertexSet<u32>,
+        a: &Cluster,
+        b: &Cluster,
     ) -> Option<(VertexId, VertexId)> {
-        let o = self.o(ctx);
-        let mut best: Option<((u64, u64), (VertexId, VertexId))> = None;
-        for &m in &a.members {
-            ctx.with_nbrs(|nbrs| {
-                o.neighbors_into(m, nbrs);
-                for &w in nbrs.iter() {
-                    if b_set.contains(&w.raw()) {
-                        let k = edge_key(o.label(m), o.label(w));
-                        if best.is_none_or(|(cur, _)| k < cur) {
-                            best = Some((k, (m, w)));
-                        }
-                    }
-                }
-            });
-        }
-        best.map(|(_, e)| e)
+        self.min_edge_from(ctx, a, |w| b.contains(ctx, w))
     }
 
     /// Minimum-label-ID edge in `E(A, Vor(cell))` for a foreign cell.
     fn min_edge_to_cell(
         &self,
         ctx: &Ctx<'_>,
-        a: &ClusterInfo,
+        a: &Cluster,
         cell: VertexId,
     ) -> Option<(VertexId, VertexId)> {
-        let o = self.o(ctx);
-        let mut best: Option<((u64, u64), (VertexId, VertexId))> = None;
-        for &m in &a.members {
-            ctx.with_nbrs(|nbrs| {
-                o.neighbors_into(m, nbrs);
-                for &w in nbrs.iter() {
-                    if self.status(ctx, w).center() == Some(cell) {
-                        let k = edge_key(o.label(m), o.label(w));
-                        if best.is_none_or(|(cur, _)| k < cur) {
-                            best = Some((k, (m, w)));
-                        }
-                    }
-                }
-            });
-        }
-        best.map(|(_, e)| e)
+        self.min_edge_from(ctx, a, |w| self.status(ctx, w).center == Some(cell))
     }
 
-    /// Marked cells adjacent to cluster `a` (from its boundary), plus its
-    /// own cell when marked — the rule (2) emptiness test set.
-    fn marked_adjacent(&self, ctx: &Ctx<'_>, a: &ClusterInfo) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .boundary(ctx, a)
-            .iter()
-            .copied()
-            .filter(|&c| {
-                self.mark_coin()
-                    .flip(self.oracle().label(VertexId::from(c)))
-            })
-            .collect();
-        out.sort_unstable();
-        if self.mark_coin().flip(self.oracle().label(a.cell_center)) {
-            out.push(a.cell_center.raw());
+    /// Whether a Voronoi cell is marked.
+    fn marked(&self, center: VertexId) -> bool {
+        self.mark_coin().flip(self.oracle().label(center))
+    }
+
+    /// Marked cells adjacent to cluster `a` (from its boundary) in index
+    /// order, plus its own cell last when marked — the rule (2) emptiness
+    /// test set — written to `out`.
+    fn marked_adjacent(&self, ctx: &Ctx<'_>, a: &Cluster, out: &mut Vec<VertexId>) {
+        let boundary = self.boundary(ctx, a);
+        out.clear();
+        let bounds = ctx.bounds.borrow();
+        let centers = boundary.of(&bounds).iter().map(|&c| VertexId::from(c));
+        out.extend(centers.filter(|&c| self.marked(c)));
+        if self.marked(a.cell_center) {
+            out.push(a.cell_center);
         }
-        out
+    }
+
+    /// Whether no cell adjacent to `a`, nor `a`'s own, is marked.
+    fn no_marked_adjacent(&self, ctx: &Ctx<'_>, a: &Cluster) -> bool {
+        ctx.with_buf(|marked| {
+            self.marked_adjacent(ctx, a, marked);
+            marked.is_empty()
+        })
     }
 
     /// Rule (3) from the `from` side: is `edge = (x, y)` (with `x ∈ from`,
@@ -289,8 +309,8 @@ impl<O: Oracle> K2Spanner<O> {
     fn rule3(
         &self,
         ctx: &Ctx<'_>,
-        from: &ClusterInfo,
-        to: &ClusterInfo,
+        from: &Cluster,
+        to: &Cluster,
         edge: (VertexId, VertexId),
     ) -> bool {
         // The queried edge must be the minimum edge from `from` into the
@@ -300,33 +320,39 @@ impl<O: Oracle> K2Spanner<O> {
             _ => return false,
         }
         let boundary_from = self.boundary(ctx, from);
-        let to_center_raw = to.cell_center.raw();
+        let to_center = to.cell_center;
         // Enumerate marked cells adjacent to `to` (excluding its own cell).
-        for m in self.marked_adjacent(ctx, to) {
-            if m == to_center_raw {
-                continue;
-            }
-            let Some((_, w_m)) = self.min_edge_to_cell(ctx, to, VertexId::from(m)) else {
-                continue;
-            };
-            // `to` participates in the cluster-of-clusters of C = cluster of
-            // the minimum-edge endpoint inside the marked cell.
-            let c_cluster = self.cluster(ctx, w_m);
-            let boundary_c = self.boundary(ctx, &c_cluster);
-            // X = c(∂from) ∩ c(∂C); c(to) must be among the q lowest ranks.
-            if !boundary_from.contains(&to_center_raw) || !boundary_c.contains(&to_center_raw) {
-                continue;
-            }
-            let rank_to = self.ranks().rank(self.oracle().label(to.cell_center));
-            let lower = boundary_from
-                .intersection(&boundary_c)
-                .filter(|&&c| self.ranks().rank(self.oracle().label(VertexId::from(c))) < rank_to)
-                .count();
-            if lower < self.params().q {
-                return true;
-            }
-        }
-        false
+        ctx.with_buf(|marked| {
+            self.marked_adjacent(ctx, to, marked);
+            marked.iter().any(|&m| {
+                if m == to_center {
+                    return false;
+                }
+                let Some((_, w_m)) = self.min_edge_to_cell(ctx, to, m) else {
+                    return false;
+                };
+                // `to` participates in the cluster-of-clusters of C =
+                // cluster of the minimum-edge endpoint inside the marked
+                // cell.
+                let c_cluster = self.cluster(ctx, w_m);
+                let boundary_c = self.boundary(ctx, &c_cluster);
+                let bounds = ctx.bounds.borrow();
+                let (from_cells, c_cells) = (boundary_from.of(&bounds), boundary_c.of(&bounds));
+                // X = c(∂from) ∩ c(∂C); c(to) must be among the q lowest
+                // ranks.
+                let has = |cells: &[u32], c: u32| cells.binary_search(&c).is_ok();
+                if !has(from_cells, to_center.raw()) || !has(c_cells, to_center.raw()) {
+                    return false;
+                }
+                let rank = |c: VertexId| self.ranks().rank(self.oracle().label(c));
+                let rank_to = rank(to_center);
+                let lower = from_cells
+                    .iter()
+                    .filter(|&&c| has(c_cells, c) && rank(VertexId::from(c)) < rank_to)
+                    .count();
+                lower < self.params().q
+            })
+        })
     }
 }
 
@@ -341,18 +367,14 @@ pub(crate) fn dense_contains<O: Oracle>(
     ctx: &Ctx<'_>,
     u: VertexId,
     v: VertexId,
-    _su: &VertexStatus,
-    _sv: &VertexStatus,
 ) -> bool {
     let a = lca.cluster(ctx, u);
     let b = lca.cluster(ctx, v);
-    let a_marked = lca.mark_coin().flip(lca.oracle().label(a.cell_center));
-    let b_marked = lca.mark_coin().flip(lca.oracle().label(b.cell_center));
 
     // Rule (1): a marked cluster connects to each adjacent cluster via the
     // minimum-ID edge.
-    if a_marked || b_marked {
-        if let Some(e) = lca.min_edge_between(ctx, &a, &b.member_set) {
+    if lca.marked(a.cell_center) || lca.marked(b.cell_center) {
+        if let Some(e) = lca.min_edge_between(ctx, &a, &b) {
             if same_edge(e, (u, v)) {
                 return true;
             }
@@ -361,14 +383,14 @@ pub(crate) fn dense_contains<O: Oracle>(
 
     // Rule (2): a cluster with no adjacent marked cell connects to each
     // adjacent Voronoi cell.
-    if lca.marked_adjacent(ctx, &b).is_empty() {
+    if lca.no_marked_adjacent(ctx, &b) {
         if let Some(e) = lca.min_edge_to_cell(ctx, &b, a.cell_center) {
             if same_edge(e, (v, u)) {
                 return true;
             }
         }
     }
-    if lca.marked_adjacent(ctx, &a).is_empty() {
+    if lca.no_marked_adjacent(ctx, &a) {
         if let Some(e) = lca.min_edge_to_cell(ctx, &a, b.cell_center) {
             if same_edge(e, (u, v)) {
                 return true;
@@ -377,13 +399,7 @@ pub(crate) fn dense_contains<O: Oracle>(
     }
 
     // Rule (3), both orientations.
-    if lca.rule3(ctx, &a, &b, (u, v)) {
-        return true;
-    }
-    if lca.rule3(ctx, &b, &a, (v, u)) {
-        return true;
-    }
-    false
+    lca.rule3(ctx, &a, &b, (u, v)) || lca.rule3(ctx, &b, &a, (v, u))
 }
 
 #[cfg(test)]
@@ -391,6 +407,7 @@ mod tests {
     use super::*;
     use crate::{K2Params, K2Spanner};
     use lca_graph::gen::structured;
+    use lca_probe::VertexSet;
     use lca_rand::Seed;
 
     /// Parameters forcing every vertex dense (center prob 1): each vertex is
@@ -408,12 +425,12 @@ mod tests {
         let ctx = Ctx::default();
         for v in g.vertices() {
             let st = lca.status(&ctx, v);
-            assert_eq!(st.center(), Some(v));
-            assert_eq!(st.parent(), None);
+            assert_eq!(st.center, Some(v));
+            assert_eq!(st.parent, None);
             assert_eq!(lca.tree_children(&ctx, v).len(), 0);
             assert_eq!(lca.subtree_size(&ctx, v), Some(1));
             let cl = lca.cluster(&ctx, v);
-            assert_eq!(cl.members, vec![v]);
+            assert_eq!(cl.members.of(&ctx.members.borrow()), [v]);
             assert_eq!(cl.cell_center, v);
         }
     }
@@ -427,7 +444,12 @@ mod tests {
         let cl = lca.cluster(&ctx, v);
         let b = lca.boundary(&ctx, &cl);
         let expect: VertexSet<u32> = g.neighbors(v).iter().map(|w| w.raw()).collect();
-        assert_eq!(*b, expect);
+        let bounds = ctx.bounds.borrow();
+        assert_eq!(
+            b.of(&bounds).iter().copied().collect::<VertexSet<u32>>(),
+            expect
+        );
+        assert!(b.of(&bounds).windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -458,12 +480,13 @@ mod tests {
                 continue;
             }
             let cl = lca.cluster(&ctx, v);
-            for &m in &cl.members {
+            let members = cl.members.of(&ctx.members.borrow()).to_vec();
+            for m in members {
                 let cm = lca.cluster(&ctx, m);
-                assert_eq!(cm.id(), cl.id(), "member {m} resolved a different cluster");
+                assert_eq!(cm.id, cl.id, "member {m} resolved a different cluster");
                 assert_eq!(cm.cell_center, cl.cell_center);
             }
-            assert!(cl.member_set.contains(&v.raw()));
+            assert!(cl.contains(&ctx, v));
         }
     }
 

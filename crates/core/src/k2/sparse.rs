@@ -12,8 +12,40 @@ use std::collections::VecDeque;
 use lca_graph::VertexId;
 use lca_probe::{Oracle, VertexSet};
 
-use super::baswana_sen::{simulate, BsParams, LocalGraph};
-use super::{Ctx, K2Spanner};
+use super::baswana_sen::{simulate_in, BsScratch, LocalGraph};
+use super::{deque_bytes, set_bytes, vec_bytes, Ctx, K2Spanner};
+
+/// Reusable state of the sparse path: the union-ball BFS, the ball as a
+/// [`LocalGraph`] and the Baswana–Sen tables, all cleared per query with
+/// their capacity kept.
+#[derive(Debug, Default)]
+pub(crate) struct BallScratch {
+    seen: VertexSet<u32>,
+    queue: VecDeque<(VertexId, usize)>,
+    members: Vec<VertexId>,
+    ball: LocalGraph,
+    bs: BsScratch,
+}
+
+impl BallScratch {
+    /// Drops every value and keeps the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.seen.clear();
+        self.queue.clear();
+        self.members.clear();
+        self.ball.clear();
+        self.bs.clear();
+    }
+
+    /// Bytes the buffers hold allocated.
+    pub(crate) fn bytes(&self) -> usize {
+        set_bytes(&self.seen)
+            + deque_bytes(&self.queue)
+            + vec_bytes(&self.members)
+            + self.ball.bytes()
+            + self.bs.bytes()
+    }
+}
 
 /// Whether the sparse-side edge `(u, v)` is kept by H_sparse.
 pub(crate) fn sparse_contains<O: Oracle>(
@@ -22,22 +54,18 @@ pub(crate) fn sparse_contains<O: Oracle>(
     u: VertexId,
     v: VertexId,
 ) -> bool {
-    let ball = gather_balls(lca, ctx, &[u, v]);
-    let kept = simulate(
-        &ball,
-        BsParams {
-            k: lca.params().k,
-            sample_prob: lca.params().bs_sample_prob,
-            independence: lca.params().independence,
-        },
-        lca.bs_seed(),
-    );
+    // Nothing the gathering calls touches the ball scratch, so it stays
+    // borrowed throughout.
+    let mut scratch = ctx.ball.borrow_mut();
+    gather_balls(lca, ctx, &[u, v], &mut scratch);
+    let BallScratch { ball, bs, .. } = &mut *scratch;
+    simulate_in(ball, lca.bs_coins(), bs);
     let key = if u.raw() < v.raw() {
         (u.raw(), v.raw())
     } else {
         (v.raw(), u.raw())
     };
-    kept.contains(&key)
+    bs.added.contains(&key)
 }
 
 /// Whether the edge `(x, w)` belongs to `G_sparse` (≥ 1 sparse endpoint).
@@ -45,27 +73,39 @@ fn edge_in_sparse<O: Oracle>(lca: &K2Spanner<O>, ctx: &Ctx<'_>, x: VertexId, w: 
     lca.status(ctx, x).is_sparse() || lca.status(ctx, w).is_sparse()
 }
 
-/// Gathers the union of radius-k balls around the sources in `G_sparse`,
-/// building a [`LocalGraph`] whose per-vertex adjacency preserves the
-/// original list order (filtered to sparse edges within the ball).
-fn gather_balls<O: Oracle>(lca: &K2Spanner<O>, ctx: &Ctx<'_>, sources: &[VertexId]) -> LocalGraph {
+/// Gathers the union of radius-k balls around the sources in `G_sparse`
+/// into `scratch.ball`, a [`LocalGraph`] whose per-vertex adjacency
+/// preserves the original list order (filtered to sparse edges within the
+/// ball).
+fn gather_balls<O: Oracle>(
+    lca: &K2Spanner<O>,
+    ctx: &Ctx<'_>,
+    sources: &[VertexId],
+    scratch: &mut BallScratch,
+) {
+    scratch.clear();
+    let BallScratch {
+        seen,
+        queue,
+        members,
+        ball,
+        ..
+    } = scratch;
     let o = lca.o(ctx);
     let k = lca.params().k;
     // BFS in G_sparse from all sources at once over one discovered set;
     // each vertex is queued with its distance to the nearest source, and
     // the search stops at radius k (the union ball is what matters).
-    let mut seen: VertexSet<u32> = VertexSet::default();
-    let mut queue: VecDeque<(VertexId, usize)> = VecDeque::new();
     for &s in sources {
         seen.insert(s.raw());
         queue.push_back((s, 0));
     }
-    let mut members: Vec<VertexId> = sources.to_vec();
+    members.extend_from_slice(sources);
     while let Some((x, dx)) = queue.pop_front() {
         if dx >= k {
             continue;
         }
-        ctx.with_nbrs(|nbrs| {
+        ctx.with_buf(|nbrs| {
             o.neighbors_into(x, nbrs);
             for &w in nbrs.iter() {
                 if !edge_in_sparse(lca, ctx, x, w) {
@@ -81,26 +121,25 @@ fn gather_balls<O: Oracle>(lca: &K2Spanner<O>, ctx: &Ctx<'_>, sources: &[VertexI
     // Deterministic vertex numbering: sort by raw index.
     members.sort_by_key(|v| v.raw());
     members.dedup();
-    let mut lg = LocalGraph::new();
-    for &m in &members {
-        lg.add_vertex(m, o.label(m));
+    for &m in members.iter() {
+        ball.add_vertex(m, o.label(m));
     }
-    for &m in &members {
-        ctx.with_nbrs(|nbrs| {
+    for &m in members.iter() {
+        ctx.with_buf(|nbrs| {
             o.neighbors_into(m, nbrs);
             for &w in nbrs.iter() {
-                if lg.contains(w) && edge_in_sparse(lca, ctx, m, w) {
-                    lg.push_neighbor(m, w);
+                if ball.contains(w) && edge_in_sparse(lca, ctx, m, w) {
+                    ball.push_neighbor(m, w);
                 }
             }
         });
     }
-    lg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::k2::baswana_sen::{simulate, BsParams};
     use crate::{EdgeSubgraphLca, K2Params, K2Spanner};
     use lca_graph::gen::structured;
     use lca_graph::Subgraph;
@@ -151,15 +190,12 @@ mod tests {
                 lg.push_neighbor(v, w);
             }
         }
-        let global = simulate(
-            &lg,
-            BsParams {
-                k,
-                sample_prob: params.bs_sample_prob,
-                independence: params.independence,
-            },
-            lca.bs_seed(),
-        );
+        let bs_params = BsParams {
+            k,
+            sample_prob: params.bs_sample_prob,
+            independence: params.independence,
+        };
+        let global = simulate(&lg, bs_params, Seed::new(5).derive(0x4B34));
         for (u, v) in g.edges() {
             let local = lca.contains(u, v).unwrap();
             let key = if u.raw() < v.raw() {

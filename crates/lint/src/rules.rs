@@ -477,13 +477,29 @@ fn rule_lock_across_call(config: &Config, files: &[SourceFile], findings: &mut V
                 continue;
             }
             // Span the binding statement and see whether it takes a lock.
+            // An `if let` / `while let` (or a later `let` of a chain)
+            // binds a scrutinee that ends at its block's `{`, and the guard
+            // lives in that block; any statement ends by the close of the
+            // block it sits in.
             let let_depth = file.depth[i];
+            let scrutinee = i > 0
+                && (toks[i - 1].is_ident("if")
+                    || toks[i - 1].is_ident("while")
+                    || toks[i - 1].is_punct('&'));
+            let mut parens = 0i32;
             let mut j = i + 1;
             let mut guard: Option<&str> = None;
             let mut takes_lock = false;
-            while j < toks.len() {
+            while j < toks.len() && file.depth[j] >= let_depth {
                 let t = &toks[j];
                 if t.is_punct(';') && file.depth[j] == let_depth {
+                    break;
+                }
+                if t.is_punct('(') || t.is_punct('[') {
+                    parens += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    parens -= 1;
+                } else if scrutinee && t.is_punct('{') && parens == 0 {
                     break;
                 }
                 if t.is_punct('=') && guard.is_none() {
@@ -504,14 +520,21 @@ fn rule_lock_across_call(config: &Config, files: &[SourceFile], findings: &mut V
                 j += 1;
             }
             let stmt_end = j;
-            if !(takes_lock && guard.is_some()) {
+            // A statement cut off by its block's close binds nothing after.
+            let ended = toks
+                .get(j)
+                .is_some_and(|t| t.is_punct(';') || t.is_punct('{'))
+                && file.depth[j] == let_depth;
+            if !(takes_lock && guard.is_some() && ended) {
                 i += 1;
                 continue;
             }
             let guard = guard.unwrap_or_default();
-            // Scan the rest of the guard's scope for a trigger call.
-            let mut k = stmt_end;
-            while k < toks.len() && file.depth[k] >= let_depth {
+            // Scan the rest of the guard's scope for a trigger call: the
+            // enclosing block after a `let`, the block a scrutinee opens.
+            let scope_depth = let_depth + i32::from(toks[stmt_end].is_punct('{'));
+            let mut k = stmt_end + 1;
+            while k < toks.len() && file.depth[k] >= scope_depth {
                 let t = &toks[k];
                 // An explicit drop of the guard ends its liveness early.
                 if t.is_ident("drop")
@@ -831,6 +854,38 @@ fn scoped(o: &O) {
         assert_eq!(r4.len(), 1, "{r4:?}");
         assert_eq!(r4[0].line, 4);
         assert!(r4[0].message.contains("`g`"));
+    }
+
+    #[test]
+    fn lock_guard_scope_ends_with_its_block() {
+        let config = cfg("[lock]\ntriggers = [\"query\", \"probe\"]");
+        // An `if let` closing a function must not swallow the next one.
+        let src = r#"
+fn capped(budget: &Budget, memo: &Mutex<u64>) {
+    if let Some(limit) = budget.max_probes {
+        *memo.lock().unwrap() = limit;
+    }
+}
+fn next(o: &O) {
+    let first = 0;
+    o.query(first);
+}
+fn held(o: &O) {
+    if let Some(g) = self.memo.lock().unwrap().get(&1) {
+        o.probe(*g);
+    }
+    o.query(2);
+}
+fn looped(o: &O) {
+    while let Some(x) = self.queue.lock().unwrap().pop() { o.query(x); }
+}
+"#;
+        let findings = run_rules(&config, &[file("l.rs", src)], None);
+        let r4: Vec<_> = findings.iter().filter(|f| f.rule == "R4/lock").collect();
+        assert_eq!(r4.len(), 2, "{r4:?}");
+        assert_eq!((r4[0].line, r4[1].line), (13, 18));
+        assert!(r4[0].message.contains("`g`"));
+        assert!(r4[1].message.contains("`x`"));
     }
 
     #[test]
