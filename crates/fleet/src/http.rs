@@ -53,7 +53,9 @@ pub const MAX_BODY: usize = 16 << 20;
 /// to 0 whenever consumed bytes are drained from the front of `buf`.
 pub fn try_parse(buf: &[u8], scanned: &mut usize) -> ParseOutcome {
     let Some(head_end) = find_head_end(buf, scanned) else {
-        if buf.len() > MAX_HEAD {
+        // A terminator could still complete a head of exactly `MAX_HEAD`
+        // bytes until its 4 bytes would all lie past the cap.
+        if buf.len() > MAX_HEAD + 3 {
             return ParseOutcome::Error("header block exceeds 64 KiB");
         }
         return ParseOutcome::Incomplete;
@@ -85,8 +87,19 @@ pub fn try_parse(buf: &[u8], scanned: &mut usize) -> ParseOutcome {
         let Some((name, value)) = line.split_once(':') else {
             return ParseOutcome::Error("malformed header line");
         };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            match value.trim().parse::<usize>() {
+        // RFC 9112 §5.1: no whitespace between a field name and its
+        // colon; a leading space would be an obsolete line fold. Both are
+        // request-smuggling shapes, refused rather than trimmed.
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return ParseOutcome::Error("malformed header name");
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            // RFC 9112 §6.3: `1*DIGIT`, so no sign, no list, no blank.
+            let value = value.trim_matches([' ', '\t']);
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return ParseOutcome::Error("unparseable content-length");
+            }
+            match value.parse::<usize>() {
                 Ok(n) if n <= MAX_BODY => {
                     // Request-smuggling hygiene: a repeated Content-Length
                     // is only acceptable when every copy agrees — a
@@ -101,7 +114,7 @@ pub fn try_parse(buf: &[u8], scanned: &mut usize) -> ParseOutcome {
                 Err(_) => return ParseOutcome::Error("unparseable content-length"),
             }
         }
-        if name.trim().eq_ignore_ascii_case("transfer-encoding") {
+        if name.eq_ignore_ascii_case("transfer-encoding") {
             return ParseOutcome::Error("chunked transfer encoding is not served");
         }
     }

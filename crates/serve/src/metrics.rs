@@ -141,29 +141,32 @@ pub(crate) fn bucket(value: u64) -> usize {
 /// The `q`-quantile (`0.0 ..= 1.0`) of the log₂ histogram whose bucket
 /// counts `counts` yields, as the upper bound of the covering bucket; `0`
 /// when empty.
+pub(crate) fn bucket_quantile<I: Iterator<Item = u64>>(counts: impl Fn() -> I, q: f64) -> u64 {
+    match covering_bucket(counts, q) {
+        None | Some(0) => 0,
+        Some(i @ 1..=63) => (1u64 << i) - 1,
+        Some(_) => u64::MAX,
+    }
+}
+
+/// The index of the bucket covering the `q`-quantile of the counts
+/// `counts` yields; `None` when empty.
 ///
 /// Allocation-free: a `stats` render makes eight quantile calls per
 /// session and the adaptive-budget refit loop far more. `counts` is walked
 /// twice; concurrent recording can only grow counts between the passes, so
 /// the rank computed from the first pass is always reachable in the second.
-pub(crate) fn bucket_quantile<I: Iterator<Item = u64>>(counts: impl Fn() -> I, q: f64) -> u64 {
+fn covering_bucket<I: Iterator<Item = u64>>(counts: impl Fn() -> I, q: f64) -> Option<usize> {
     let total: u64 = counts().sum();
     if total == 0 {
-        return 0;
+        return None;
     }
     let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut seen = 0;
-    for (i, count) in counts().enumerate() {
+    counts().position(|count| {
         seen += count;
-        if seen >= rank {
-            return match i {
-                0 => 0,
-                64 => u64::MAX,
-                _ => (1u64 << i) - 1,
-            };
-        }
-    }
-    u64::MAX
+        seen >= rank
+    })
 }
 
 /// A log₂-bucketed histogram over `u64` samples (latencies in µs, probes
@@ -215,6 +218,41 @@ impl Histogram {
     /// bucket; `0` when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         bucket_quantile(|| self.buckets.iter().map(|b| b.load(Ordering::Relaxed)), q)
+    }
+}
+
+/// A histogram over whole percentages, one bucket each from 0 to 100 (a
+/// larger sample counts as 100), so its quantiles are exact.
+#[derive(Debug)]
+pub struct PercentHistogram {
+    buckets: [AtomicU64; 101],
+}
+
+impl Default for PercentHistogram {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl PercentHistogram {
+    /// Records one sample.
+    pub fn record(&self, percent: u64) {
+        if let Some(bucket) = self.buckets.get(percent.min(100) as usize) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The `q`-quantile (`0.0 ..= 1.0`) in percent; `0` when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        covering_bucket(|| self.buckets.iter().map(|b| b.load(Ordering::Relaxed)), q)
+            .map_or(0, |percent| percent as u64)
     }
 }
 
@@ -339,12 +377,12 @@ stats_object! {
         pub probes: Histogram,
         /// Probe-budget utilization histogram: per *successful* budgeted
         /// query, `100 · spent / max_probes` — the headroom signal (a p99
-        /// pinned at the bucket covering 100 means the budget is tight).
+        /// near 100 means the budget is tight).
         /// Exhausted queries are counted in `budget_exhausted` instead, so the
         /// two read together: utilization says how close survivors run to the
         /// cap, the counter says how many did not survive. Empty while no
         /// request carries a probe budget.
-        pub budget_utilization: Histogram,
+        pub budget_utilization: PercentHistogram,
     }
     render(m, snap: SessionSnapshot) {
         /// Queries answered (batch requests count each contained query).
@@ -487,6 +525,21 @@ mod tests {
         // p99 covers 1000 → upper bound 1023.
         assert_eq!(h.quantile(0.99), 1023);
         assert_eq!(h.quantile(0.0), 0);
+    }
+
+    #[test]
+    fn percent_quantiles_are_exact_up_to_100() {
+        let h = PercentHistogram::default();
+        assert_eq!(h.quantile(0.99), 0, "empty");
+        for percent in [64, 90, 99, 100, 250] {
+            h.record(percent);
+        }
+        assert_eq!(h.count(), 5);
+        // A log₂ bucket would read 127 for every one of these.
+        assert_eq!(h.quantile(0.2), 64);
+        assert_eq!(h.quantile(0.4), 90);
+        assert_eq!(h.quantile(0.6), 99);
+        assert_eq!(h.quantile(0.99), 100, "past 100 counts as 100");
     }
 
     #[test]

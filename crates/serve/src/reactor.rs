@@ -10,31 +10,40 @@
 //! `Vec` plus the loop's waker). The connection then lives on that loop
 //! until it closes.
 //!
-//! Each connection is a small state machine owning its read buffer, its
-//! write queue, a count of requests still owed a response, and its
-//! [`Codec`]'s per-connection state. The codec decides what the bytes
-//! mean: it frames requests off the read buffer and answers them on the
-//! loop that framed them, or defers them to its own worker pool, whose
-//! results come back through the loop's completion queue plus a wake. Two
-//! codecs run here: `lca-serve`'s newline-JSON protocol (the impl on
-//! [`crate::server::Server`]), which answers every query inline on N
-//! loops, and `lca-fleet`'s HTTP/1.1 gateway, which runs one loop and
+//! Each connection is a socket plus a [`machine::ConnMachine`]: the pure
+//! protocol state (read buffer and framing, write queue, requests owed,
+//! the [`Codec`]'s per-connection state, and the rules for holding,
+//! closing and readiness interest). The loop is the syscall shell around
+//! the machines: it polls, accepts and hands off, `read`s, `writev`s,
+//! registers and deregisters, and keeps the cross-connection burst order;
+//! every connection event ends in one rule, `settle`. The codec decides
+//! what the bytes mean: it frames requests off the read buffer and answers
+//! them on the loop that framed them, or defers them to its own worker
+//! pool, whose results come back through the loop's completion queue plus
+//! a wake. Two codecs run here: `lca-serve`'s newline-JSON protocol (the
+//! impl on [`crate::server::Server`]), which answers every query inline on
+//! N loops, and `lca-fleet`'s HTTP/1.1 gateway, which runs one loop and
 //! defers its backend round trips.
 //!
 //! ```text
 //!  listener ──accept──► loop 0 ──fewest open connections──► inbox of loop k
 //!                                                                │
 //!  each loop, per readiness turn:                                ▼
-//!    ≤ 1 read chunk per ready connection ─► Codec::frame ─► burst
-//!    burst ─► Codec::handle ─┬─ inline bytes ─► write queue ─► one writev
-//!                            └─ deferred ─► codec's pool ─► completion queue
-//!                                           + wake ─► write queue ──┘
+//!   shell: read ≤ 1 chunk per ready connection ─► machine.on_read
+//!          completion queue ─► machine.complete
+//!   every event ─► settle: machine.frame ─► burst (framing order)
+//!                          writev(machine.flush) ─► set_interest(machine.wants)
+//!                          close if machine.finished
+//!   burst ─► machine.handle ─► Codec::handle ─┬─ inline bytes ─► write queue
+//!                                             └─ deferred ─► codec's pool
+//!                                                ─► completion queue + wake
 //! ```
 //!
-//! Invariants the tests lean on:
+//! Invariants the tests lean on (the machine's are replayed by a seeded
+//! simulation in `machine::sim`):
 //!
 //! * **No worker ever blocks on a socket.** Delivery is a queue push plus
-//!   a wake; a stalled client just grows its own write queue (bounded —
+//!   a wake; a stalled client just grows its own write queue (bounded:
 //!   past `MAX_WRITE_BUFFER` the connection is dropped).
 //! * **One response per request**, whether inline or deferred, until the
 //!   peer goes away. A codec that cannot reorder ([`Codec::PIPELINED`] is
@@ -45,6 +54,9 @@
 //!   connection; epoll is level-triggered, so the rest is reported again
 //!   next turn. A connection pipelining faster than its loop computes
 //!   cannot starve the other connections on that loop.
+//! * **No spinning on a half-close.** A connection waits for read
+//!   readiness only while it can still frame, so a peer that sent EOF and
+//!   stopped reading is not reported on every turn while it is owed bytes.
 //! * **Bounded backlog.** A turn frames everything it read before it
 //!   handles any of it. The requests a codec frames as [`Framed::Queued`]
 //!   count against the loop's backlog until handled, and the codec sees
@@ -65,16 +77,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::metrics::ReactorMetrics;
-use crate::sys::{self, Event, Poller, Waker};
+use crate::sys::{self, Event, Interest, Poller, Waker};
+
+mod machine;
+use machine::ConnMachine;
 
 /// Registration token of the listener (connection tokens never reach it:
 /// they encode a slab index in the low 32 bits and a generation above).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
-
-/// A connection whose write queue exceeds this is not reading its
-/// responses; it is dropped rather than allowed to hold server memory
-/// hostage (the bounded-everything rule, applied to the write side).
-const MAX_WRITE_BUFFER: usize = 16 << 20;
 
 /// The most bytes one readiness turn reads from one connection.
 const READ_CHUNK: usize = 16 * 1024;
@@ -236,19 +246,6 @@ impl<T> Deliver<T> {
     }
 }
 
-#[cfg(test)]
-impl<T> Deliver<T> {
-    /// A handle onto a mailbox no loop drains, for unit tests that call
-    /// [`Codec::handle`] directly.
-    pub(crate) fn detached() -> Deliver<T> {
-        let poller = Poller::new().expect("poller");
-        Deliver {
-            completions: Arc::new(Completions::new(poller.waker())),
-            token: 0,
-        }
-    }
-}
-
 /// What every loop of one [`run`] can see of one loop.
 struct LoopHandle {
     /// Connections loop 0 handed over, waiting to be registered.
@@ -302,69 +299,18 @@ fn least_loaded(conns: impl IntoIterator<Item = usize>) -> usize {
         .map_or(0, |(index, _)| index)
 }
 
-/// One connection's state machine.
-struct Conn<S> {
+/// One connection: its socket, the poller's interest in it, and its
+/// protocol state.
+struct Conn<C: Codec> {
     stream: TcpStream,
-    /// Bytes read but not yet framed into a complete request.
-    read_buf: Vec<u8>,
-    /// Rendered wire units awaiting socket space, oldest first. Kept as
-    /// separate buffers so a flush can gather many of them into one
-    /// `writev` without copying.
-    write_queue: VecDeque<Vec<u8>>,
-    /// Bytes of the front `write_queue` entry already accepted by the
-    /// kernel (a previous short write stopped mid-unit).
-    write_head: usize,
-    /// Unsent bytes across the whole queue (`write_queue` total minus
-    /// `write_head`) — the buffer-cap and "owes nothing" bookkeeping.
-    queued_bytes: usize,
-    /// Requests framed for this connection whose responses have not yet
-    /// been staged into `write_queue`: entries in the loop's burst plus
-    /// deferred jobs.
-    pending: usize,
-    /// The peer half-closed its write side (EOF seen); we still flush what
-    /// we owe, then close.
-    peer_closed: bool,
-    /// [`Outcome::InlineThenClose`] was returned: frame nothing further,
-    /// close once everything owed has flushed.
-    close_after_flush: bool,
-    /// Whether the poller currently watches this fd for write readiness.
-    want_write: bool,
-    /// The codec's per-connection state.
-    state: S,
+    /// What the poller currently watches this fd for.
+    interest: Interest,
+    machine: ConnMachine<C>,
 }
 
-impl<S> Conn<S> {
-    fn queue(&mut self, unit: Vec<u8>) {
-        self.queued_bytes += unit.len();
-        self.write_queue.push_back(unit);
-    }
-}
-
-/// Consumes `written` bytes off the front of a connection's write queue,
-/// popping fully-sent units and leaving `head` at the partial-write point
-/// inside the new front unit. Exact by construction: it advances by
-/// precisely what the syscall reported, which is what keeps
-/// `bytes_written` (and retry offsets) truthful under short writes.
-fn advance_write_queue(queue: &mut VecDeque<Vec<u8>>, head: &mut usize, mut written: usize) {
-    while written > 0 {
-        let Some(front) = queue.front() else {
-            return; // kernel can't accept more than we gathered
-        };
-        let remaining = front.len() - *head;
-        if written >= remaining {
-            written -= remaining;
-            queue.pop_front();
-            *head = 0;
-        } else {
-            *head += written;
-            written = 0;
-        }
-    }
-}
-
-struct Slot<S> {
+struct Slot<C: Codec> {
     gen: u32,
-    conn: Option<Conn<S>>,
+    conn: Option<Conn<C>>,
 }
 
 fn token_of(idx: usize, gen: u32) -> u64 {
@@ -373,6 +319,32 @@ fn token_of(idx: usize, gen: u32) -> u64 {
 
 fn split_token(token: u64) -> (usize, u32) {
     ((token & u32::MAX as u64) as usize, (token >> 32) as u32)
+}
+
+/// The live connection `token` names: `None` for a closed slot or a stale
+/// generation (a completion or burst entry racing a close), never a panic.
+fn live<C: Codec>(slots: &mut [Slot<C>], token: u64) -> Option<&mut Conn<C>> {
+    let (idx, gen) = split_token(token);
+    slots
+        .get_mut(idx)
+        .filter(|slot| slot.gen == gen)?
+        .conn
+        .as_mut()
+}
+
+/// Hands the connection's owed bytes to `writev`. `bytes_written` grows by
+/// precisely each call's return value, and the machine's queue advances by
+/// the same amount, so short writes never over- or under-report.
+fn write_out<C: Codec>(conn: &mut Conn<C>, metrics: &ReactorMetrics) {
+    let stream = &conn.stream;
+    conn.machine.flush(|bufs| {
+        metrics.write_syscalls.fetch_add(1, Ordering::Relaxed);
+        let written = sys::write_vectored(stream, bufs);
+        if let Ok(k) = written {
+            metrics.bytes_written.fetch_add(k as u64, Ordering::Relaxed);
+        }
+        written
+    });
 }
 
 /// A request framed this turn and not yet handled.
@@ -456,7 +428,7 @@ struct Reactor<C: Codec> {
     /// Loop 0's listener, until the drain stops accepting.
     listener: Option<TcpListener>,
     completions: Arc<Completions<C::Completion>>,
-    slots: Vec<Slot<C::Conn>>,
+    slots: Vec<Slot<C>>,
     free: Vec<usize>,
     /// The buffer every read lands in first (`READ_CHUNK` bytes).
     chunk: Vec<u8>,
@@ -490,7 +462,7 @@ impl<C: Codec> Reactor<C> {
         if let Some(listener) = &listener {
             listener.set_nonblocking(true)?;
             sys::deepen_accept_queue(listener)?;
-            poller.register(listener.as_raw_fd(), LISTENER_TOKEN, false)?;
+            poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         }
         let completions = Arc::new(Mailbox::new(poller.waker()));
         Ok(Reactor {
@@ -568,22 +540,16 @@ impl<C: Codec> Reactor<C> {
                 *self.drain_started.insert(Instant::now())
             }
         };
-        // Close every connection that owes nothing; past the grace period,
-        // also ones whose responses are all *staged* but sit unread in the
-        // write queue (a peer that stopped reading, or a half-open that
-        // will never become writable, must not pin the drain forever). A
-        // connection still waiting on an in-flight job is never abandoned
-        // — its job finishes, delivery flushes what the socket accepts,
-        // and the next iteration applies this same rule. Done once all
-        // are gone and no admitted job is still running.
+        // A connection still waiting on an in-flight job is never
+        // abandoned: its job finishes, delivery flushes what the socket
+        // accepts, and the next iteration applies this same rule. Done
+        // once all are gone and no admitted job is still running.
         let grace_expired = drain_started.elapsed() >= DRAIN_GRACE;
         for idx in 0..self.slots.len() {
-            let done = matches!(
-                self.conn_ref(idx),
-                Some(c) if c.pending == 0 && (grace_expired || c.queued_bytes == 0)
-            );
-            if done {
-                self.close_conn(idx);
+            let token = token_of(idx, self.slots.get(idx).map_or(0, |slot| slot.gen));
+            if let Some(conn) = live(&mut self.slots, token) {
+                conn.machine.on_drain(grace_expired);
+                self.settle(token, false);
             }
         }
         self.open == 0 && self.in_flight == 0
@@ -687,7 +653,7 @@ impl<C: Codec> Reactor<C> {
         let token = token_of(idx, slot.gen);
         if self
             .poller
-            .register(stream.as_raw_fd(), token, false)
+            .register(stream.as_raw_fd(), token, Interest::READ)
             .is_err()
         {
             self.free.push(idx);
@@ -696,15 +662,8 @@ impl<C: Codec> Reactor<C> {
         }
         slot.conn = Some(Conn {
             stream,
-            read_buf: Vec::new(),
-            write_queue: VecDeque::new(),
-            write_head: 0,
-            queued_bytes: 0,
-            pending: 0,
-            peer_closed: false,
-            close_after_flush: false,
-            want_write: false,
-            state: C::Conn::default(),
+            interest: Interest::READ,
+            machine: ConnMachine::new(),
         });
         self.open += 1;
         let metrics = self.codec.metrics();
@@ -734,308 +693,115 @@ impl<C: Codec> Reactor<C> {
         // come up (stale generation).
     }
 
-    /// Looks up a live connection by token, ignoring stale generations
-    /// (a completion or burst entry racing a close).
-    fn live(&self, token: u64) -> Option<usize> {
-        let (idx, gen) = split_token(token);
-        match self.slots.get(idx) {
-            Some(slot) if slot.gen == gen && slot.conn.is_some() => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// The live connection at `idx`, if any — an already-closed slot (a
-    /// dispatch or flush raced a close) is `None`, never a panic.
-    fn conn_ref(&self, idx: usize) -> Option<&Conn<C::Conn>> {
-        self.slots.get(idx).and_then(|slot| slot.conn.as_ref())
-    }
-
     /// Drains the whole completion queue in one pass: every completion is
-    /// rendered into its connection's write queue first, then each touched
-    /// connection is flushed exactly once — N completions for one
+    /// staged into its connection's write queue first, then each touched
+    /// connection is settled exactly once — N completions for one
     /// connection cost one `writev`, not N `write`s.
     fn deliver_completions(&mut self) {
         let batch = self.completions.drain();
         if batch.is_empty() {
             return;
         }
-        let metrics = self.codec.metrics();
-        metrics
+        self.codec
+            .metrics()
             .completions_delivered
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let mut touched: Vec<usize> = Vec::with_capacity(batch.len());
+        let mut touched: Vec<u64> = Vec::with_capacity(batch.len());
         for (token, completion) in batch {
             self.in_flight -= 1;
-            let Some(idx) = self.live(token) else {
-                continue;
-            };
-            let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
-                continue;
-            };
-            conn.pending -= 1;
-            conn.queue(self.codec.render(&conn.state, completion));
-            metrics.responses.fetch_add(1, Ordering::Relaxed);
-            touched.push(idx);
+            if let Some(conn) = live(&mut self.slots, token) {
+                conn.machine.complete(&self.codec, completion);
+                touched.push(token);
+            }
         }
         touched.sort_unstable();
         touched.dedup();
-        for idx in touched {
-            // A sequential codec's staged response frees the connection:
-            // requests buffered behind it join this turn's burst.
-            if !C::PIPELINED {
-                self.frame_conn(idx);
-            }
-            // flush_conn is a no-op on a slot something above closed.
-            self.flush_conn(idx);
+        for token in touched {
+            self.settle(token, true);
         }
     }
 
+    /// Reads at most one `READ_CHUNK` into the machine, then settles.
     fn conn_ready(&mut self, ev: Event) {
-        let Some(idx) = self.live(ev.token) else {
+        let Some(conn) = live(&mut self.slots, ev.token) else {
             return;
         };
         if ev.readable {
-            self.read_ready(idx);
+            let read = (&conn.stream).read(&mut self.chunk);
+            conn.machine
+                .on_read(read.map(|k| self.chunk.get(..k).unwrap_or(&[])));
         }
-        if ev.writable && self.conn_ref(idx).is_some() {
-            self.flush_conn(idx);
+        // A writable socket takes what is already staged now, before this
+        // turn's burst computes more.
+        if ev.writable {
+            write_out(conn, self.codec.metrics());
         }
+        self.settle(ev.token, false);
     }
 
-    /// Reads at most one `READ_CHUNK` and frames what it completes; EOF
-    /// lets the codec frame a final unterminated request.
-    fn read_ready(&mut self, idx: usize) {
-        let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
-            return;
-        };
-        match conn.stream.read(&mut self.chunk) {
-            Ok(0) => conn.peer_closed = true,
-            Ok(k) => {
-                conn.read_buf
-                    .extend_from_slice(self.chunk.get(..k).unwrap_or(&[]));
-                if conn.read_buf.len() > C::MAX_READ_BUFFER {
-                    self.close_conn(idx);
-                    return;
-                }
-            }
-            // Level-triggered readiness reports the socket again.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => {
-                self.close_conn(idx);
-                return;
-            }
-        }
-        self.frame_conn(idx);
-        // EOF: the peer cannot send more requests. Close as soon as every
-        // owed response has flushed (checked again on each flush).
-        self.maybe_close_finished(idx);
-    }
-
-    /// Frames the connection's buffered requests into the burst: all of
-    /// them, or — for a sequential codec — the next one once nothing is
-    /// owed.
-    fn frame_conn(&mut self, idx: usize) {
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
-        let token = token_of(idx, slot.gen);
-        let Some(conn) = slot.conn.as_mut() else {
-            return;
-        };
-        let mut consumed = 0;
-        while consumed < conn.read_buf.len()
-            && !conn.close_after_flush
-            && (C::PIPELINED || conn.pending == 0)
-        {
-            let buf = conn.read_buf.get(consumed..).unwrap_or(&[]);
-            let (request, len, queued) =
-                match self
-                    .codec
-                    .frame(&mut conn.state, buf, conn.peer_closed, self.backlog)
-                {
-                    Framed::Incomplete => break,
-                    Framed::Request(request, len) => (request, len, false),
-                    Framed::Queued(request, len) => (request, len, true),
-                };
-            consumed += len.max(1);
-            conn.pending += 1;
-            if queued {
-                self.backlog += 1;
-                self.codec.metrics().backlog.fetch_add(1, Ordering::Relaxed);
-            }
-            self.burst.push_back(Pending {
-                token,
-                request,
-                queued,
-            });
-        }
-        conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
-    }
-
-    /// Handles the burst in framing order. A connection is flushed once
-    /// its last entry in the burst is handled, so a pipelined run of K
-    /// answers costs one gather-write, not K writes.
+    /// Handles the burst in framing order, settling each connection after
+    /// each of its requests.
     fn run_burst(&mut self) {
-        while let Some(Pending {
-            token,
-            request,
-            queued,
-        }) = self.burst.pop_front()
-        {
-            if queued {
+        while let Some(entry) = self.burst.pop_front() {
+            let token = entry.token;
+            if entry.queued {
                 self.backlog -= 1;
                 self.codec.metrics().backlog.fetch_sub(1, Ordering::Relaxed);
             }
-            let Some(idx) = self.live(token) else {
+            let Some(conn) = live(&mut self.slots, token) else {
                 continue; // its connection closed meanwhile
             };
-            self.handle_one(idx, token, request);
-            if !matches!(self.burst.front(), Some(next) if next.token == token) {
-                self.flush_conn(idx);
-            }
-        }
-    }
-
-    fn handle_one(&mut self, idx: usize, token: u64, request: C::Request) {
-        let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
-            return;
-        };
-        conn.pending -= 1;
-        if conn.close_after_flush {
-            return; // it already sent its last answer
-        }
-        let deliver = Deliver {
-            completions: self.completions.clone(),
-            token,
-        };
-        let metrics = self.codec.metrics();
-        match self.codec.handle(&mut conn.state, request, deliver) {
-            Outcome::Inline(bytes) => {
-                conn.queue(bytes);
-                metrics.responses.fetch_add(1, Ordering::Relaxed);
-            }
-            Outcome::InlineThenClose(bytes) => {
-                conn.queue(bytes);
-                metrics.responses.fetch_add(1, Ordering::Relaxed);
-                conn.close_after_flush = true;
-            }
-            Outcome::Deferred => {
-                // Count in_flight unconditionally: the job was handed to
-                // the pool and its completion will be drained either way.
-                self.in_flight += 1;
-                conn.pending += 1;
-            }
-            Outcome::Ignored => {}
-        }
-        // A pipelined flood must not stage unboundedly between flushes:
-        // shed pressure mid-burst.
-        let overfull = conn.queued_bytes > MAX_WRITE_BUFFER;
-        // A sequential codec's answered request frees the connection:
-        // the next buffered one joins the burst.
-        if !C::PIPELINED && conn.pending == 0 {
-            self.frame_conn(idx);
-        }
-        if overfull {
-            self.flush_conn(idx);
-        }
-    }
-
-    /// Writes as much of the connection's queue as the socket accepts —
-    /// gathering up to [`sys::MAX_IOVECS`] queued units per `writev` —
-    /// maintains write-readiness interest, enforces the buffer cap, and
-    /// closes once a finished connection owes nothing.
-    ///
-    /// Accounting is exact per syscall: `bytes_written` grows by precisely
-    /// the syscall's return value and the queue advances by the same
-    /// amount, so short writes never over- or under-report.
-    fn flush_conn(&mut self, idx: usize) {
-        let metrics = self.codec.metrics();
-        let mut close = false;
-        let mut interest = None;
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
-        let gen = slot.gen;
-        let Some(conn) = slot.conn.as_mut() else {
-            return;
-        };
-        while conn.queued_bytes > 0 {
-            let mut bufs: Vec<&[u8]> =
-                Vec::with_capacity(conn.write_queue.len().min(sys::MAX_IOVECS));
-            let mut gathered = 0usize;
-            let mut units = conn.write_queue.iter();
-            let Some(front) = units.next() else {
-                break; // queued_bytes drifted from an empty queue: bail
+            let deliver = Deliver {
+                completions: self.completions.clone(),
+                token,
             };
-            let head = front.get(conn.write_head..).unwrap_or(&[]);
-            bufs.push(head);
-            gathered += head.len();
-            for unit in units.take(sys::MAX_IOVECS - 1) {
-                bufs.push(unit);
-                gathered += unit.len();
+            // Count in_flight unconditionally: the job was handed to the
+            // pool and its completion will be drained either way.
+            if conn.machine.handle(&self.codec, entry.request, deliver) {
+                self.in_flight += 1;
             }
-            metrics.write_syscalls.fetch_add(1, Ordering::Relaxed);
-            match sys::write_vectored(&conn.stream, &bufs) {
-                Ok(0) => {
-                    close = true;
-                    break;
-                }
-                Ok(k) => {
-                    metrics.bytes_written.fetch_add(k as u64, Ordering::Relaxed);
-                    advance_write_queue(&mut conn.write_queue, &mut conn.write_head, k);
-                    conn.queued_bytes -= k;
-                    if k < gathered {
-                        // Short write: the socket buffer is full; retrying
-                        // now would only earn a WouldBlock.
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    close = true;
-                    break;
-                }
-            }
+            self.settle(token, true);
         }
-        if conn.queued_bytes > MAX_WRITE_BUFFER {
-            // The peer has stopped reading; it forfeits the connection.
-            close = true;
-        }
-        if !close {
-            let needs_write = conn.queued_bytes > 0;
-            if needs_write != conn.want_write {
-                conn.want_write = needs_write;
-                interest = Some((conn.stream.as_raw_fd(), needs_write));
-            }
-        }
-        if close {
-            self.close_conn(idx);
+    }
+
+    /// The rule every connection event ends with: frame what the machine
+    /// may frame now into the burst; unless its framed requests still wait
+    /// there, write what it owes (when `write`: responses were staged),
+    /// then close the connection if it is finished or give the poller the
+    /// interest it wants.
+    fn settle(&mut self, token: u64, write: bool) {
+        let Some(conn) = live(&mut self.slots, token) else {
+            return;
+        };
+        let (burst, backlog, metrics) = (&mut self.burst, &mut self.backlog, self.codec.metrics());
+        conn.machine
+            .frame(&self.codec, *backlog, |request, queued| {
+                if queued {
+                    *backlog += 1;
+                    metrics.backlog.fetch_add(1, Ordering::Relaxed);
+                }
+                burst.push_back(Pending {
+                    token,
+                    request,
+                    queued,
+                });
+            });
+        if conn.machine.awaits_burst() {
             return;
         }
-        if let Some((fd, needs_write)) = interest {
+        if write {
+            write_out(conn, metrics);
+        }
+        if conn.machine.finished() {
+            self.close_conn(split_token(token).0);
+            return;
+        }
+        let wants = conn.machine.wants();
+        if wants != conn.interest {
+            conn.interest = wants;
             let _ = self
                 .poller
-                .set_writable(fd, token_of(idx, gen), needs_write);
-        }
-        self.maybe_close_finished(idx);
-    }
-
-    /// Closes a connection that will frame no more requests (peer EOF, or
-    /// a close-after-flush answer) and owes nothing more.
-    fn maybe_close_finished(&mut self, idx: usize) {
-        let done = matches!(
-            self.conn_ref(idx),
-            Some(c) if (c.peer_closed || c.close_after_flush)
-                && c.pending == 0
-                && c.queued_bytes == 0
-        );
-        if done {
-            self.close_conn(idx);
+                .set_interest(conn.stream.as_raw_fd(), token, wants);
         }
     }
 }
@@ -1045,7 +811,18 @@ impl<C: Codec> Reactor<C> {
 mod tests {
     use super::*;
     use crate::proto::Response;
-    use crate::server::Server;
+
+    impl<T> Deliver<T> {
+        /// A handle onto a mailbox no loop drains, for unit tests that call
+        /// [`Codec::handle`] directly.
+        pub(crate) fn detached() -> Deliver<T> {
+            let poller = Poller::new().expect("poller");
+            Deliver {
+                completions: Arc::new(Completions::new(poller.waker())),
+                token: 0,
+            }
+        }
+    }
 
     #[test]
     fn completion_pushes_coalesce_into_one_wake() {
@@ -1093,52 +870,27 @@ mod tests {
         assert_eq!(least_loaded(open), 0, "balanced again: lowest index");
     }
 
-    #[test]
-    fn advance_write_queue_is_exact_under_short_writes() {
-        let mut queue: VecDeque<Vec<u8>> = [b"aaaa".to_vec(), b"bb".to_vec(), b"cccccc".to_vec()]
-            .into_iter()
-            .collect();
-        let mut head = 0usize;
-        // A short write that ends mid-second-unit.
-        advance_write_queue(&mut queue, &mut head, 5);
-        assert_eq!(queue.len(), 2);
-        assert_eq!(head, 1);
-        // Zero progress is a no-op.
-        advance_write_queue(&mut queue, &mut head, 0);
-        assert_eq!((queue.len(), head), (2, 1));
-        // Finishing the partial unit exactly resets the head.
-        advance_write_queue(&mut queue, &mut head, 1);
-        assert_eq!((queue.len(), head), (1, 0));
-        // Consuming everything empties the queue.
-        advance_write_queue(&mut queue, &mut head, 6);
-        assert!(queue.is_empty());
-        assert_eq!(head, 0);
-    }
-
     /// The batch-drain path: N completions land while the reactor is
     /// stalled — exactly one wake is issued, and the next drain delivers
     /// all N responses through exactly one write syscall.
     #[test]
     fn stalled_burst_costs_one_wake_and_one_write_syscall() {
-        use crate::server::ServerConfig;
-        use std::io::BufRead as _;
+        use crate::reactor::machine::sim::Scripted;
+        use std::io::{BufRead as _, Write as _};
 
-        let server = Server::new(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        // A pipelined codec that defers every `d` line until the test
+        // completes it, driven by one loop built by hand.
+        let codec = Scripted::<true>::new();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        // One loop, built by hand: the completion path it drives is the
-        // one a deferring codec's workers use.
         let poller = Poller::new().expect("poller");
         let group = Group::new(vec![poller.waker()]);
         let mut reactor =
-            Reactor::new(server.clone(), group, 0, poller, Some(listener)).expect("reactor");
+            Reactor::new(codec.clone(), group, 0, poller, Some(listener)).expect("reactor");
 
         // Connect a client and accept it without running the event loop —
         // the "stalled reactor" half of the scenario.
-        let client = std::net::TcpStream::connect(addr).expect("connect");
+        let mut client = std::net::TcpStream::connect(addr).expect("connect");
         let deadline = Instant::now() + Duration::from_secs(5);
         while reactor.open == 0 {
             reactor.accept_ready();
@@ -1146,22 +898,27 @@ mod tests {
         }
         let token = token_of(0, reactor.slots[0].gen);
 
+        // N pipelined requests, read, framed and handed to the codec's
+        // workers in one turn.
+        const N: usize = 10;
+        let requests: String = (0..N).map(|i| format!("d{i}\n")).collect();
+        client.write_all(requests.as_bytes()).expect("send");
+        while reactor.burst.len() < N {
+            reactor.conn_ready(Event {
+                token,
+                readable: true,
+                writable: false,
+            });
+            assert!(Instant::now() < deadline, "requests never framed");
+        }
+        reactor.run_burst();
+        assert_eq!(reactor.in_flight, N);
+
         // A burst of N completions with no drain in between: only the
         // empty→nonempty transition may write the wake pipe.
-        const N: usize = 10;
-        reactor.slots[0].conn.as_mut().expect("conn").pending = N;
-        reactor.in_flight = N;
-        for i in 0..N {
-            reactor.completions.push((
-                token,
-                Response::Answer {
-                    id: Some(i as u64),
-                    session: "burst".into(),
-                    answer: true,
-                    probes: 1,
-                    micros: 1,
-                },
-            ));
+        let jobs = std::mem::take(&mut *codec.jobs.lock().unwrap());
+        for (deliver, id) in jobs {
+            deliver.send(id);
         }
         assert_eq!(
             reactor.completions.wakes_issued.load(Ordering::Relaxed),
@@ -1171,7 +928,7 @@ mod tests {
 
         // One drain delivers all N and coalesces them into one writev.
         reactor.deliver_completions();
-        let g = &server.global.reactor;
+        let g = codec.metrics();
         assert_eq!(g.completions_delivered.load(Ordering::Relaxed), N as u64);
         assert_eq!(g.responses.load(Ordering::Relaxed), N as u64);
         assert_eq!(
@@ -1180,16 +937,21 @@ mod tests {
             "N responses for one connection must flush as one gather-write"
         );
         assert_eq!(reactor.in_flight, 0);
-        assert_eq!(reactor.slots[0].conn.as_ref().expect("conn").pending, 0);
+        assert!(!reactor.slots[0]
+            .conn
+            .as_ref()
+            .expect("conn")
+            .machine
+            .finished());
 
-        // The client sees all N responses, in completion order.
+        // The client sees all N responses, in request order.
         let mut reader = std::io::BufReader::new(client);
         let mut total_bytes = 0u64;
         for i in 0..N {
             let mut line = String::new();
             reader.read_line(&mut line).expect("read response");
             total_bytes += line.len() as u64;
-            assert!(line.contains(&format!("\"id\":{i}")), "{line}");
+            assert_eq!(line, format!("{i}\n"));
         }
         assert_eq!(
             g.bytes_written.load(Ordering::Relaxed),

@@ -50,6 +50,24 @@ pub struct Event {
     pub writable: bool,
 }
 
+/// The readiness a registration asks to be woken for. Errors and hangups
+/// are reported whatever it asks (epoll always includes them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Interest {
+    /// Wake when reading (or accepting) would make progress.
+    pub read: bool,
+    /// Wake when writing would make progress.
+    pub write: bool,
+}
+
+impl Interest {
+    /// Read interest only: a fresh connection or a listener.
+    pub const READ: Interest = Interest {
+        read: true,
+        write: false,
+    };
+}
+
 /// A cheap, clonable handle that interrupts a concurrent [`Poller::wait`].
 /// Worker threads and the other reactor loops hold one; waking an idle
 /// poller is one `write(2)` (epoll backend) or one condvar notify (sweep
@@ -155,12 +173,11 @@ impl Poller {
         }
     }
 
-    /// Registers `fd` under `token`, with write-readiness interest iff
-    /// `writable` (read interest is always on).
-    pub fn register(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+    /// Registers `fd` under `token` with `interest`.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         match self {
             #[cfg(all(unix, target_os = "linux"))]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_ADD, fd, token, writable),
+            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_ADD, fd, token, interest),
             Poller::Sweep(p) => {
                 p.tokens.insert(token);
                 Ok(())
@@ -168,11 +185,12 @@ impl Poller {
         }
     }
 
-    /// Updates the write-interest of an already-registered fd.
-    pub fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+    /// Replaces the interest of an already-registered fd. The sweep
+    /// backend reports every fd anyway, so it ignores interest.
+    pub fn set_interest(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         match self {
             #[cfg(all(unix, target_os = "linux"))]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_MOD, fd, token, writable),
+            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_MOD, fd, token, interest),
             Poller::Sweep(_) => Ok(()),
         }
     }
@@ -181,7 +199,7 @@ impl Poller {
     pub fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         match self {
             #[cfg(all(unix, target_os = "linux"))]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_DEL, fd, token, false),
+            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_DEL, fd, token, Interest::READ),
             Poller::Sweep(p) => {
                 p.tokens.remove(&token);
                 Ok(())
@@ -466,7 +484,7 @@ mod ffi {
 #[cfg(all(unix, target_os = "linux"))]
 mod epoll {
     use super::ffi;
-    use super::Event;
+    use super::{Event, Interest};
     use std::io::{self, Read as _};
     use std::os::fd::{AsRawFd, RawFd};
     use std::os::unix::net::UnixStream;
@@ -513,7 +531,7 @@ mod epoll {
                 ffi::EPOLL_CTL_ADD,
                 poller.wake_rx.as_raw_fd(),
                 WAKE_TOKEN,
-                false,
+                Interest::READ,
             )?;
             Ok(poller)
         }
@@ -523,10 +541,16 @@ mod epoll {
             op: i32,
             fd: RawFd,
             token: u64,
-            writable: bool,
+            interest: Interest,
         ) -> io::Result<()> {
+            let read = if interest.read {
+                ffi::EPOLLIN | ffi::EPOLLRDHUP
+            } else {
+                0
+            };
+            let write = if interest.write { ffi::EPOLLOUT } else { 0 };
             let mut ev = ffi::EpollEvent {
-                events: ffi::EPOLLIN | ffi::EPOLLRDHUP | if writable { ffi::EPOLLOUT } else { 0 },
+                events: read | write,
                 data: token,
             };
             // SAFETY: `ev` lives across the call; the kernel copies it.
@@ -625,7 +649,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         listener.set_nonblocking(true).expect("nonblocking");
         poller
-            .register(listener.as_raw_fd(), 7, false)
+            .register(listener.as_raw_fd(), 7, Interest::READ)
             .expect("register");
 
         let mut events = Vec::new();
@@ -652,7 +676,7 @@ mod tests {
         // Data readiness on the accepted stream.
         accepted.set_nonblocking(true).expect("nonblocking");
         poller
-            .register(accepted.as_raw_fd(), 9, false)
+            .register(accepted.as_raw_fd(), 9, Interest::READ)
             .expect("register conn");
         client.write_all(b"hi").expect("write");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

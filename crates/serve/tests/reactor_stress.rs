@@ -487,3 +487,91 @@ fn pipelined_batches_do_not_starve_pings_on_their_loop() {
     writer.join().expect("writer");
     assert!(reader.join().expect("reader") > 0, "no batch was answered");
 }
+
+/// CPU time (user + system, in clock ticks) the thread named `name` has
+/// used, read from `/proc/self/task/*/stat`.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ticks(name: &str) -> u64 {
+    for task in std::fs::read_dir("/proc/self/task").expect("task dir") {
+        let dir = task.expect("task entry").path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if comm.trim_end() != name {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("stat")).expect("stat");
+        // Fields after the parenthesised command: state is field 3, utime
+        // and stime are fields 14 and 15.
+        let after = stat.rsplit_once(')').expect("comm field").1;
+        let fields: Vec<&str> = after.split_whitespace().collect();
+        let ticks = |i: usize| fields[i - 3].parse::<u64>().expect("tick count");
+        return ticks(14) + ticks(15);
+    }
+    panic!("no thread named {name}");
+}
+
+/// A client that pipelines, half-closes and then reads nothing leaves its
+/// connection owing bytes it cannot send. The loop must wait on write
+/// readiness alone: a level-triggered read interest at EOF reports the
+/// socket on every turn, and the loop would spin for as long as the bytes
+/// stay owed.
+#[cfg(target_os = "linux")]
+#[test]
+fn half_closed_connection_owing_bytes_does_not_spin_its_loop() {
+    const LOOP: &str = "halfclose-loop";
+    const LINES: usize = 20_000;
+    let listener = bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = Server::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    // Loop 0 runs on the thread that calls `serve`.
+    let handle = {
+        let server = server.clone();
+        std::thread::Builder::new()
+            .name(LOOP.to_owned())
+            .spawn(move || server.serve(listener).expect("serve loop"))
+            .expect("spawn loop")
+    };
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    lca_serve::sys::set_recv_buffer(&stream, 4096).expect("SO_RCVBUF");
+    stream
+        .write_all(r#"{"op":"stats"}"#.repeat(LINES).replace("}{", "}\n{").as_bytes())
+        .expect("pipeline");
+    stream.write_all(b"\n").expect("last newline");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let reactor = &server.global.reactor;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while reactor.responses.load(Ordering::Relaxed) < LINES as u64 {
+        assert!(Instant::now() < deadline, "pipeline never answered");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Let the loop see the EOF behind the last request.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let hold = Duration::from_secs(1);
+    let before = thread_cpu_ticks(LOOP);
+    std::thread::sleep(hold);
+    let used = thread_cpu_ticks(LOOP) - before;
+    assert_eq!(
+        reactor.connections_open.load(Ordering::Relaxed),
+        1,
+        "the connection must still owe bytes during the hold"
+    );
+    // /proc reports USER_HZ = 100 ticks per second.
+    let limit = hold.as_secs() * 100 / 10;
+    assert!(
+        used <= limit,
+        "the loop burned {used} of {} ticks holding a half-closed connection",
+        hold.as_secs() * 100
+    );
+
+    drop(stream);
+    let (mut control, mut reader) = connect(&addr);
+    roundtrip(&mut control, &mut reader, r#"{"op":"shutdown"}"#);
+    handle.join().expect("drain");
+}
