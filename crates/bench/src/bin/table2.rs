@@ -6,8 +6,8 @@
 
 use std::collections::HashMap;
 
-use lca_bench::{record_json, sample_edges, Table};
-use lca_core::{EdgeClass, EdgeSubgraphLca, FiveSpanner, FiveSpannerParams};
+use lca_bench::{record_json, sample_edges, ProbeStats, Table};
+use lca_core::{meter, EdgeClass, EdgeSubgraphLca, FiveSpanner, FiveSpannerParams};
 use lca_graph::gen::{ChungLuBuilder, GnpBuilder};
 use lca_graph::Graph;
 use lca_probe::CountingOracle;
@@ -38,16 +38,15 @@ fn run(name: &str, graph: &Graph, table: &mut Table) {
         *class_count.entry(lca.classify_edge(u, v)).or_default() += 1;
     }
     let sample = sample_edges(graph, 600, seed.derive(1));
-    let mut probes: HashMap<EdgeClass, (u64, u64, u64)> = HashMap::new(); // (sum, max, count)
-    for (u, v) in sample {
-        let class = lca.classify_edge(u, v);
-        let scope = counter.scoped();
-        lca.contains(u, v).expect("edge");
-        let c = scope.cost().total();
-        let e = probes.entry(class).or_default();
-        e.0 += c;
-        e.1 = e.1.max(c);
-        e.2 += 1;
+    let run = meter(&counter, sample.iter().copied(), |(u, v)| {
+        lca.contains(u, v).expect("edge")
+    });
+    let mut probes: HashMap<EdgeClass, Vec<u64>> = HashMap::new();
+    for (&(u, v), &cost) in sample.iter().zip(&run.costs) {
+        probes
+            .entry(lca.classify_edge(u, v))
+            .or_default()
+            .push(cost);
     }
 
     let bound = |c: EdgeClass| match c {
@@ -68,19 +67,15 @@ fn run(name: &str, graph: &Graph, table: &mut Table) {
         if count == 0 && matches!(class, EdgeClass::Gap) {
             continue;
         }
-        let (sum, max, cnt) = probes.get(&class).copied().unwrap_or((0, 0, 0));
+        let stats = ProbeStats::of(probes.get(&class).map_or(&[], Vec::as_slice));
         let row = Row {
             workload: name.into(),
             n,
             class: class.to_string(),
             edges_in_class: count,
             class_fraction: count as f64 / graph.edge_count().max(1) as f64,
-            probe_mean: if cnt == 0 {
-                0.0
-            } else {
-                sum as f64 / cnt as f64
-            },
-            probe_max: max,
+            probe_mean: stats.mean,
+            probe_max: stats.max,
             bound: bound(class).into(),
         };
         table.row([

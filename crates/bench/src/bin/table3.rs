@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run --release -p lca-bench --bin table3`
 
-use lca_bench::{record_json, sample_edges, Table};
+use lca_bench::{record_json, sample_edges, ProbeStats, Table};
 use lca_core::global::{k2_partition, k2_spanner_global};
-use lca_core::{EdgeSubgraphLca, K2Params, K2Spanner};
+use lca_core::{meter, EdgeSubgraphLca, K2Params, K2Spanner};
 use lca_graph::gen::RegularBuilder;
 use lca_probe::CountingOracle;
 use lca_rand::Seed;
@@ -103,18 +103,15 @@ fn main() {
         let counter = CountingOracle::new(&g);
         let lca = K2Spanner::new(&counter, params, seed);
         let sample = sample_edges(&g, 150, seed.derive(1));
-        let (mut s_sum, mut s_cnt, mut d_sum, mut d_cnt, mut max) = (0u64, 0u64, 0u64, 0u64, 0u64);
-        for (u, v) in sample {
-            let scope = counter.scoped();
-            lca.contains(u, v).expect("edge");
-            let c = scope.cost().total();
-            max = max.max(c);
+        let run = meter(&counter, sample.iter().copied(), |(u, v)| {
+            lca.contains(u, v).expect("edge")
+        });
+        let (mut sparse_costs, mut dense_costs) = (Vec::new(), Vec::new());
+        for (&(u, v), &cost) in sample.iter().zip(&run.costs) {
             if is_sparse(u) || is_sparse(v) {
-                s_sum += c;
-                s_cnt += 1;
+                sparse_costs.push(cost);
             } else {
-                d_sum += c;
-                d_cnt += 1;
+                dense_costs.push(cost);
             }
         }
         let row = Row {
@@ -128,17 +125,9 @@ fn main() {
             h_sparse,
             h_tree,
             h_between,
-            probe_mean_sparse: if s_cnt == 0 {
-                0.0
-            } else {
-                s_sum as f64 / s_cnt as f64
-            },
-            probe_mean_dense: if d_cnt == 0 {
-                0.0
-            } else {
-                d_sum as f64 / d_cnt as f64
-            },
-            probe_max: max,
+            probe_mean_sparse: ProbeStats::of(&sparse_costs).mean,
+            probe_mean_dense: ProbeStats::of(&dense_costs).mean,
+            probe_max: run.per_query_max(),
         };
         table.row([
             row.n.to_string(),

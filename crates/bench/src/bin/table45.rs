@@ -8,7 +8,7 @@
 // applies to library code, not report/CLI entry points.
 #![allow(clippy::print_stdout)]
 use lca_bench::{record_json, Table};
-use lca_core::{EdgeSubgraphLca, K2Params, K2Spanner};
+use lca_core::{meter, EdgeSubgraphLca, K2Params, K2Spanner, Metered};
 use lca_graph::gen::RegularBuilder;
 use lca_graph::VertexId;
 use lca_probe::CountingOracle;
@@ -22,23 +22,6 @@ struct Row {
     probe_mean: f64,
     probe_max: u64,
     samples: usize,
-}
-
-fn measure<F: FnMut(usize)>(
-    counter: &CountingOracle<&lca_graph::Graph>,
-    samples: usize,
-    mut f: F,
-) -> (f64, u64) {
-    let mut sum = 0u64;
-    let mut max = 0u64;
-    for i in 0..samples {
-        let scope = counter.scoped();
-        f(i);
-        let c = scope.cost().total();
-        sum += c;
-        max = max.max(c);
-    }
-    (sum as f64 / samples.max(1) as f64, max)
 }
 
 fn main() {
@@ -59,7 +42,8 @@ fn main() {
     let samples = 150usize;
 
     let mut table = Table::new(["table", "subroutine", "paper bound", "mean", "max"]);
-    let mut emit = |t: &'static str, name: &str, bound: &str, mean: f64, max: u64| {
+    let mut emit = |t: &'static str, name: &str, bound: &str, run: Metered<()>| {
+        let (mean, max) = (run.per_query_mean(), run.per_query_max());
         table.row([
             t.to_string(),
             name.to_string(),
@@ -81,18 +65,18 @@ fn main() {
     };
 
     // ---- Table 4: H_sparse subroutines. -----------------------------------
-    let (mean, max) = measure(&counter, samples, |_| {
+    let run = meter(&counter, 0..samples, |_| {
         // Center membership is probe-free by construction.
         let v = rand_v(&mut rng);
         let _ = lca.is_center_label(g.label(v));
     });
-    emit("T4", "is v a center?", "0 probes", mean, max);
+    emit("T4", "is v a center?", "0 probes", run);
 
-    let (mean, max) = measure(&counter, samples, |_| {
+    let run = meter(&counter, 0..samples, |_| {
         let v = rand_v(&mut rng);
         let _ = lca.vertex_status(v);
     });
-    emit("T4", "D^k_L / sparse-vs-dense test", "O(ΔL)", mean, max);
+    emit("T4", "D^k_L / sparse-vs-dense test", "O(ΔL)", run);
 
     // Full sparse-edge test: query edges with a sparse endpoint.
     let sparse_edges: Vec<(VertexId, VertexId)> = g
@@ -101,13 +85,10 @@ fn main() {
         .take(samples)
         .collect();
     if !sparse_edges.is_empty() {
-        let mut i = 0usize;
-        let (mean, max) = measure(&counter, sparse_edges.len(), |_| {
-            let (u, v) = sparse_edges[i % sparse_edges.len()];
-            i += 1;
+        let run = meter(&counter, sparse_edges, |(u, v)| {
             let _ = lca.contains(u, v);
         });
-        emit("T4", "(u,v) ∈ H_sparse?", "O(Δ²L²)", mean, max);
+        emit("T4", "(u,v) ∈ H_sparse?", "O(Δ²L²)", run);
     }
 
     // ---- Table 5: H_dense subroutines. ------------------------------------
@@ -123,30 +104,30 @@ fn main() {
     let pick_dense =
         |rng: &mut SplitMix64| dense_vertices[rng.next_below(dense_vertices.len() as u64) as usize];
 
-    let (mean, max) = measure(&counter, samples, |_| {
+    let run = meter(&counter, 0..samples, |_| {
         let v = pick_dense(&mut rng);
         let _ = lca.tree_parent(v);
     });
-    emit("T5", "c(v) and π(v,c(v))", "O(ΔL)", mean, max);
+    emit("T5", "c(v) and π(v,c(v))", "O(ΔL)", run);
 
-    let (mean, max) = measure(&counter, samples, |_| {
+    let run = meter(&counter, 0..samples, |_| {
         let v = pick_dense(&mut rng);
         let w = g.neighbors(v)[0];
         let _ = lca.is_tree_edge(v, w);
     });
-    emit("T5", "(u,v) ∈ H^(I)?", "O(ΔL)", mean, max);
+    emit("T5", "(u,v) ∈ H^(I)?", "O(ΔL)", run);
 
-    let (mean, max) = measure(&counter, samples, |_| {
+    let run = meter(&counter, 0..samples, |_| {
         let v = pick_dense(&mut rng);
         let _ = lca.cluster_members_of(v);
     });
-    emit("T5", "entire cluster of v", "O(Δ³L²)", mean, max);
+    emit("T5", "entire cluster of v", "O(Δ³L²)", run);
 
-    let (mean, max) = measure(&counter, samples, |_| {
+    let run = meter(&counter, 0..samples, |_| {
         let v = pick_dense(&mut rng);
         let _ = lca.boundary_centers_of(v);
     });
-    emit("T5", "c(∂A)", "O(Δ²L²)", mean, max);
+    emit("T5", "c(∂A)", "O(Δ²L²)", run);
 
     // Full dense test on dense–dense edges.
     let dense_edges: Vec<(VertexId, VertexId)> = g
@@ -155,13 +136,10 @@ fn main() {
         .take(samples)
         .collect();
     if !dense_edges.is_empty() {
-        let mut i = 0usize;
-        let (mean, max) = measure(&counter, dense_edges.len(), |_| {
-            let (u, v) = dense_edges[i % dense_edges.len()];
-            i += 1;
+        let run = meter(&counter, dense_edges, |(u, v)| {
             let _ = lca.contains(u, v);
         });
-        emit("T5", "(u,v) ∈ H_dense?", "O(pΔ⁴L³ log n)", mean, max);
+        emit("T5", "(u,v) ∈ H_dense?", "O(pΔ⁴L³ log n)", run);
     }
 
     table.print(&format!(

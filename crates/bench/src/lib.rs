@@ -13,7 +13,7 @@
 
 use std::io::Write as _;
 
-use lca_core::EdgeSubgraphLca;
+use lca_core::{meter, EdgeSubgraphLca};
 use lca_graph::{Graph, Subgraph, VertexId};
 use lca_probe::{CountingOracle, Oracle};
 use lca_rand::{Seed, SplitMix64};
@@ -28,6 +28,22 @@ pub struct ProbeStats {
     pub mean: f64,
     /// Number of sampled queries.
     pub samples: usize,
+}
+
+impl ProbeStats {
+    /// The statistics of per-query probe `costs` (as [`lca_core::meter`]
+    /// records them); max and mean are 0 for no queries.
+    pub fn of(costs: &[u64]) -> ProbeStats {
+        ProbeStats {
+            max: costs.iter().copied().max().unwrap_or(0),
+            mean: if costs.is_empty() {
+                0.0
+            } else {
+                costs.iter().sum::<u64>() as f64 / costs.len() as f64
+            },
+            samples: costs.len(),
+        }
+    }
 }
 
 /// Samples `count` distinct edges of `graph` uniformly.
@@ -58,24 +74,10 @@ pub fn probe_stats<O: Oracle, L: EdgeSubgraphLca>(
     lca: &L,
     sample: &[(VertexId, VertexId)],
 ) -> ProbeStats {
-    let mut max = 0u64;
-    let mut sum = 0u64;
-    for &(u, v) in sample {
-        let scope = counter.scoped();
-        lca.contains(u, v).expect("sampled pairs are edges");
-        let c = scope.cost().total();
-        max = max.max(c);
-        sum += c;
-    }
-    ProbeStats {
-        max,
-        mean: if sample.is_empty() {
-            0.0
-        } else {
-            sum as f64 / sample.len() as f64
-        },
-        samples: sample.len(),
-    }
+    let run = meter(counter, sample.iter().copied(), |(u, v)| {
+        lca.contains(u, v).expect("sampled pairs are edges")
+    });
+    ProbeStats::of(&run.costs)
 }
 
 /// Sampled stretch check: for up to `samples` host edges *not* kept by

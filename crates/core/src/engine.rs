@@ -4,23 +4,27 @@
 //! is a function of `(graph, seed, query)` alone), which makes them
 //! embarrassingly parallel — the observation Rubinfeld–Tamir–Vardi–Xie make
 //! when motivating the model for huge inputs. [`QueryEngine`] exploits it:
+//! every runner splits its queries into contiguous shards, one per worker,
+//! through one private helper, and joins the shards' results in input
+//! order.
 //!
-//! * [`QueryEngine::query_batch`] shards a slice of queries over OS threads
-//!   against one shared `Send + Sync` oracle/LCA and returns the answers in
-//!   input order.
+//! * [`QueryEngine::query_batch`] answers a slice of queries against one
+//!   shared `Send + Sync` oracle/LCA, in input order.
 //! * [`QueryEngine::materialize`] runs every edge query of a graph through
-//!   an [`EdgeSubgraphLca`] in parallel and assembles the spanner.
-//! * [`QueryEngine::measure_queries`] is the parallel counterpart of
-//!   [`crate::measure_queries`]: each shard gets its *own*
-//!   [`CountingOracle`] and its own LCA instance built by a caller-supplied
-//!   factory from the same seed — consistency guarantees all instances
+//!   an [`EdgeSubgraphLca`] and assembles the spanner.
+//! * [`QueryEngine::measure_batch`] and [`QueryEngine::measure_queries`] are
+//!   the parallel counterparts of [`crate::measure_queries`]: each shard gets
+//!   its *own* [`CountingOracle`] and its own LCA instance built by a
+//!   caller-supplied factory from the same seed, and meters its chunk with
+//!   the serial loop [`crate::meter`] — consistency guarantees all instances
 //!   answer identically, and per-shard counters keep per-query probe costs
 //!   exact (a shared counter would attribute concurrent probes to the wrong
 //!   query). The result reports per-shard *and* aggregate [`ProbeCounts`].
 
 use lca_graph::{Graph, Subgraph, VertexId};
-use lca_probe::{CountingOracle, Oracle, ProbeCounts};
+use lca_probe::{CountingOracle, Oracle};
 
+use crate::harness::{kept_subgraph, meter, MeasuredBatch, SpannerRun};
 use crate::{EdgeSubgraphLca, Lca, LcaError, QueryBudget};
 
 /// A thread pool policy for answering LCA query batches.
@@ -79,6 +83,32 @@ impl QueryEngine {
         self.threads
     }
 
+    /// Splits `items` into contiguous chunks of `len.div_ceil(threads)`,
+    /// runs `run(shard_index, chunk)` on each, one scoped thread per chunk,
+    /// and returns the results in input order. A single chunk runs on the
+    /// calling thread.
+    fn sharded<T, R>(&self, items: &[T], run: impl Fn(usize, &[T]) -> R + Sync) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+    {
+        let shard_len = items.len().div_ceil(self.threads).max(1);
+        let shards = items.chunks(shard_len).enumerate();
+        if items.len() <= shard_len {
+            return shards.map(|(index, chunk)| run(index, chunk)).collect();
+        }
+        std::thread::scope(|s| {
+            let run = &run;
+            let handles: Vec<_> = shards
+                .map(|(index, chunk)| s.spawn(move || run(index, chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("query engine worker panicked"))
+                .collect()
+        })
+    }
+
     /// Answers a batch of queries against one shared LCA, in input order.
     ///
     /// Queries are split into contiguous shards, one per worker. Failures
@@ -90,24 +120,15 @@ impl QueryEngine {
         L::Query: Clone + Sync,
         L::Answer: Send,
     {
-        if self.threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(|q| lca.query(q.clone())).collect();
-        }
-        let shard = queries.len().div_ceil(self.threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = queries
-                .chunks(shard)
-                .map(|chunk| {
-                    s.spawn(move || -> Vec<Result<L::Answer, LcaError>> {
-                        chunk.iter().map(|q| lca.query(q.clone())).collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("query engine worker panicked"))
-                .collect()
+        self.sharded(queries, |_, chunk| {
+            chunk
+                .iter()
+                .map(|q| lca.query(q.clone()))
+                .collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Answers a batch under a [`QueryBudget`]: every query gets a fresh
@@ -132,91 +153,66 @@ impl QueryEngine {
         L::Query: Clone + Sync,
         L::Answer: Send,
     {
-        type Shard<A> = (Vec<Result<A, LcaError>>, ShardBudget);
         let deadline = budget.timeout.map(|t| std::time::Instant::now() + t);
-        let shard_len = queries.len().div_ceil(self.threads).max(1);
-        let shards: Vec<Shard<L::Answer>> = std::thread::scope(|s| {
-            let handles: Vec<_> = queries
-                .chunks(shard_len)
-                .enumerate()
-                .map(|(index, chunk)| {
-                    s.spawn(move || {
-                        let mut answers = Vec::with_capacity(chunk.len());
-                        let mut exhausted = 0usize;
-                        let mut probes = 0u64;
-                        let mut per_query_max = 0u64;
-                        for q in chunk {
-                            let ctx = budget.ctx_at(deadline);
-                            let answer = lca.query_ctx(q.clone(), &ctx);
-                            if matches!(&answer, Err(e) if e.is_budget()) {
-                                exhausted += 1;
-                            }
-                            let spent = ctx.spent();
-                            probes += spent;
-                            per_query_max = per_query_max.max(spent);
-                            answers.push(answer);
-                        }
-                        (
-                            answers,
-                            ShardBudget {
-                                shard: index,
-                                queries: chunk.len(),
-                                exhausted,
-                                probes,
-                                per_query_max,
-                            },
-                        )
-                    })
+        let shards = self.sharded(queries, |shard, chunk| {
+            let mut stats = ShardBudget {
+                shard,
+                queries: chunk.len(),
+                exhausted: 0,
+                probes: 0,
+                per_query_max: 0,
+            };
+            let answers: Vec<_> = chunk
+                .iter()
+                .map(|q| {
+                    let ctx = budget.ctx_at(deadline);
+                    let answer = lca.query_ctx(q.clone(), &ctx);
+                    if matches!(&answer, Err(e) if e.is_budget()) {
+                        stats.exhausted += 1;
+                    }
+                    let spent = ctx.spent();
+                    stats.probes += spent;
+                    stats.per_query_max = stats.per_query_max.max(spent);
+                    answer
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query engine worker panicked"))
-                .collect()
+            (answers, stats)
         });
 
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut per_shard = Vec::new();
-        let mut exhausted = 0usize;
-        let mut probes = 0u64;
-        for (shard_answers, stats) in shards {
-            exhausted += stats.exhausted;
-            probes += stats.probes;
-            answers.extend(shard_answers);
-            per_shard.push(stats);
+        let mut batch = BudgetedBatch {
+            answers: Vec::with_capacity(queries.len()),
+            exhausted: 0,
+            probes: 0,
+            per_shard: Vec::with_capacity(shards.len()),
+        };
+        for (answers, stats) in shards {
+            batch.exhausted += stats.exhausted;
+            batch.probes += stats.probes;
+            batch.answers.extend(answers);
+            batch.per_shard.push(stats);
         }
-        BudgetedBatch {
-            answers,
-            exhausted,
-            probes,
-            per_shard,
-        }
+        batch
     }
 
     /// Materializes the subgraph an [`EdgeSubgraphLca`] describes by
-    /// answering every edge query of `graph` in parallel.
+    /// answering every edge query of `graph` across the engine's workers
+    /// (on the calling thread for [`QueryEngine::serial`]).
     ///
     /// # Errors
     ///
-    /// Propagates the first [`LcaError`] (which, on a well-formed run over
-    /// `graph.edges()`, indicates an LCA bug).
+    /// Propagates the first [`LcaError`] in query order (which, on a
+    /// well-formed run over `graph.edges()`, indicates an LCA bug).
     pub fn materialize<L>(&self, graph: &Graph, lca: &L) -> Result<Subgraph, LcaError>
     where
         L: EdgeSubgraphLca + Sync + ?Sized,
     {
         let edges: Vec<(VertexId, VertexId)> = graph.edges().collect();
-        let answers = self.query_batch(lca, &edges);
-        let mut kept = Vec::new();
-        for (&(u, v), answer) in edges.iter().zip(answers) {
-            if answer? {
-                kept.push((u, v));
-            }
-        }
-        Ok(Subgraph::from_edges(graph, kept))
+        kept_subgraph(graph, &edges, self.query_batch(lca, &edges))
     }
 
-    /// Replays every edge query of `graph` with full probe accounting,
-    /// sharded across the engine's workers.
+    /// Replays every edge query of `graph` with full probe accounting:
+    /// [`QueryEngine::measure_batch`] over `graph.edges()`, with the YES
+    /// edges assembled into the kept subgraph.
     ///
     /// `make` builds one LCA instance per shard over that shard's private
     /// [`CountingOracle`] (wrap the same `(params, seed)`; Definition 1.4
@@ -227,76 +223,31 @@ impl QueryEngine {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`LcaError`] from any shard.
+    /// Propagates the first [`LcaError`] in query order.
     pub fn measure_queries<'g, O, F>(
         &self,
         graph: &'g Graph,
         base: &'g O,
         make: F,
-    ) -> Result<EngineRun, LcaError>
+    ) -> Result<SpannerRun, LcaError>
     where
         O: Oracle + Sync,
         F: for<'c> Fn(&'c CountingOracle<&'g O>) -> Box<dyn EdgeSubgraphLca + 'c> + Sync,
     {
         let edges: Vec<(VertexId, VertexId)> = graph.edges().collect();
-        // Resolve the name from a throwaway instance so it is right even
-        // when the graph has no edges (constructors are probe-free).
-        let algorithm = make(&CountingOracle::new(base)).name();
-        let shard_len = edges.len().div_ceil(self.threads).max(1);
-        let shards: Vec<Result<ShardRun, LcaError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = edges
-                .chunks(shard_len)
-                .enumerate()
-                .map(|(index, chunk)| {
-                    let make = &make;
-                    s.spawn(move || run_shard(index, chunk, base, make))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query engine worker panicked"))
-                .collect()
-        });
-
-        let mut kept = Vec::new();
-        let mut per_shard = Vec::new();
-        let mut max = 0u64;
-        let mut sum = 0u64;
-        let mut total = ProbeCounts::default();
-        for shard in shards {
-            let shard = shard?;
-            max = max.max(shard.counts.per_query_max);
-            sum += shard.probe_sum;
-            total = total + shard.counts.counts;
-            kept.extend(shard.kept);
-            per_shard.push(shard.counts);
-        }
-        Ok(EngineRun {
-            algorithm,
-            kept: Subgraph::from_edges(graph, kept),
-            per_query_max: max,
-            per_query_mean: if edges.is_empty() {
-                0.0
-            } else {
-                sum as f64 / edges.len() as f64
-            },
-            total,
-            queries: edges.len(),
-            per_shard,
-        })
+        self.measure_batch(&edges, base, |counter| make(counter))
+            .into_run(graph, &edges)
     }
-}
 
-impl QueryEngine {
     /// Answers an arbitrary query batch with full probe accounting — the
-    /// oracle-generic counterpart of [`QueryEngine::measure_queries`], built
-    /// for inputs that have no [`Graph`] to enumerate (implicit oracles).
+    /// oracle-generic form of [`QueryEngine::measure_queries`], built for
+    /// inputs that have no [`Graph`] to enumerate (implicit oracles).
     ///
     /// `make` builds one LCA instance per shard over that shard's private
     /// [`CountingOracle`] wrapping `base`; Definition 1.4 consistency makes
     /// all instances answer identically, and the private counters keep
-    /// `per_query_max` exact under parallelism. Unlike `measure_queries`,
-    /// failures are per-query: each answer carries its own `Result`.
+    /// `per_query_max` exact under parallelism. Failures are per-query:
+    /// each answer carries its own `Result`.
     pub fn measure_batch<'g, O, Q, F>(&self, queries: &[Q], base: &'g O, make: F) -> MeasuredBatch
     where
         O: Oracle + Sync,
@@ -307,69 +258,12 @@ impl QueryEngine {
         // Resolve the name from a throwaway instance so it is right even
         // for an empty batch (constructors are probe-free).
         let algorithm = make(&CountingOracle::new(base)).name();
-        let shard_len = queries.len().div_ceil(self.threads).max(1);
-        let shards: Vec<BatchShard> = std::thread::scope(|s| {
-            let handles: Vec<_> = queries
-                .chunks(shard_len)
-                .enumerate()
-                .map(|(index, chunk)| {
-                    let make = &make;
-                    s.spawn(move || {
-                        let counter = CountingOracle::new(base);
-                        let lca = make(&counter);
-                        let mut answers = Vec::with_capacity(chunk.len());
-                        let mut max = 0u64;
-                        let mut sum = 0u64;
-                        for q in chunk {
-                            let scope = counter.scoped();
-                            answers.push(lca.query(q.clone()));
-                            let cost = scope.cost().total();
-                            max = max.max(cost);
-                            sum += cost;
-                        }
-                        BatchShard {
-                            answers,
-                            probe_sum: sum,
-                            counts: ShardCounts {
-                                shard: index,
-                                queries: chunk.len(),
-                                per_query_max: max,
-                                counts: counter.counts(),
-                            },
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query engine worker panicked"))
-                .collect()
+        let shards = self.sharded(queries, |_, chunk| {
+            let counter = CountingOracle::new(base);
+            let lca = make(&counter);
+            meter(&counter, chunk.iter().cloned(), |q| lca.query(q))
         });
-
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut per_shard = Vec::new();
-        let mut max = 0u64;
-        let mut sum = 0u64;
-        let mut total = ProbeCounts::default();
-        for shard in shards {
-            max = max.max(shard.counts.per_query_max);
-            sum += shard.probe_sum;
-            total = total + shard.counts.counts;
-            answers.extend(shard.answers);
-            per_shard.push(shard.counts);
-        }
-        MeasuredBatch {
-            algorithm,
-            answers,
-            per_query_max: max,
-            per_query_mean: if queries.is_empty() {
-                0.0
-            } else {
-                sum as f64 / queries.len() as f64
-            },
-            total,
-            per_shard,
-        }
+        MeasuredBatch::from_shards(algorithm, shards)
     }
 }
 
@@ -416,123 +310,6 @@ pub struct ShardBudget {
     pub per_query_max: u64,
 }
 
-/// Per-shard outcome inside [`QueryEngine::measure_batch`].
-struct BatchShard {
-    answers: Vec<Result<bool, LcaError>>,
-    probe_sum: u64,
-    counts: ShardCounts,
-}
-
-/// The outcome of a [`QueryEngine::measure_batch`] run: per-query answers
-/// in input order plus per-shard and aggregate probe statistics.
-#[derive(Debug)]
-pub struct MeasuredBatch {
-    /// [`Lca::name`] of the measured algorithm.
-    pub algorithm: &'static str,
-    /// Per-query answers, in input order.
-    pub answers: Vec<Result<bool, LcaError>>,
-    /// Maximum probes spent on a single query, across all shards.
-    pub per_query_max: u64,
-    /// Mean probes per query.
-    pub per_query_mean: f64,
-    /// Aggregate probes across all shards, by kind.
-    pub total: ProbeCounts,
-    /// Per-shard accounting, in shard order.
-    pub per_shard: Vec<ShardCounts>,
-}
-
-impl MeasuredBatch {
-    /// Number of YES answers in the batch.
-    pub fn yes_count(&self) -> usize {
-        self.answers.iter().filter(|a| **a == Ok(true)).count()
-    }
-}
-
-/// Per-shard outcome inside [`QueryEngine::measure_queries`].
-struct ShardRun {
-    kept: Vec<(VertexId, VertexId)>,
-    counts: ShardCounts,
-    probe_sum: u64,
-}
-
-fn run_shard<'g, O, F>(
-    index: usize,
-    chunk: &[(VertexId, VertexId)],
-    base: &'g O,
-    make: &F,
-) -> Result<ShardRun, LcaError>
-where
-    O: Oracle + Sync,
-    F: for<'c> Fn(&'c CountingOracle<&'g O>) -> Box<dyn EdgeSubgraphLca + 'c> + Sync,
-{
-    let counter = CountingOracle::new(base);
-    let lca = make(&counter);
-    let mut kept = Vec::new();
-    let mut max = 0u64;
-    let mut sum = 0u64;
-    for &(u, v) in chunk {
-        let scope = counter.scoped();
-        if lca.contains(u, v)? {
-            kept.push((u, v));
-        }
-        let cost = scope.cost().total();
-        max = max.max(cost);
-        sum += cost;
-    }
-    Ok(ShardRun {
-        kept,
-        counts: ShardCounts {
-            shard: index,
-            queries: chunk.len(),
-            per_query_max: max,
-            counts: counter.counts(),
-        },
-        probe_sum: sum,
-    })
-}
-
-/// Probe accounting for one shard of a parallel measurement run.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardCounts {
-    /// Shard index (shards partition `graph.edges()` contiguously).
-    pub shard: usize,
-    /// Number of edge queries this shard answered.
-    pub queries: usize,
-    /// Maximum probes spent on a single query within the shard.
-    pub per_query_max: u64,
-    /// Total probes of the shard, by kind.
-    pub counts: ProbeCounts,
-}
-
-/// The outcome of a parallel [`QueryEngine::measure_queries`] run: the
-/// union of all shards' YES answers plus per-shard and aggregate probe
-/// statistics.
-#[derive(Debug)]
-pub struct EngineRun {
-    /// [`Lca::name`] of the measured algorithm.
-    pub algorithm: &'static str,
-    /// The subgraph described by the LCA's YES answers.
-    pub kept: Subgraph,
-    /// Maximum probes spent on a single edge query, across all shards.
-    pub per_query_max: u64,
-    /// Mean probes per edge query.
-    pub per_query_mean: f64,
-    /// Aggregate probes across all shards, by kind.
-    pub total: ProbeCounts,
-    /// Number of edge queries issued (= m).
-    pub queries: usize,
-    /// Per-shard accounting, in shard order.
-    pub per_shard: Vec<ShardCounts>,
-}
-
-impl EngineRun {
-    /// Fraction of host edges kept; `NaN` for an empty graph (see
-    /// [`crate::SpannerRun::keep_ratio`] for the convention).
-    pub fn keep_ratio(&self, graph: &Graph) -> f64 {
-        crate::harness::ratio_kept(self.kept.edge_count(), graph)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +333,7 @@ mod tests {
     fn parallel_materialize_matches_serial_materialize() {
         let g = GnpBuilder::new(100, 0.3).seed(Seed::new(3)).build();
         let lca = ThreeSpanner::new(&g, ThreeSpannerParams::for_n(100), Seed::new(4));
-        let serial = crate::materialize(&g, &lca).unwrap();
+        let serial = QueryEngine::serial().materialize(&g, &lca).unwrap();
         let parallel = QueryEngine::with_threads(4).materialize(&g, &lca).unwrap();
         assert_eq!(serial.edge_count(), parallel.edge_count());
         for (u, v) in serial.edges() {
@@ -709,6 +486,86 @@ mod tests {
             match budgeted {
                 Ok(a) => assert_eq!(Ok(*a), *unlimited),
                 Err(e) => assert!(e.is_budget()),
+            }
+        }
+    }
+
+    /// Answers as `inner` does, except that each edge in `fails` is
+    /// refused with [`LcaError::NotAnEdge`] naming it.
+    struct FailsOn<L> {
+        inner: L,
+        fails: [(VertexId, VertexId); 2],
+    }
+
+    impl<L: EdgeSubgraphLca> Lca for FailsOn<L> {
+        type Query = (VertexId, VertexId);
+        type Answer = bool;
+
+        fn query_ctx(&self, q: Self::Query, ctx: &crate::QueryCtx) -> Result<bool, LcaError> {
+            if self.fails.contains(&q) {
+                return Err(LcaError::NotAnEdge { u: q.0, v: q.1 });
+            }
+            self.inner.query_ctx(q, ctx)
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    impl<L: EdgeSubgraphLca> EdgeSubgraphLca for FailsOn<L> {
+        fn stretch_bound(&self) -> usize {
+            self.inner.stretch_bound()
+        }
+    }
+
+    #[test]
+    fn edge_runs_return_the_first_error_and_batches_keep_each_in_place() {
+        let g = GnpBuilder::new(90, 0.3).seed(Seed::new(11)).build();
+        let params = ThreeSpannerParams::for_n(90);
+        let seed = Seed::new(12);
+        let edges: Vec<_> = g.edges().collect();
+        // Two failing edges a third of the batch apart, so for every thread
+        // count below but 1 they land in different shards.
+        let bad = [edges.len() / 3, edges.len() * 2 / 3];
+        let fails = bad.map(|i| edges[i]);
+        let first = LcaError::NotAnEdge {
+            u: fails[0].0,
+            v: fails[0].1,
+        };
+        let plain = ThreeSpanner::new(&g, params.clone(), seed);
+
+        let counter = CountingOracle::new(&g);
+        let serial = FailsOn {
+            inner: ThreeSpanner::new(&counter, params.clone(), seed),
+            fails,
+        };
+        assert_eq!(measure_queries(&g, &counter, &serial).unwrap_err(), first);
+
+        for threads in [1, 2, 4, 7] {
+            let engine = QueryEngine::with_threads(threads);
+            let run = engine.measure_queries(&g, &g, |c| {
+                Box::new(FailsOn {
+                    inner: ThreeSpanner::new(c, params.clone(), seed),
+                    fails,
+                })
+            });
+            assert_eq!(run.unwrap_err(), first, "threads={threads}");
+
+            let batch = engine.measure_batch(&edges, &g, |c| {
+                Box::new(FailsOn {
+                    inner: ThreeSpanner::new(c, params.clone(), seed),
+                    fails,
+                })
+            });
+            assert_eq!(batch.answers.len(), edges.len(), "threads={threads}");
+            for (i, (answer, &(u, v))) in batch.answers.iter().zip(&edges).enumerate() {
+                let expect = if bad.contains(&i) {
+                    Err(LcaError::NotAnEdge { u, v })
+                } else {
+                    plain.contains(u, v)
+                };
+                assert_eq!(*answer, expect, "threads={threads}, query {i}");
             }
         }
     }

@@ -31,13 +31,20 @@
 //! * batched and thread-parallel — [`QueryEngine::query_batch`] shards a
 //!   batch across workers over a shared `Send + Sync` oracle (answers are
 //!   query-order independent by Definition 1.4, so sharding is sound);
-//! * measured — [`measure_queries`] (serial, exact per-query probe costs),
+//! * measured — one serial loop, [`meter`], opens a
+//!   [`lca_probe::CountingOracle`] scope per query and returns the answers,
+//!   each query's probe cost and the run's total ([`Metered`]). Built on it:
+//!   [`measure_queries`] (serial, exact per-query probe costs),
 //!   [`measure_queries_distinct`] (additionally the distinct-probe measure
-//!   via a per-query [`lca_probe::MemoOracle`]),
-//!   [`QueryEngine::measure_queries`] (parallel, per-shard + aggregate
-//!   [`lca_probe::ProbeCounts`]), and [`QueryEngine::measure_batch`] (the
-//!   oracle-generic variant for inputs with no `Graph` to enumerate —
-//!   implicit oracles served through sampled query batches).
+//!   via a per-query [`lca_probe::MemoOracle`]), [`QueryEngine::measure_batch`]
+//!   (parallel, per-shard + aggregate [`lca_probe::ProbeCounts`], for any
+//!   query batch, including implicit oracles' sampled ones) and
+//!   [`QueryEngine::measure_queries`] (`measure_batch` over a graph's edges,
+//!   with the kept subgraph assembled). Every [`QueryEngine`] runner splits
+//!   its batch through one private sharding helper: contiguous chunks of
+//!   `len.div_ceil(threads)`, one scoped thread each, joined in input order;
+//!   a measuring shard builds its own counter and LCA instance and runs
+//!   [`meter`] on its chunk.
 //!
 //! Every LCA is paired with an independent **global reference construction**
 //! (module [`global`]) computing the same spanner by direct whole-graph
@@ -115,11 +122,12 @@ mod three;
 pub mod verify;
 
 pub use ctx::{BudgetedOracle, QueryBudget, QueryCtx, WithBudget, POLL_STRIDE};
-pub use engine::{BudgetedBatch, EngineRun, MeasuredBatch, QueryEngine, ShardBudget, ShardCounts};
+pub use engine::{BudgetedBatch, QueryEngine, ShardBudget};
 pub use error::LcaError;
 pub use five::{EdgeClass, FiveSpanner, FiveSpannerParams};
 pub use harness::{
-    materialize, measure_queries, measure_queries_distinct, DistinctRun, SpannerRun,
+    measure_queries, measure_queries_distinct, meter, DistinctRun, MeasuredBatch, Metered,
+    ShardCounts, SpannerRun,
 };
 pub use k2::{K2Params, K2Spanner};
 pub use lca::{

@@ -112,7 +112,7 @@ impl Gateway {
     /// again at the HTTP tier.
     fn defer(
         self: &Arc<Self>,
-        deliver: Deliver<Vec<u8>>,
+        deliver: Deliver,
         job: impl FnOnce(&Gateway) -> FleetReply + Send + 'static,
     ) -> Outcome {
         let gateway = self.clone();
@@ -145,8 +145,6 @@ impl Codec for Gateway {
     type Conn = usize;
     /// A parsed request, or why the bytes cannot be one.
     type Request = Result<HttpRequest, &'static str>;
-    /// A rendered HTTP response.
-    type Completion = Vec<u8>;
     const PIPELINED: bool = false;
     const MAX_READ_BUFFER: usize = http::MAX_HEAD + http::MAX_BODY;
 
@@ -183,7 +181,7 @@ impl Codec for Gateway {
         self: &Arc<Self>,
         _: &mut usize,
         request: Self::Request,
-        deliver: Deliver<Vec<u8>>,
+        deliver: Deliver,
     ) -> Outcome {
         let request = match request {
             Ok(request) => request,
@@ -220,9 +218,5 @@ impl Codec for Gateway {
             _ => (404, r#"{"error":"bad-request","message":"unknown path"}"#),
         };
         Outcome::Inline(http::render_response(status, body))
-    }
-
-    fn render(&self, _: &usize, response: Vec<u8>) -> Vec<u8> {
-        response
     }
 }

@@ -465,11 +465,6 @@ pub struct SessionSnapshot {
     pub uptime_s: f64,
 }
 
-/// Renders one session's stats object.
-pub fn session_stats_json(metrics: &SessionMetrics, uptime_s: f64) -> Json {
-    metrics.render(&SessionSnapshot { uptime_s })
-}
-
 /// The non-atomic half of the global `stats` object: values the server
 /// snapshots at render time (queue depth, drain flag, the registry-shard
 /// rollup, the sessions' list-store counters summed, and the loops' list
@@ -500,11 +495,6 @@ pub struct GlobalSnapshot {
     /// Bytes the reactor loops' list stores have allocated, summed over
     /// loops as each published them after its last turn.
     pub list_store_bytes: u64,
-}
-
-/// Renders the global half of the `stats` response.
-pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json {
-    global.render(snap)
 }
 
 #[cfg(test)]
@@ -563,7 +553,7 @@ mod tests {
     #[test]
     fn stats_render_without_traffic() {
         let m = SessionMetrics::default();
-        let json = session_stats_json(&m, 0.0);
+        let json = m.render(&SessionSnapshot { uptime_s: 0.0 });
         let mut s = String::new();
         json.render(&mut s);
         assert!(s.contains("\"cache_hit_rate\":0"), "{s}");

@@ -757,9 +757,7 @@ mod tests {
 
     #[test]
     fn stats_response_round_trips_through_the_wire_format() {
-        use crate::metrics::{
-            global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot, SessionMetrics,
-        };
+        use crate::metrics::{GlobalMetrics, GlobalSnapshot, SessionMetrics, SessionSnapshot};
         use std::sync::atomic::Ordering;
 
         // Build a stats response exactly the way the server does, render it
@@ -795,10 +793,13 @@ mod tests {
         session.record(10, 4, 250, 99);
         session.record_store(30, 10);
         let response = Response::Stats(Json::Obj(vec![
-            ("stats".into(), global_stats_json(&global, &snap)),
+            ("stats".into(), global.render(&snap)),
             (
                 "sessions".into(),
-                Json::Obj(vec![("s".into(), session_stats_json(&session, 1.0))]),
+                Json::Obj(vec![(
+                    "s".into(),
+                    session.render(&SessionSnapshot { uptime_s: 1.0 }),
+                )]),
             ),
         ]));
         let line = response.render();
@@ -862,21 +863,18 @@ mod tests {
 
     #[test]
     fn empty_global_snapshot_renders_zero_rollups() {
-        use crate::metrics::{global_stats_json, GlobalMetrics, GlobalSnapshot};
-        let json = global_stats_json(
-            &GlobalMetrics::default(),
-            &GlobalSnapshot {
-                backend_id: String::new(),
-                queue_len: 0,
-                draining: true,
-                sessions: 0,
-                registry_shards: 16,
-                registry_shard_hits: vec![0; 16],
-                cache_hits_total: 0,
-                cache_misses_total: 0,
-                list_store_bytes: 0,
-            },
-        );
+        use crate::metrics::{GlobalMetrics, GlobalSnapshot};
+        let json = GlobalMetrics::default().render(&GlobalSnapshot {
+            backend_id: String::new(),
+            queue_len: 0,
+            draining: true,
+            sessions: 0,
+            registry_shards: 16,
+            registry_shard_hits: vec![0; 16],
+            cache_hits_total: 0,
+            cache_misses_total: 0,
+            list_store_bytes: 0,
+        });
         let mut line = String::new();
         json.render(&mut line);
         let parsed = serde_json::from_str(&line).expect("parses");

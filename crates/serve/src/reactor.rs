@@ -137,8 +137,6 @@ pub trait Codec: Send + Sync + Sized + 'static {
     type Conn: Default;
     /// A framed request, passed from [`Codec::frame`] to [`Codec::handle`].
     type Request;
-    /// What a worker hands back through [`Deliver::send`].
-    type Completion: Send + 'static;
     /// Whether one connection may have more than one request in flight.
     /// `false` holds later requests in the read buffer until the current
     /// one's response is staged — request order without reordering slots.
@@ -168,10 +166,8 @@ pub trait Codec: Send + Sync + Sized + 'static {
         self: &Arc<Self>,
         conn: &mut Self::Conn,
         request: Self::Request,
-        deliver: Deliver<Self::Completion>,
+        deliver: Deliver,
     ) -> Outcome;
-    /// Renders a worker's completion into the bytes queued for the peer.
-    fn render(&self, conn: &Self::Conn, completion: Self::Completion) -> Vec<u8>;
     /// Called on loop `loop_index`'s own thread after each turn's burst
     /// has run, for per-loop state a codec publishes (none by default).
     fn turn_done(&self, _loop_index: usize) {}
@@ -226,23 +222,23 @@ impl<T> Mailbox<T> {
     }
 }
 
-/// Worker→loop handoff: finished completions, each tagged with its
+/// Worker→loop handoff: finished responses, each tagged with its
 /// connection's token, parked until the loop stages them into write
 /// queues.
-pub(crate) type Completions<T> = Mailbox<(u64, T)>;
+pub(crate) type Completions = Mailbox<(u64, Vec<u8>)>;
 
 /// A deferred job's one-shot way back to the connection that admitted it.
-pub struct Deliver<T> {
-    completions: Arc<Completions<T>>,
+pub struct Deliver {
+    completions: Arc<Completions>,
     token: u64,
 }
 
-impl<T> Deliver<T> {
-    /// Hands `value` to the loop for rendering and flushing. A value for
-    /// a connection that closed meanwhile is discarded there (stale
-    /// generation), never misdelivered.
-    pub fn send(self, value: T) {
-        self.completions.push((self.token, value));
+impl Deliver {
+    /// Hands the rendered response `bytes` to the loop for flushing. A
+    /// response for a connection that closed meanwhile is discarded there
+    /// (stale generation), never misdelivered.
+    pub fn send(self, bytes: Vec<u8>) {
+        self.completions.push((self.token, bytes));
     }
 }
 
@@ -427,7 +423,7 @@ struct Reactor<C: Codec> {
     poller: Poller,
     /// Loop 0's listener, until the drain stops accepting.
     listener: Option<TcpListener>,
-    completions: Arc<Completions<C::Completion>>,
+    completions: Arc<Completions>,
     slots: Vec<Slot<C>>,
     free: Vec<usize>,
     /// The buffer every read lands in first (`READ_CHUNK` bytes).
@@ -810,12 +806,11 @@ impl<C: Codec> Reactor<C> {
 #[allow(clippy::unwrap_used)] // tests assert; unwrap IS the assertion
 mod tests {
     use super::*;
-    use crate::proto::Response;
 
-    impl<T> Deliver<T> {
+    impl Deliver {
         /// A handle onto a mailbox no loop drains, for unit tests that call
         /// [`Codec::handle`] directly.
-        pub(crate) fn detached() -> Deliver<T> {
+        pub(crate) fn detached() -> Deliver {
             let poller = Poller::new().expect("poller");
             Deliver {
                 completions: Arc::new(Completions::new(poller.waker())),
@@ -831,13 +826,13 @@ mod tests {
         // Ten completions land while the reactor is busy: only the first
         // (empty → nonempty) may write the wake pipe.
         for i in 0..10 {
-            completions.push((i, Response::Ok { draining: false }));
+            completions.push((i, Vec::new()));
         }
         assert_eq!(completions.wakes_issued.load(Ordering::Relaxed), 1);
         assert_eq!(completions.drain().len(), 10);
         // Once drained the next push must wake again — coalescing never
         // loses the transition.
-        completions.push((11, Response::Ok { draining: false }));
+        completions.push((11, Vec::new()));
         assert_eq!(completions.wakes_issued.load(Ordering::Relaxed), 2);
         assert_eq!(completions.drain().len(), 1);
     }
@@ -875,7 +870,7 @@ mod tests {
     /// all N responses through exactly one write syscall.
     #[test]
     fn stalled_burst_costs_one_wake_and_one_write_syscall() {
-        use crate::reactor::machine::sim::Scripted;
+        use crate::reactor::machine::sim::{response, Scripted};
         use std::io::{BufRead as _, Write as _};
 
         // A pipelined codec that defers every `d` line until the test
@@ -918,7 +913,7 @@ mod tests {
         // empty→nonempty transition may write the wake pipe.
         let jobs = std::mem::take(&mut *codec.jobs.lock().unwrap());
         for (deliver, id) in jobs {
-            deliver.send(id);
+            deliver.send(response(id));
         }
         assert_eq!(
             reactor.completions.wakes_issued.load(Ordering::Relaxed),

@@ -141,12 +141,7 @@ impl<C: Codec> ConnMachine<C> {
 
     /// Handles one framed request of this connection; `true` when the
     /// codec deferred it to its own worker.
-    pub(super) fn handle(
-        &mut self,
-        codec: &Arc<C>,
-        request: C::Request,
-        deliver: Deliver<C::Completion>,
-    ) -> bool {
+    pub(super) fn handle(&mut self, codec: &Arc<C>, request: C::Request, deliver: Deliver) -> bool {
         self.unhandled -= 1;
         if self.close_after_flush {
             return false; // it already sent its last answer
@@ -166,10 +161,9 @@ impl<C: Codec> ConnMachine<C> {
         false
     }
 
-    /// Stages a deferred request's completion.
-    pub(super) fn complete(&mut self, codec: &C, completion: C::Completion) {
+    /// Stages a deferred request's rendered response.
+    pub(super) fn complete(&mut self, codec: &C, bytes: Vec<u8>) {
         self.deferred -= 1;
-        let bytes = codec.render(&self.state, completion);
         self.stage(codec, bytes);
     }
 

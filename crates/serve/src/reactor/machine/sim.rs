@@ -53,7 +53,7 @@ impl Rng {
 pub(crate) struct Scripted<const PIPELINED: bool> {
     metrics: ReactorMetrics,
     /// Deferred requests, waiting for the test to complete them.
-    pub(crate) jobs: Mutex<Vec<(Deliver<u64>, u64)>>,
+    pub(crate) jobs: Mutex<Vec<(Deliver, u64)>>,
 }
 
 impl<const PIPELINED: bool> Scripted<PIPELINED> {
@@ -68,7 +68,6 @@ impl<const PIPELINED: bool> Scripted<PIPELINED> {
 impl<const PIPELINED: bool> Codec for Scripted<PIPELINED> {
     type Conn = ();
     type Request = (u8, u64);
-    type Completion = u64;
     const PIPELINED: bool = PIPELINED;
     /// Small, so sequential connections that pipeline overflow it.
     const MAX_READ_BUFFER: usize = 48;
@@ -93,15 +92,10 @@ impl<const PIPELINED: bool> Codec for Scripted<PIPELINED> {
         }
     }
 
-    fn handle(
-        self: &Arc<Self>,
-        (): &mut (),
-        (op, id): (u8, u64),
-        deliver: Deliver<u64>,
-    ) -> Outcome {
+    fn handle(self: &Arc<Self>, (): &mut (), (op, id): (u8, u64), deliver: Deliver) -> Outcome {
         match op {
-            b'i' => Outcome::Inline(self.render(&(), id)),
-            b'c' => Outcome::InlineThenClose(self.render(&(), id)),
+            b'i' => Outcome::Inline(response(id)),
+            b'c' => Outcome::InlineThenClose(response(id)),
             b'd' => {
                 self.jobs.lock().unwrap().push((deliver, id));
                 Outcome::Deferred
@@ -109,10 +103,11 @@ impl<const PIPELINED: bool> Codec for Scripted<PIPELINED> {
             _ => Outcome::Ignored,
         }
     }
+}
 
-    fn render(&self, (): &(), id: u64) -> Vec<u8> {
-        format!("{id}\n").into_bytes()
-    }
+/// Request `id`'s response line.
+pub(crate) fn response(id: u64) -> Vec<u8> {
+    format!("{id}\n").into_bytes()
 }
 
 fn scripted_request(line: &[u8]) -> (u8, u64) {
@@ -180,7 +175,7 @@ impl<const PIPELINED: bool> Wire for Scripted<PIPELINED> {
         let picked = pick % jobs.len();
         let (deliver, id) = jobs.swap_remove(picked);
         drop(jobs);
-        deliver.send(id);
+        deliver.send(response(id));
         true
     }
 }
@@ -324,7 +319,7 @@ struct Sim<C: Wire> {
     seed: u64,
     rng: Rng,
     codec: Arc<C>,
-    completions: Arc<Completions<C::Completion>>,
+    completions: Arc<Completions>,
     peers: Vec<Peer<C>>,
     /// Framed requests not yet handled, in framing order, with their peer.
     burst: VecDeque<(usize, C::Request, bool)>,
@@ -337,7 +332,7 @@ struct Sim<C: Wire> {
 const GRACE_EVENTS: usize = 60;
 
 impl<C: Wire> Sim<C> {
-    fn new(seed: u64, completions: Arc<Completions<C::Completion>>) -> Self {
+    fn new(seed: u64, completions: Arc<Completions>) -> Self {
         let mut rng = Rng(seed);
         let peers = (0..1 + rng.below(3))
             .map(|_| {
@@ -580,7 +575,7 @@ impl<C: Wire> Sim<C> {
 }
 
 /// Runs scenario `seed` for codec `C` to completion.
-fn scenario<C: Wire>(seed: u64, completions: &Arc<Completions<C::Completion>>) {
+fn scenario<C: Wire>(seed: u64, completions: &Arc<Completions>) {
     let mut sim = Sim::<C>::new(seed, completions.clone());
     let events = 20 + sim.rng.below(180);
     for _ in 0..events {

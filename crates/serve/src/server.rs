@@ -379,8 +379,6 @@ impl Server {
 impl Codec for Server {
     type Conn = ();
     type Request = Line;
-    /// Never produced: this codec defers nothing.
-    type Completion = Response;
     const PIPELINED: bool = true;
     /// No legitimate request line is 16 MiB.
     const MAX_READ_BUFFER: usize = 16 << 20;
@@ -436,19 +434,15 @@ impl Codec for Server {
         Framed::Request(line, len)
     }
 
-    fn handle(self: &Arc<Self>, (): &mut (), line: Line, _: Deliver<Response>) -> Outcome {
+    fn handle(self: &Arc<Self>, (): &mut (), line: Line, _: Deliver) -> Outcome {
         let response = match line {
             Line::Blank => return Outcome::Ignored,
             Line::Answer(response) => response,
             Line::Request(request, admitted) => self.respond(request, admitted),
         };
-        Outcome::Inline(self.render(&(), response))
-    }
-
-    fn render(&self, (): &(), response: Response) -> Vec<u8> {
         let mut bytes = response.render().into_bytes();
         bytes.push(b'\n');
-        bytes
+        Outcome::Inline(bytes)
     }
 
     fn turn_done(&self, loop_index: usize) {

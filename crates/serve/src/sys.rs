@@ -624,8 +624,14 @@ mod tests {
     #[test]
     fn backend_selection_and_waker() {
         let mut poller = Poller::new().expect("poller");
-        #[cfg(target_os = "linux")]
-        assert_eq!(poller.backend(), "epoll");
+        // The variable picks the backend; unset, Linux must get epoll.
+        match std::env::var("LCA_SERVE_BACKEND").ok().as_deref() {
+            Some(forced) => assert_eq!(poller.backend(), forced),
+            #[cfg(target_os = "linux")]
+            None => assert_eq!(poller.backend(), "epoll"),
+            #[cfg(not(target_os = "linux"))]
+            None => assert_eq!(poller.backend(), "sweep"),
+        }
         let waker = poller.waker();
         // A wake fired before the wait must be observed by the wait.
         waker.wake();

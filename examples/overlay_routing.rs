@@ -11,7 +11,7 @@
 
 // Stdout is this target's output channel; the print ban is for library code.
 #![allow(clippy::print_stdout)]
-use lca::core::{materialize, ThreeSpanner};
+use lca::core::ThreeSpanner;
 use lca::prelude::*;
 use lca::rand::SplitMix64;
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (possible here because the demo graph fits in memory). The stretch
     // check samples dropped links; the property tests in `tests/` verify it
     // exhaustively on smaller graphs.
-    let spanner = materialize(&graph, &lca)?;
+    let spanner = QueryEngine::serial().materialize(&graph, &lca)?;
     let omitted: Vec<_> = graph
         .edges()
         .filter(|&(u, v)| !spanner.has_edge(u, v))

@@ -82,7 +82,7 @@ fn spanner_lcas_compose_with_classic_lcas() {
     // pipeline exercising lca-core + lca-classic + lca-graph together.
     let graph = GnpBuilder::new(200, 0.1).seed(Seed::new(9)).build();
     let lca = ThreeSpanner::with_defaults(&graph, Seed::new(10));
-    let spanner = lca::core::materialize(&graph, &lca).unwrap();
+    let spanner = QueryEngine::serial().materialize(&graph, &lca).unwrap();
     // Rebuild the spanner as a first-class Graph to feed the MIS LCA.
     let mut b = lca::graph::GraphBuilder::new(graph.vertex_count());
     for (u, v) in spanner.edges() {
