@@ -72,13 +72,15 @@ fn pct(sorted: &[u64], q: f64) -> u64 {
 /// Measures one kind's trajectory row in three passes: a serial pass over
 /// one shared instance for serving qps and latency percentiles; a *cold*
 /// probe pass (fresh instance per query, so cross-query memos cannot hide
-/// costs) for the probe percentiles; and a budgeted parallel batch capped
-/// at the cold median for the exhaustion rate.
+/// costs) for the probe percentiles; and a budgeted serial batch capped
+/// at the cold median for the exhaustion rate. That batch runs on one
+/// thread over one instance: a classic kind's memo then fills in query
+/// order, so the rate is the same on every run (shared by threads, the
+/// memo filled in whatever order they ran, and so did the rate).
 fn trajectory_row(
     config: &LcaConfig,
     oracle: &(impl Oracle + Clone + Send + Sync),
     queries: &[DynQuery],
-    engine: &QueryEngine,
 ) -> TrajectoryRow {
     // The serial pass runs through a counting decorator so the snapshot can
     // report amortized wall time per probe actually issued — the probe
@@ -109,8 +111,11 @@ fn trajectory_row(
     let budget_probes = pct(&probes, 0.5).max(1);
 
     let budgeted = config.build(oracle);
-    let run =
-        engine.query_batch_budgeted(&budgeted, queries, &QueryBudget::max_probes(budget_probes));
+    let run = QueryEngine::serial().query_batch_budgeted(
+        &budgeted,
+        queries,
+        &QueryBudget::max_probes(budget_probes),
+    );
     TrajectoryRow {
         algorithm: config.kind.name().to_owned(),
         query_kind: config.kind.query_kind().to_string(),
@@ -193,7 +198,7 @@ fn implicit_report() {
         let config = LcaConfig::new(kind, seed);
         let queries: Vec<DynQuery> =
             kind.queries_from(&oracle, QuerySource::sample(512, seed.derive(1)));
-        trajectory.push(trajectory_row(&config, &&oracle, &queries, &engine));
+        trajectory.push(trajectory_row(&config, &&oracle, &queries));
 
         let algo = config.build(&oracle);
         let t = Instant::now();
@@ -788,7 +793,7 @@ fn main() {
     for kind in AlgorithmKind::all() {
         let config = LcaConfig::new(kind, seed);
         let queries = kind.queries(&g);
-        trajectory.push(trajectory_row(&config, &&g, &queries, &engine));
+        trajectory.push(trajectory_row(&config, &&g, &queries));
 
         // Batched parallel serving through one shared instance.
         let algo = config.build(&g);

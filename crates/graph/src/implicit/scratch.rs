@@ -107,6 +107,11 @@ pub struct StoreStats {
     /// Bytes both generations have allocated (16 per index slot, 4 per
     /// arena position), at most the thread's byte bound.
     pub bytes: usize,
+    /// Times the current generation filled up and became the old one,
+    /// dropping the lists the old one held. A count that climbs with the
+    /// traffic means the thread's working set outgrows its bound: lists
+    /// are being generated again and again.
+    pub turnovers: u64,
 }
 
 impl StoreStats {
@@ -262,6 +267,7 @@ struct Store {
     fills: Vec<Vec<VertexId>>,
     hits: u64,
     misses: u64,
+    turnovers: u64,
 }
 
 impl Store {
@@ -273,6 +279,7 @@ impl Store {
             fills: Vec::new(),
             hits: 0,
             misses: 0,
+            turnovers: 0,
         }
     }
 
@@ -328,6 +335,7 @@ impl Store {
         }
         std::mem::swap(&mut self.cur, &mut self.old);
         self.cur.clear();
+        self.turnovers += 1;
         if !self.cur.insert(key, list, half) {
             // The reused index left no room for this list: start afresh.
             self.cur = Generation::new();
@@ -341,6 +349,7 @@ impl Store {
             misses: self.misses,
             entries: self.cur.entries + self.old.entries,
             bytes: self.cur.bytes() + self.old.bytes(),
+            turnovers: self.turnovers,
         }
     }
 }
@@ -619,6 +628,7 @@ mod tests {
         let id = ListStore::next_oracle_id();
         let mut fills = 0;
         let many = 4 * MIN_SLOTS as u32;
+        let turnovers = ListStore::stats().turnovers;
         for v in 0..many {
             probe(id, v, 3, &mut fills);
         }
@@ -626,6 +636,11 @@ mod tests {
             probe(id, v, 3, &mut fills);
         }
         assert_eq!(fills, many as usize, "a list was lost while the index grew");
+        assert_eq!(
+            ListStore::stats().turnovers,
+            turnovers,
+            "growth is no turnover"
+        );
     }
 
     #[test]
@@ -635,6 +650,7 @@ mod tests {
         // arena of at most 1024 neighbors.
         let bound = 16 << 10;
         let default = ListStore::set_byte_bound(bound);
+        let turnovers = ListStore::stats().turnovers;
         let mut fills = 0;
         for round in 0..3 {
             for v in 0..400 {
@@ -644,6 +660,10 @@ mod tests {
             }
         }
         assert!(fills > 400, "the bound never forced a turnover");
+        // Each pass over 400 lists of 11 outgrows a generation at least
+        // once.
+        let stats = ListStore::stats();
+        assert!(stats.turnovers >= turnovers + 3, "{stats:?}");
         // The most recent lists are still resident.
         let before = fills;
         probe(id, 399, 11, &mut fills);

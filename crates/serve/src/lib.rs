@@ -51,12 +51,15 @@
 //! Binaries: `lca-serve` (the daemon) and `lca-loadgen` (the driver); see
 //! the serving section of `examples/quickstart.rs` for one-liners.
 
-// `deny`, not `forbid`: the one sanctioned exception is `sys.rs`, which
+// `deny`, not `forbid`: the sanctioned exceptions are `sys.rs`, which
 // declares the epoll syscalls against the libc std already links (see its
-// module docs); everything else stays safe Rust.
+// module docs), and the test-only counting allocator in `alloc_budget.rs`;
+// everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+#[cfg(test)]
+mod alloc_budget;
 pub mod budget;
 pub mod loadgen;
 pub mod metrics;

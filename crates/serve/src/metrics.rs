@@ -362,6 +362,11 @@ stats_object! {
         cache_misses_total => num(snap.cache_misses_total),
         cache_hit_rate_total => hit_rate(snap.cache_hits_total, snap.cache_misses_total),
         list_store_bytes => num(snap.list_store_bytes),
+        /// Generation turnovers of the reactor loops' list stores, summed
+        /// over loops as each published them after its last turn. Every
+        /// session on a loop shares its store, so a rate that climbs with
+        /// traffic means the loop's working set outgrows the store.
+        list_store_turnovers: counter,
         draining => Json::Bool(snap.draining),
     }
 }

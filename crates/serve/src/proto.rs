@@ -2,10 +2,21 @@
 //!
 //! One request per line, one response line per request — the full field
 //! reference with `nc` examples lives in `docs/PROTOCOL.md`. This module
-//! owns parsing ([`Request::parse`]) and rendering ([`Response`]); it knows
-//! nothing about sockets or sessions.
+//! owns parsing ([`Request::parse`]) and rendering ([`Response::write`]);
+//! it knows nothing about sockets or sessions.
+//!
+//! Neither direction builds a JSON tree. The reader scans a line's bytes
+//! once, checking the whole line's JSON syntax as it goes, and keeps only
+//! the fields a request can carry, as borrowed slices and numbers; the
+//! request is built from those after the scan. The writer appends each
+//! response's fields straight to the output string. A warm single-query
+//! request therefore allocates its session name and its response line and
+//! nothing else.
 
 #![warn(clippy::unwrap_used)]
+use std::borrow::Cow;
+use std::ops::Deref;
+
 use lca::prelude::{AlgorithmKind, ImplicitFamily};
 use serde::Json;
 
@@ -45,6 +56,71 @@ pub enum QueryPayload {
     Edge(u64, u64),
 }
 
+/// The queries of one request, read as a slice: a single query is held
+/// inline, so the common request allocates no list for it.
+#[derive(Clone)]
+pub enum Queries {
+    /// Exactly one query.
+    One(QueryPayload),
+    /// Any other number of queries, in request order.
+    Batch(Vec<QueryPayload>),
+}
+
+impl Queries {
+    /// Appends `q`, moving to a batch at the second query.
+    fn push(queries: &mut Option<Queries>, q: QueryPayload) {
+        *queries = Some(match queries.take() {
+            None => Queries::One(q),
+            Some(Queries::One(first)) => Queries::Batch(vec![first, q]),
+            Some(Queries::Batch(mut batch)) => {
+                batch.push(q);
+                Queries::Batch(batch)
+            }
+        });
+    }
+}
+
+impl Deref for Queries {
+    type Target = [QueryPayload];
+
+    fn deref(&self) -> &[QueryPayload] {
+        match self {
+            Queries::One(q) => std::slice::from_ref(q),
+            Queries::Batch(batch) => batch,
+        }
+    }
+}
+
+impl From<Vec<QueryPayload>> for Queries {
+    fn from(batch: Vec<QueryPayload>) -> Self {
+        match batch.as_slice() {
+            [q] => Queries::One(*q),
+            _ => Queries::Batch(batch),
+        }
+    }
+}
+
+/// Equal when they hold the same queries in the same order, however held.
+impl PartialEq for Queries {
+    fn eq(&self, other: &Queries) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Queries {}
+
+impl PartialEq<Vec<QueryPayload>> for Queries {
+    fn eq(&self, other: &Vec<QueryPayload>) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Queries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -56,7 +132,7 @@ pub enum Request {
         /// validated against the pinned instance afterwards when present.
         spec: Option<SessionSpec>,
         /// The queries to answer (singular `query` parses to a 1-batch).
-        queries: Vec<QueryPayload>,
+        queries: Queries,
         /// Echoed verbatim in the response, for request/response matching
         /// over pipelined connections.
         id: Option<u64>,
@@ -181,10 +257,52 @@ pub enum Response {
     Stats(Json),
 }
 
+/// Appends an unsigned field value as the JSON number of the `f64` it
+/// converts to, the way every number on the wire is written: exact up to
+/// 9e15, rounded to the nearest `f64` (without an exponent) past it.
+fn write_u64(out: &mut String, v: u64) {
+    serde::write_num(out, v as f64);
+}
+
+fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends the key of an object member, after a comma unless the object
+/// was just opened (no value ends in `{`).
+fn key(out: &mut String, name: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+}
+
+/// Opens a response object, with the `id` echo first when there is one.
+fn open(out: &mut String, id: Option<u64>) {
+    out.push('{');
+    if let Some(id) = id {
+        key(out, "id");
+        write_u64(out, id);
+    }
+}
+
+/// Closes an answer object with its cost members.
+fn close_with_cost(out: &mut String, probes: u64, micros: u64) {
+    key(out, "probes");
+    write_u64(out, probes);
+    key(out, "micros");
+    write_u64(out, micros);
+    out.push('}');
+}
+
 impl Response {
-    /// Renders the response as one compact JSON line (no trailing newline).
-    pub fn render(&self) -> String {
-        let json = match self {
+    /// Appends the response to `out` as one compact JSON object, with no
+    /// trailing newline. Every response but `stats` is written member by
+    /// member; `stats` renders its tree.
+    pub fn write(&self, out: &mut String) {
+        match self {
             Response::Answer {
                 id,
                 session,
@@ -192,15 +310,12 @@ impl Response {
                 probes,
                 micros,
             } => {
-                let mut fields = Vec::new();
-                if let Some(id) = id {
-                    fields.push(("id".to_owned(), Json::Num(*id as f64)));
-                }
-                fields.push(("session".to_owned(), Json::Str(session.clone())));
-                fields.push(("answer".to_owned(), Json::Bool(*answer)));
-                fields.push(("probes".to_owned(), Json::Num(*probes as f64)));
-                fields.push(("micros".to_owned(), Json::Num(*micros as f64)));
-                Json::Obj(fields)
+                open(out, *id);
+                key(out, "session");
+                serde::write_str(out, session);
+                key(out, "answer");
+                write_bool(out, *answer);
+                close_with_cost(out, *probes, *micros);
             }
             Response::Answers {
                 id,
@@ -209,36 +324,59 @@ impl Response {
                 probes,
                 micros,
             } => {
-                let mut fields = Vec::new();
-                if let Some(id) = id {
-                    fields.push(("id".to_owned(), Json::Num(*id as f64)));
+                open(out, *id);
+                key(out, "session");
+                serde::write_str(out, session);
+                key(out, "answers");
+                out.push('[');
+                for (i, &answer) in answers.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_bool(out, answer);
                 }
-                fields.push(("session".to_owned(), Json::Str(session.clone())));
-                fields.push((
-                    "answers".to_owned(),
-                    Json::Arr(answers.iter().map(|a| Json::Bool(*a)).collect()),
-                ));
-                fields.push(("probes".to_owned(), Json::Num(*probes as f64)));
-                fields.push(("micros".to_owned(), Json::Num(*micros as f64)));
-                Json::Obj(fields)
+                out.push(']');
+                close_with_cost(out, *probes, *micros);
             }
             Response::Error { id, code, message } => {
-                let mut fields = Vec::new();
-                if let Some(id) = id {
-                    fields.push(("id".to_owned(), Json::Num(*id as f64)));
-                }
-                fields.push(("error".to_owned(), Json::Str(code.as_str().to_owned())));
-                fields.push(("message".to_owned(), Json::Str(message.clone())));
-                Json::Obj(fields)
+                open(out, *id);
+                key(out, "error");
+                serde::write_str(out, code.as_str());
+                key(out, "message");
+                serde::write_str(out, message);
+                out.push('}');
             }
-            Response::Ok { draining } => Json::Obj(vec![
-                ("ok".to_owned(), Json::Bool(true)),
-                ("draining".to_owned(), Json::Bool(*draining)),
-            ]),
-            Response::Stats(json) => json.clone(),
-        };
-        let mut out = String::new();
-        json.render(&mut out);
+            Response::Ok { draining } => {
+                open(out, None);
+                key(out, "ok");
+                write_bool(out, true);
+                key(out, "draining");
+                write_bool(out, *draining);
+                out.push('}');
+            }
+            Response::Stats(json) => json.render(out),
+        }
+    }
+
+    /// Bytes [`Response::write`] needs for this response with plain
+    /// strings and the largest numbers: a capacity that holds the line in
+    /// one allocation.
+    pub(crate) fn len_hint(&self) -> usize {
+        match self {
+            Response::Answer { session, .. } => 128 + session.len(),
+            Response::Answers {
+                session, answers, ..
+            } => 128 + session.len() + 6 * answers.len(),
+            Response::Error { message, .. } => 64 + message.len(),
+            Response::Ok { .. } => 32,
+            Response::Stats(_) => 4096,
+        }
+    }
+
+    /// Renders the response as one compact JSON line (no trailing newline).
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(self.len_hint());
+        self.write(&mut out);
         out
     }
 
@@ -252,32 +390,11 @@ impl Response {
     }
 }
 
-/// What [`Json::as_u64`] accepts: the integers the JSON reader's `f64`
-/// numbers hold exactly.
+/// What an integer field accepts: the integers an `f64` holds exactly,
+/// up to 9e15 (JSON numbers are read as `f64`s).
 const U64: &str = "a non-negative integer no larger than 9e15";
 const STRING: &str = "a string";
-
-/// Reads the optional `name` field through `read`: absent is `None`, but a
-/// present value `read` rejects is `bad-request` naming the field — never
-/// a silent fall back to the default.
-fn field<'a, T>(
-    v: &'a Json,
-    name: &str,
-    id: Option<u64>,
-    expected: &str,
-    read: impl FnOnce(&'a Json) -> Option<T>,
-) -> Result<Option<T>, ParseError> {
-    match v.get(name) {
-        None => Ok(None),
-        Some(x) => read(x).map(Some).ok_or_else(|| {
-            ParseError::new(
-                id,
-                ErrorCode::BadRequest,
-                format!("`{name}` must be {expected}"),
-            )
-        }),
-    }
-}
+const PAYLOAD: &str = "`query` must be a vertex id or a two-element [u, v] array";
 
 /// A parse failure: the error response to send plus nothing else — parsing
 /// never has side effects.
@@ -302,11 +419,464 @@ impl ParseError {
 
     /// The response line for this failure.
     pub fn response(&self) -> Response {
+        self.clone().into_response()
+    }
+
+    /// The response line for this failure, taking its message.
+    pub fn into_response(self) -> Response {
         Response::Error {
             id: self.id,
             code: self.code,
-            message: self.message.clone(),
+            message: self.message,
         }
+    }
+}
+
+/// Nesting ceiling for the values a line may carry: protocol messages are
+/// flat, so anything deeper is garbage, not load. A value may sit this
+/// many levels below the top-level object.
+const MAX_DEPTH: usize = 64;
+
+/// A JSON syntax error: where the scan stopped and what it expected there.
+struct Syntax {
+    pos: usize,
+    msg: &'static str,
+}
+
+impl Syntax {
+    fn into_error(self) -> ParseError {
+        ParseError::new(
+            None,
+            ErrorCode::BadRequest,
+            format!("JSON parse error at byte {}: {}", self.pos, self.msg),
+        )
+    }
+}
+
+type Scan<T> = Result<T, Syntax>;
+
+/// A scanned string literal: its body between the quotes, escapes still
+/// in it, and whether it has any.
+#[derive(Clone, Copy)]
+struct RawStr<'a> {
+    body: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The string's value: the body itself unless it has escapes.
+    fn text(self) -> Cow<'a, str> {
+        if !self.escaped {
+            return Cow::Borrowed(self.body);
+        }
+        let mut out = String::with_capacity(self.body.len());
+        let mut rest = self.body;
+        while let Some(at) = rest.find('\\') {
+            out.push_str(rest.get(..at).unwrap_or_default());
+            let escape = rest.get(at + 1..).unwrap_or_default();
+            let mut taken = 2;
+            out.push(match escape.as_bytes().first() {
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    taken = 6;
+                    // Surrogate pairs are out of scope for the protocol;
+                    // a lone surrogate reads as U+FFFD.
+                    hex4(escape.as_bytes().get(1..5))
+                        .and_then(char::from_u32)
+                        .unwrap_or('\u{FFFD}')
+                }
+                // `"`, `\` and `/` stand for themselves.
+                Some(&b) => char::from(b),
+                None => break,
+            });
+            rest = rest.get(at + taken..).unwrap_or_default();
+        }
+        out.push_str(rest);
+        Cow::Owned(out)
+    }
+}
+
+/// The four hex digits of a `\u` escape, read as `u32::from_str_radix`
+/// reads them (which lets a leading `+` stand in for the first digit).
+fn hex4(digits: Option<&[u8]>) -> Option<u32> {
+    let digits = std::str::from_utf8(digits?).ok()?;
+    u32::from_str_radix(digits, 16).ok()
+}
+
+/// A field value as the reader keeps it: numbers and strings as read,
+/// anything else only as present.
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    Num(f64),
+    Str(RawStr<'a>),
+    Other,
+}
+
+impl<'a> Val<'a> {
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Val::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// A non-negative integer no larger than 9e15: exact as an `f64`, so
+    /// `-0` reads as 0 and anything rounded or overflowed is refused.
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Val::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9.0e15 => Some(*x as u64),
+            _ => None,
+        }
+    }
+
+    fn as_str(&self) -> Option<Cow<'a, str>> {
+        match self {
+            Val::Str(s) => Some(s.text()),
+            _ => None,
+        }
+    }
+}
+
+/// The fields a request line can carry, each as its first occurrence in
+/// the line (a later duplicate is checked and skipped).
+#[derive(Default)]
+struct Fields<'a> {
+    id: Option<Val<'a>>,
+    op: Option<Val<'a>>,
+    session: Option<Val<'a>>,
+    kind: Option<Val<'a>>,
+    n: Option<Val<'a>>,
+    family: Option<Val<'a>>,
+    seed: Option<Val<'a>>,
+    knob: Option<Val<'a>>,
+    max_probes: Option<Val<'a>>,
+    deadline_ms: Option<Val<'a>>,
+    budget_policy: Option<Val<'a>>,
+    /// `query`: its payload, or `None` when it is not one.
+    query: Option<Option<QueryPayload>>,
+    /// `queries`: its payloads, or why they are not a batch.
+    queries: Option<Result<Queries, &'static str>>,
+}
+
+impl<'a> Fields<'a> {
+    /// The slot of a scalar field named `key`, if the line may carry one.
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Val<'a>>> {
+        Some(match key {
+            "id" => &mut self.id,
+            "op" => &mut self.op,
+            "session" => &mut self.session,
+            "kind" => &mut self.kind,
+            "n" => &mut self.n,
+            "family" => &mut self.family,
+            "seed" => &mut self.seed,
+            "knob" => &mut self.knob,
+            "max_probes" => &mut self.max_probes,
+            "deadline_ms" => &mut self.deadline_ms,
+            "budget_policy" => &mut self.budget_policy,
+            _ => return None,
+        })
+    }
+
+    /// Reads the value of the object member `key` at `depth`.
+    fn read(&mut self, r: &mut Reader<'a>, key: RawStr<'a>, depth: usize) -> Scan<()> {
+        let key = key.text();
+        match key.as_ref() {
+            "query" if self.query.is_none() => self.query = Some(r.payload(depth)?),
+            "queries" if self.queries.is_none() => self.queries = Some(r.queries(depth)?),
+            key => match self.slot(key) {
+                Some(slot @ None) => *slot = Some(r.value(depth)?),
+                _ => {
+                    r.value(depth)?;
+                }
+            },
+        }
+        Ok(())
+    }
+}
+
+/// Reads the optional `name` field through `read`: absent is `None`, but a
+/// present value `read` rejects is `bad-request` naming the field — never
+/// a silent fall back to the default.
+fn field<'a, T>(
+    v: Option<Val<'a>>,
+    name: &str,
+    id: Option<u64>,
+    expected: &str,
+    read: impl FnOnce(&Val<'a>) -> Option<T>,
+) -> Result<Option<T>, ParseError> {
+    match v {
+        None => Ok(None),
+        Some(x) => read(&x).map(Some).ok_or_else(|| {
+            ParseError::new(
+                id,
+                ErrorCode::BadRequest,
+                format!("`{name}` must be {expected}"),
+            )
+        }),
+    }
+}
+
+/// The one-pass scanner behind [`Request::parse`]. It accepts exactly
+/// JSON (RFC 8259 values, with numbers read as `f64`) and reports a
+/// syntax error at the byte and with the words of the first construct it
+/// cannot read.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn fail<T>(&self, msg: &'static str) -> Scan<T> {
+        Err(Syntax { pos: self.pos, msg })
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8, msg: &'static str) -> Scan<()> {
+        if self.peek() != Some(b) {
+            return self.fail(msg);
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn enter(&self, depth: usize) -> Scan<()> {
+        if depth > MAX_DEPTH {
+            return self.fail("nesting too deep");
+        }
+        Ok(())
+    }
+
+    /// The whole line: one value, surrounded by nothing but whitespace.
+    /// A top-level object's members are read into [`Fields`]; any other
+    /// value carries none.
+    fn line(&mut self) -> Scan<Fields<'a>> {
+        let mut fields = Fields::default();
+        self.ws();
+        if self.peek() == Some(b'{') {
+            self.object(0, |r, key, depth| fields.read(r, key, depth))?;
+        } else {
+            self.value(0)?;
+        }
+        self.ws();
+        if self.pos != self.text.len() {
+            return self.fail("trailing characters after value");
+        }
+        Ok(fields)
+    }
+
+    /// Reads any value at `depth`, keeping numbers and strings.
+    fn value(&mut self, depth: usize) -> Scan<Val<'a>> {
+        self.enter(depth)?;
+        let literal = |r: &mut Self, lit: &str, msg| {
+            let rest = r.text.get(r.pos..).unwrap_or_default();
+            if !rest.starts_with(lit) {
+                return r.fail(msg);
+            }
+            r.pos += lit.len();
+            Ok(Val::Other)
+        };
+        match self.peek() {
+            Some(b'{') => self.object(depth, |r, _, d| r.value(d).map(drop))?,
+            Some(b'[') => self.array(depth, |r, d| r.value(d).map(drop))?,
+            Some(b'"') => return self.string().map(Val::Str),
+            Some(b't') => return literal(self, "true", "expected `true`"),
+            Some(b'f') => return literal(self, "false", "expected `false`"),
+            Some(b'n') => return literal(self, "null", "expected `null`"),
+            Some(b'-' | b'0'..=b'9') => return self.number().map(Val::Num),
+            _ => return self.fail("expected a JSON value"),
+        }
+        Ok(Val::Other)
+    }
+
+    /// Reads the object at the cursor, handing each member's key and the
+    /// depth of its value to `member`, which must consume the value.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, RawStr<'a>, usize) -> Scan<()>,
+    ) -> Scan<()> {
+        self.eat(b'{', "expected `{`")?;
+        self.ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.ws();
+            let key = self.string()?;
+            self.ws();
+            self.eat(b':', "expected `:` after object key")?;
+            self.ws();
+            member(self, key, depth + 1)?;
+            self.ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return self.fail("expected `,` or `}` in object"),
+            }
+        }
+    }
+
+    /// Reads the array at the cursor, handing the depth of each item to
+    /// `item`, which must consume it.
+    fn array(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self, usize) -> Scan<()>,
+    ) -> Scan<()> {
+        self.eat(b'[', "expected `[`")?;
+        self.ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.ws();
+            item(self, depth + 1)?;
+            self.ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return self.fail("expected `,` or `]` in array"),
+            }
+        }
+    }
+
+    /// Reads a string literal, checking its escapes; decoding waits until
+    /// the value is wanted ([`RawStr::text`]).
+    fn string(&mut self) -> Scan<RawStr<'a>> {
+        self.eat(b'"', "expected `\"`")?;
+        let start = self.pos;
+        let mut escaped = false;
+        loop {
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            match self.peek() {
+                Some(b'"') => {
+                    let body = self.text.get(start..self.pos).unwrap_or_default();
+                    self.pos += 1;
+                    return Ok(RawStr { body, escaped });
+                }
+                Some(b'\\') => {
+                    escaped = true;
+                    self.pos += 1;
+                    let Some(escape) = self.peek() else {
+                        return self.fail("unterminated escape");
+                    };
+                    self.pos += 1;
+                    match escape {
+                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
+                        b'u' => {
+                            let digits = self.text.as_bytes().get(self.pos..self.pos + 4);
+                            if hex4(digits).is_none() {
+                                return self.fail("malformed \\u escape");
+                            }
+                            self.pos += 4;
+                        }
+                        _ => {
+                            return Err(Syntax {
+                                pos: self.pos - 1,
+                                msg: "unknown escape",
+                            })
+                        }
+                    }
+                }
+                _ => return self.fail("unterminated string"),
+            }
+        }
+    }
+
+    /// Reads a number as the `f64` its text parses to. The text runs over
+    /// every digit, `.`, `e`, `E`, `+` and `-` after an optional sign, so
+    /// `1-2` is one malformed number rather than two tokens.
+    fn number(&mut self) -> Scan<f64> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = self.text.get(start..self.pos).unwrap_or_default();
+        // Up to 15 plain digits are below 2^53: summing them is exact and
+        // equals the parse.
+        if (1..=15).contains(&text.len()) && text.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(text.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64);
+        }
+        text.parse().map_err(|_| Syntax {
+            pos: start,
+            msg: "malformed number",
+        })
+    }
+
+    /// Reads a `query` value: `None` unless it is a vertex id or a
+    /// two-element `[u, v]` edge of vertex ids.
+    fn payload(&mut self, depth: usize) -> Scan<Option<QueryPayload>> {
+        if self.peek() != Some(b'[') {
+            return Ok(self.value(depth)?.as_u64().map(QueryPayload::Vertex));
+        }
+        self.enter(depth)?;
+        let (mut ends, mut len) = ([None; 2], 0usize);
+        self.array(depth, |r, d| {
+            let v = r.value(d)?;
+            if let Some(end) = ends.get_mut(len) {
+                *end = v.as_u64();
+            }
+            len += 1;
+            Ok(())
+        })?;
+        Ok(match (len, ends) {
+            (2, [Some(u), Some(w)]) => Some(QueryPayload::Edge(u, w)),
+            _ => None,
+        })
+    }
+
+    /// Reads a `queries` value: its payloads, or why it is not a batch.
+    fn queries(&mut self, depth: usize) -> Scan<Result<Queries, &'static str>> {
+        if self.peek() != Some(b'[') {
+            self.value(depth)?;
+            return Ok(Err("`queries` must be an array"));
+        }
+        self.enter(depth)?;
+        let (mut batch, mut bad) = (None, false);
+        self.array(depth, |r, d| {
+            match r.payload(d)? {
+                Some(q) if !bad => Queries::push(&mut batch, q),
+                _ => bad = true,
+            }
+            Ok(())
+        })?;
+        Ok(match batch {
+            _ if bad => Err(PAYLOAD),
+            None => Err("`queries` must not be empty"),
+            Some(batch) => Ok(batch),
+        })
     }
 }
 
@@ -318,18 +888,23 @@ impl Request {
     /// or `[u, v]` edge) or `queries` (an array of those); `kind`, `n` and
     /// optionally `family`/`seed`/`knob` describe the instance and are
     /// required the first time a session name is used.
+    ///
+    /// Malformed JSON anywhere in the line fails before any field is
+    /// judged, and echoes no `id`. Unknown fields are checked and skipped;
+    /// of duplicate fields the first counts.
     pub fn parse(line: &str) -> Result<Request, ParseError> {
-        let v = serde_json::from_str(line)
-            .map_err(|e| ParseError::new(None, ErrorCode::BadRequest, e.to_string()))?;
+        let fields = Reader { text: line, pos: 0 }
+            .line()
+            .map_err(Syntax::into_error)?;
         // An unreadable `id` cannot be echoed, so its error carries none.
-        let id = field(&v, "id", None, U64, Json::as_u64)?;
-        let op = field(&v, "op", id, STRING, Json::as_str)?.unwrap_or("query");
-        match op {
+        let id = field(fields.id, "id", None, U64, Val::as_u64)?;
+        let op = field(fields.op, "op", id, STRING, Val::as_str)?;
+        match op.as_deref().unwrap_or("query") {
             "stats" => Ok(Request::Stats),
             "sessions" => Ok(Request::Sessions),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
-            "query" => Self::parse_query(&v, id),
+            "query" => Self::query(fields, id),
             other => Err(ParseError::new(
                 id,
                 ErrorCode::BadRequest,
@@ -338,60 +913,38 @@ impl Request {
         }
     }
 
-    fn parse_query(v: &Json, id: Option<u64>) -> Result<Request, ParseError> {
-        let session = v
-            .get("session")
-            .and_then(Json::as_str)
-            .ok_or_else(|| {
-                ParseError::new(id, ErrorCode::BadRequest, "missing string field `session`")
-            })?
-            .to_owned();
+    fn query(fields: Fields<'_>, id: Option<u64>) -> Result<Request, ParseError> {
+        let bad = |message: &str| ParseError::new(id, ErrorCode::BadRequest, message);
+        let session = fields
+            .session
+            .as_ref()
+            .and_then(Val::as_str)
+            .ok_or_else(|| bad("missing string field `session`"))?
+            .into_owned();
 
-        let spec = Self::parse_spec(v, id)?;
+        let spec = Self::spec(&fields, id)?;
 
-        let mut queries = Vec::new();
-        match (v.get("query"), v.get("queries")) {
-            (Some(q), None) => queries.push(Self::parse_payload(q, id)?),
-            (None, Some(qs)) => {
-                let items = qs.as_array().ok_or_else(|| {
-                    ParseError::new(id, ErrorCode::BadRequest, "`queries` must be an array")
-                })?;
-                if items.is_empty() {
-                    return Err(ParseError::new(
-                        id,
-                        ErrorCode::BadRequest,
-                        "`queries` must not be empty",
-                    ));
-                }
-                for q in items {
-                    queries.push(Self::parse_payload(q, id)?);
-                }
-            }
-            (Some(_), Some(_)) => {
-                return Err(ParseError::new(
-                    id,
-                    ErrorCode::BadRequest,
-                    "send `query` or `queries`, not both",
-                ))
-            }
-            (None, None) => {
-                return Err(ParseError::new(
-                    id,
-                    ErrorCode::BadRequest,
-                    "missing `query` (vertex id or [u, v]) or `queries`",
-                ))
-            }
-        }
-        let max_probes = field(v, "max_probes", id, U64, Json::as_u64)?;
-        let deadline_ms = field(v, "deadline_ms", id, U64, Json::as_u64)?;
-        let budget_policy = match field(v, "budget_policy", id, STRING, Json::as_str)? {
+        let queries = match (fields.query, fields.queries) {
+            (Some(q), None) => Queries::One(q.ok_or_else(|| bad(PAYLOAD))?),
+            (None, Some(batch)) => batch.map_err(bad)?,
+            (Some(_), Some(_)) => return Err(bad("send `query` or `queries`, not both")),
+            (None, None) => return Err(bad("missing `query` (vertex id or [u, v]) or `queries`")),
+        };
+        let max_probes = field(fields.max_probes, "max_probes", id, U64, Val::as_u64)?;
+        let deadline_ms = field(fields.deadline_ms, "deadline_ms", id, U64, Val::as_u64)?;
+        let budget_policy = match field(
+            fields.budget_policy,
+            "budget_policy",
+            id,
+            STRING,
+            Val::as_str,
+        )? {
             None => None,
-            Some(s) => Some(BudgetPolicy::parse(s).ok_or_else(|| {
-                ParseError::new(
-                    id,
-                    ErrorCode::BadRequest,
-                    format!("unknown budget_policy {s:?} (use off, adaptive, or pNN like p95)"),
-                )
+            Some(s) => Some(BudgetPolicy::parse(&s).ok_or_else(|| {
+                bad(&format!(
+                    "unknown budget_policy {:?} (use off, adaptive, or pNN like p95)",
+                    s.as_ref()
+                ))
             })?),
         };
         Ok(Request::Query {
@@ -405,20 +958,22 @@ impl Request {
         })
     }
 
-    /// Parses the spec fields if any are present; `kind` + `n` make a spec,
+    /// Reads the spec fields if any are present; `kind` + `n` make a spec,
     /// anything partial (including a stray `family`/`seed`/`knob` without
     /// them) is an error — a typo would otherwise silently fall back to the
     /// pinned instance.
-    fn parse_spec(v: &Json, id: Option<u64>) -> Result<Option<SessionSpec>, ParseError> {
-        let kind = field(v, "kind", id, STRING, Json::as_str)?;
-        let n = field(v, "n", id, U64, Json::as_u64)?;
+    fn spec(fields: &Fields<'_>, id: Option<u64>) -> Result<Option<SessionSpec>, ParseError> {
+        let kind = field(fields.kind, "kind", id, STRING, Val::as_str)?;
+        let n = field(fields.n, "n", id, U64, Val::as_u64)?;
         let (kind, n) = match (kind, n) {
             (Some(kind), Some(n)) => (kind, n),
             (None, None) => {
-                if let Some(stray) = ["family", "seed", "knob"]
-                    .iter()
-                    .find(|k| v.get(k).is_some())
-                {
+                let stray = [
+                    ("family", fields.family.is_some()),
+                    ("seed", fields.seed.is_some()),
+                    ("knob", fields.knob.is_some()),
+                ];
+                if let Some((stray, _)) = stray.iter().find(|(_, present)| *present) {
                     return Err(ParseError::new(
                         id,
                         ErrorCode::BadRequest,
@@ -435,21 +990,25 @@ impl Request {
                 ))
             }
         };
-        let kind = AlgorithmKind::parse(kind).ok_or_else(|| {
-            ParseError::new(id, ErrorCode::UnknownSpec, format!("unknown kind {kind:?}"))
+        let kind = AlgorithmKind::parse(&kind).ok_or_else(|| {
+            ParseError::new(
+                id,
+                ErrorCode::UnknownSpec,
+                format!("unknown kind {:?}", kind.as_ref()),
+            )
         })?;
-        let family = match field(v, "family", id, STRING, Json::as_str)? {
+        let family = match field(fields.family, "family", id, STRING, Val::as_str)? {
             None => ImplicitFamily::Gnp,
-            Some(name) => ImplicitFamily::parse(name).ok_or_else(|| {
+            Some(name) => ImplicitFamily::parse(&name).ok_or_else(|| {
                 ParseError::new(
                     id,
                     ErrorCode::UnknownSpec,
-                    format!("unknown family {name:?}"),
+                    format!("unknown family {:?}", name.as_ref()),
                 )
             })?,
         };
-        let seed = field(v, "seed", id, U64, Json::as_u64)?.unwrap_or(0);
-        let knob = field(v, "knob", id, "a finite number", |x| {
+        let seed = field(fields.seed, "seed", id, U64, Val::as_u64)?.unwrap_or(0);
+        let knob = field(fields.knob, "knob", id, "a finite number", |x| {
             x.as_f64().filter(|k| k.is_finite())
         })?;
         let n = n as usize;
@@ -465,22 +1024,6 @@ impl Request {
             seed,
             knob,
         }))
-    }
-
-    fn parse_payload(q: &Json, id: Option<u64>) -> Result<QueryPayload, ParseError> {
-        if let Some(v) = q.as_u64() {
-            return Ok(QueryPayload::Vertex(v));
-        }
-        if let Some([a, b]) = q.as_array() {
-            if let (Some(u), Some(w)) = (a.as_u64(), b.as_u64()) {
-                return Ok(QueryPayload::Edge(u, w));
-            }
-        }
-        Err(ParseError::new(
-            id,
-            ErrorCode::BadRequest,
-            "`query` must be a vertex id or a two-element [u, v] array",
-        ))
     }
 }
 

@@ -817,6 +817,14 @@ mod tests {
                 token: 0,
             }
         }
+
+        /// Another handle onto the same mailbox, made without allocating.
+        pub(crate) fn again(&self) -> Deliver {
+            Deliver {
+                completions: self.completions.clone(),
+                token: self.token,
+            }
+        }
     }
 
     #[test]

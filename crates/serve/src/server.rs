@@ -121,9 +121,18 @@ pub struct Server {
     default_budget: QueryBudget,
     backend_id: String,
     budget_percentile: f64,
-    /// Each loop's list-store bytes as it published them after its last
-    /// turn, indexed by loop (stdio mode publishes as loop 0).
-    store_bytes: Vec<AtomicU64>,
+    /// Each loop's list store as it published it after its last turn,
+    /// indexed by loop (stdio mode publishes as loop 0).
+    stores: Vec<PublishedStore>,
+}
+
+/// One loop's list store as the loop last published it.
+#[derive(Default)]
+struct PublishedStore {
+    /// Its allocated bytes: the loop's share of `list_store_bytes`.
+    bytes: AtomicU64,
+    /// Its turnovers, already added to `list_store_turnovers`.
+    turnovers: AtomicU64,
 }
 
 impl Server {
@@ -146,17 +155,27 @@ impl Server {
             default_budget: config.default_budget,
             backend_id: config.backend_id,
             budget_percentile: config.budget_percentile,
-            store_bytes: (0..config.workers.max(1))
-                .map(|_| AtomicU64::new(0))
+            stores: (0..config.workers.max(1))
+                .map(|_| PublishedStore::default())
                 .collect(),
         })
     }
 
-    /// Publishes the calling thread's list-store bytes as loop `index`'s
-    /// share of `list_store_bytes`.
-    fn publish_store_bytes(&self, index: usize) {
-        if let Some(slot) = self.store_bytes.get(index) {
-            slot.store(ListStore::stats().bytes as u64, Ordering::Relaxed);
+    /// Publishes the calling thread's list store as loop `index`'s: its
+    /// bytes as that loop's share of `list_store_bytes`, and its turnovers
+    /// since the last publication added to `list_store_turnovers`.
+    fn publish_store(&self, index: usize) {
+        let Some(published) = self.stores.get(index) else {
+            return;
+        };
+        let now = ListStore::stats();
+        published.bytes.store(now.bytes as u64, Ordering::Relaxed);
+        let before = published.turnovers.swap(now.turnovers, Ordering::Relaxed);
+        let turned = now.turnovers.saturating_sub(before);
+        if turned > 0 {
+            self.global
+                .list_store_turnovers
+                .fetch_add(turned, Ordering::Relaxed);
         }
     }
 
@@ -200,9 +219,9 @@ impl Server {
             cache_hits_total: hits,
             cache_misses_total: misses,
             list_store_bytes: self
-                .store_bytes
+                .stores
                 .iter()
-                .map(|b| b.load(Ordering::Relaxed))
+                .map(|s| s.bytes.load(Ordering::Relaxed))
                 .sum(),
         };
         Response::Stats(Json::Obj(vec![
@@ -252,13 +271,14 @@ impl Server {
             }
             Err(e) => {
                 self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
-                Err(e.response())
+                Err(e.into_response())
             }
         })
     }
 
     /// Answers one parsed request on the calling thread. `admitted` is
     /// when the request was framed: a query's deadline runs from there.
+    /// A query's session name moves into its answer.
     pub(crate) fn respond(&self, request: Request, admitted: Instant) -> Response {
         match request {
             Request::Ping => Response::Ok {
@@ -282,7 +302,7 @@ impl Server {
                 // A panicking build or query still owes its client a
                 // response, not a silent hang on this id, and must not take
                 // the loop down with it.
-                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                     let resolved = match self.registry.resolve(&session, spec) {
                         Ok(resolved) => resolved,
                         Err((code, message)) => return Response::Error { id, code, message },
@@ -309,7 +329,7 @@ impl Server {
                     // request's allowance (the documented whole-request
                     // contract).
                     let deadline = budget.timeout.map(|t| admitted + t);
-                    resolved.answer(&session, &queries, id, &budget, deadline)
+                    resolved.answer(session, &queries, id, &budget, deadline)
                 }))
                 .unwrap_or_else(|_| Response::Error {
                     id,
@@ -346,6 +366,7 @@ impl Server {
         let stdin = io::stdin();
         let mut out = io::stdout();
         let mut line = String::new();
+        let mut reply = String::new();
         loop {
             line.clear();
             match stdin.read_line(&mut line) {
@@ -357,12 +378,15 @@ impl Server {
                         Some(Err(response)) => Some(response),
                     };
                     if let Some(response) = response {
+                        reply.clear();
+                        response.write(&mut reply);
+                        reply.push('\n');
                         // A vanished client is not a server error; drop
                         // the response.
-                        let _ = writeln!(out, "{}", response.render());
+                        let _ = out.write_all(reply.as_bytes());
                         let _ = out.flush();
                     }
-                    self.publish_store_bytes(0);
+                    self.publish_store(0);
                 }
             }
             if self.draining() {
@@ -440,13 +464,16 @@ impl Codec for Server {
             Line::Answer(response) => response,
             Line::Request(request, admitted) => self.respond(request, admitted),
         };
-        let mut bytes = response.render().into_bytes();
-        bytes.push(b'\n');
-        Outcome::Inline(bytes)
+        // The line is written into the buffer the reactor queues, sized
+        // once up front.
+        let mut line = String::with_capacity(response.len_hint() + 1);
+        response.write(&mut line);
+        line.push('\n');
+        Outcome::Inline(line.into_bytes())
     }
 
     fn turn_done(&self, loop_index: usize) {
-        self.publish_store_bytes(loop_index);
+        self.publish_store(loop_index);
     }
 }
 
@@ -511,6 +538,49 @@ mod tests {
         });
         assert!(published.iter().all(|&b| b > 0), "{published:?}");
         assert_eq!(list_store_bytes(&server), published.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn list_store_turnovers_add_each_loops_new_ones_once() {
+        // Loop 1's store is bounded far below its working set, so its
+        // generations turn over; loop 0's never does. Publishing twice
+        // without new turnovers adds nothing the second time.
+        let server = Server::new(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        let turnovers = |server: &Server| {
+            let Response::Stats(json) = server.stats_response() else {
+                panic!("stats renders a stats object")
+            };
+            json.get("stats")
+                .and_then(|g| g.get("list_store_turnovers"))
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        let oracle = lca::family::ImplicitFamily::Gnp.build(10_000, lca::prelude::Seed::new(3));
+        let published: Vec<u64> = std::thread::scope(|s| {
+            let loops: Vec<_> = (0..2usize)
+                .map(|i| {
+                    let (server, oracle) = (&server, &oracle);
+                    s.spawn(move || {
+                        if i == 1 {
+                            lca::prelude::ListStore::set_byte_bound(64 << 10);
+                        }
+                        for v in 0..5_000 {
+                            oracle.degree(lca::graph::VertexId::new(v));
+                        }
+                        server.turn_done(i);
+                        server.turn_done(i);
+                        lca::prelude::ListStore::stats().turnovers
+                    })
+                })
+                .collect();
+            loops.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(published[0], 0, "{published:?}");
+        assert!(published[1] > 0, "{published:?}");
+        assert_eq!(turnovers(&server), published[1]);
     }
 
     #[test]

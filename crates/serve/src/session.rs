@@ -166,10 +166,11 @@ impl Session {
     /// response is the sum of the contexts' meters — exact per request
     /// even when several workers answer the same session concurrently.
     /// Each query's meter also feeds the session's `probes_total`, failed
-    /// queries included.
+    /// queries included. The session `name` moves into the response, and a
+    /// single query keeps its answer out of any list.
     pub fn answer(
         self: &Arc<Self>,
-        name: &str,
+        name: String,
         queries: &[QueryPayload],
         id: Option<u64>,
         budget: &QueryBudget,
@@ -178,7 +179,9 @@ impl Session {
         let deadline = deadline.or_else(|| budget.timeout.map(|t| Instant::now() + t));
         let _tally = StoreTally::start(&self.metrics);
         let start = Instant::now();
-        let mut answers = Vec::with_capacity(queries.len());
+        let batch = queries.len() != 1;
+        let mut answers = Vec::with_capacity(if batch { queries.len() } else { 0 });
+        let (mut answer, mut yes) = (false, 0u64);
         let mut probes = 0u64;
         for &q in queries {
             let dyn_q = match self.to_dyn(q) {
@@ -209,7 +212,11 @@ impl Session {
                         self.metrics
                             .record_budget_utilization(ctx.spent() * 100 / limit.max(1));
                     }
-                    answers.push(a)
+                    answer = a;
+                    yes += u64::from(a);
+                    if batch {
+                        answers.push(a);
+                    }
                 }
                 Err(e) if e.is_budget() => {
                     self.metrics.record_budget_exhausted();
@@ -243,22 +250,21 @@ impl Session {
             }
         }
         let micros = start.elapsed().as_micros() as u64;
-        let yes = answers.iter().filter(|a| **a).count() as u64;
         self.metrics
-            .record(answers.len() as u64, yes, micros, probes);
-        if answers.len() == 1 {
-            Response::Answer {
+            .record(queries.len() as u64, yes, micros, probes);
+        if batch {
+            Response::Answers {
                 id,
-                session: name.to_owned(),
-                answer: answers[0],
+                session: name,
+                answers,
                 probes,
                 micros,
             }
         } else {
-            Response::Answers {
+            Response::Answer {
                 id,
-                session: name.to_owned(),
-                answers,
+                session: name,
+                answer,
                 probes,
                 micros,
             }
@@ -499,7 +505,7 @@ mod tests {
 
         for v in [0u64, 1, 42, 9_999] {
             let resp = session.answer(
-                "s",
+                "s".into(),
                 &[QueryPayload::Vertex(v)],
                 None,
                 &QueryBudget::unlimited(),
@@ -541,9 +547,9 @@ mod tests {
             .map(edge_payload)
             .unwrap();
         let m = &session.metrics;
-        session.answer("s", &[edge], None, &QueryBudget::unlimited(), None);
+        session.answer("s".into(), &[edge], None, &QueryBudget::unlimited(), None);
         let (hits, misses) = (load(&m.cache_hits), load(&m.cache_misses));
-        session.answer("s", &[edge], None, &QueryBudget::unlimited(), None);
+        session.answer("s".into(), &[edge], None, &QueryBudget::unlimited(), None);
         assert!(load(&m.cache_hits) > hits, "the replay hit nothing");
         assert_eq!(load(&m.cache_misses), misses, "the replay generated a list");
         // Every probe of a matching family is a hit or a miss.
@@ -598,7 +604,7 @@ mod tests {
         let edge = [edge_payload(query)];
         let answer_on_this_thread = move |session: &Arc<Session>| {
             let before = ListStore::stats();
-            let resp = session.answer("k2", &edge, None, &QueryBudget::unlimited(), None);
+            let resp = session.answer("k2".into(), &edge, None, &QueryBudget::unlimited(), None);
             let Response::Answer { answer, probes, .. } = resp else {
                 panic!("expected answer, got {resp:?}")
             };
@@ -645,7 +651,13 @@ mod tests {
             for chunk in vertices.chunks(1250) {
                 let batch: Vec<QueryPayload> =
                     chunk.iter().map(|&v| QueryPayload::Vertex(v)).collect();
-                let resp = session.answer("flood", &batch, None, &QueryBudget::unlimited(), None);
+                let resp = session.answer(
+                    "flood".into(),
+                    &batch,
+                    None,
+                    &QueryBudget::unlimited(),
+                    None,
+                );
                 let Response::Answers { answers, .. } = resp else {
                     panic!("expected batch answers, got {resp:?}")
                 };
@@ -699,7 +711,7 @@ mod tests {
     fn wrong_shape_and_out_of_range_queries_error() {
         let session = Arc::new(Session::build(mis_spec(100, 2)));
         for bad in [QueryPayload::Edge(1, 2), QueryPayload::Vertex(100)] {
-            let resp = session.answer("s", &[bad], Some(4), &QueryBudget::unlimited(), None);
+            let resp = session.answer("s".into(), &[bad], Some(4), &QueryBudget::unlimited(), None);
             let Response::Error { code, id, .. } = resp else {
                 panic!("expected error for {bad:?}")
             };
@@ -833,14 +845,20 @@ mod tests {
                 lca::core::DynQuery::Vertex(v) => QueryPayload::Vertex(v.raw() as u64),
             })
             .collect();
-        let resp = session.answer("sp", &queries, Some(1), &QueryBudget::unlimited(), None);
+        let resp = session.answer(
+            "sp".into(),
+            &queries,
+            Some(1),
+            &QueryBudget::unlimited(),
+            None,
+        );
         let Response::Answers { answers, .. } = resp else {
             panic!("expected batch answers, got {resp:?}")
         };
         assert_eq!(answers.len(), 8);
         // Same answers one at a time.
         for (q, expect) in queries.iter().zip(&answers) {
-            let resp = session.answer("sp", &[*q], None, &QueryBudget::unlimited(), None);
+            let resp = session.answer("sp".into(), &[*q], None, &QueryBudget::unlimited(), None);
             let Response::Answer { answer, .. } = resp else {
                 panic!("expected answer")
             };

@@ -90,33 +90,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    if x.fract() == 0.0 && x.abs() < 9.0e15 {
-                        out.push_str(&format!("{}", *x as i64));
-                    } else {
-                        out.push_str(&format!("{x}"));
-                    }
-                } else {
-                    // JSON has no NaN/inf; mirror serde_json's `null`.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Num(x) => write_num(out, *x),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -133,7 +108,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).render(out);
+                    write_str(out, k);
                     out.push(':');
                     v.render(out);
                 }
@@ -141,6 +116,76 @@ impl Json {
             }
         }
     }
+}
+
+/// Appends the number `x` as [`Json::Num`] renders it: an integral value
+/// below 9e15 in magnitude as a plain integer (`-0` as `0`), any other
+/// finite value in Rust's shortest round-trip form, and NaN or ±inf as
+/// `null` (JSON has neither; this mirrors serde_json).
+pub fn write_num(out: &mut String, x: f64) {
+    use std::fmt::Write;
+    if !x.is_finite() {
+        out.push_str("null");
+    } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
+        write_int(out, x as i64);
+    } else {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// Appends the decimal digits of `v`, with a leading `-` when negative.
+fn write_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    let mut rest = v.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `s` as a JSON string literal: `"` and `\` escaped, `\n`, `\t`
+/// and `\r` by name, every other control character below U+0020 as
+/// `\u00xx`, and everything else (non-ASCII included) as is.
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `plain..i` lies on char
+        // boundaries.
+        out.push_str(s.get(plain..i).unwrap_or_default());
+        plain = i + 1;
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 15)]));
+        } else {
+            out.push_str(named);
+        }
+    }
+    out.push_str(s.get(plain..).unwrap_or_default());
+    out.push('"');
 }
 
 /// Conversion into a [`Json`] value — the whole of "serde" this repo needs.
@@ -252,6 +297,115 @@ mod tests {
         let mut s = String::new();
         f64::NAN.to_json().render(&mut s);
         assert_eq!(s, "null");
+    }
+
+    /// The renderer this crate had before it wrote numbers and escapes in
+    /// place: the reference the in-place render must match byte for byte.
+    fn reference_render(v: &Json, out: &mut String) {
+        match v {
+            Json::Num(x) => {
+                if x.is_finite() {
+                    if x.fract() == 0.0 && x.abs() < 9.0e15 {
+                        out.push_str(&format!("{}", *x as i64));
+                    } else {
+                        out.push_str(&format!("{x}"));
+                    }
+                } else {
+                    out.push_str("null");
+                }
+            }
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\t' => out.push_str("\\t"),
+                        '\r' => out.push_str("\\r"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_render(v, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_render(&Json::Str(k.clone()), out);
+                    out.push(':');
+                    reference_render(v, out);
+                }
+                out.push('}');
+            }
+            other => other.render(out),
+        }
+    }
+
+    #[test]
+    fn in_place_render_matches_the_reference_byte_for_byte() {
+        let nine_e15 = 9.0e15;
+        let numbers = [
+            0.0,
+            -0.0,
+            nine_e15,
+            nine_e15 + 1.0,
+            -nine_e15,
+            nine_e15 - 1.0,
+            1.5,
+            -2.25,
+            1e-7,
+            1e300,
+            9_007_199_254_740_992.0,
+            u64::MAX as f64,
+            i64::MIN as f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut controls: String = (1u8..0x20).map(char::from).collect();
+        controls.push_str("\"\\/\u{7f}é αβγ 🦀 plain");
+        let strings = ["", "plain", "x\"y", "\\", "\u{0}", "tail\u{1f}", &controls];
+        let mut values: Vec<Json> = numbers.iter().map(|&x| Json::Num(x)).collect();
+        values.extend(strings.iter().map(|s| Json::Str((*s).to_owned())));
+        values.push(Json::Obj(
+            strings
+                .iter()
+                .zip(numbers)
+                .map(|(k, x)| ((*k).to_owned(), Json::Arr(vec![Json::Num(x), Json::Null])))
+                .collect(),
+        ));
+        for v in &values {
+            let (mut fast, mut reference) = (String::new(), String::new());
+            v.render(&mut fast);
+            reference_render(v, &mut reference);
+            assert_eq!(fast, reference, "{v:?}");
+        }
+        let rendered = |x: f64| {
+            let mut s = String::new();
+            Json::Num(x).render(&mut s);
+            s
+        };
+        assert_eq!(rendered(-0.0), "0");
+        assert_eq!(rendered(nine_e15), "9000000000000000");
+        assert_eq!(rendered(nine_e15 + 1.0), "9000000000000001");
+        assert_eq!(rendered(1.5), "1.5");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(rendered(x), "null");
+        }
     }
 
     // The derive macro expands to `serde::`-prefixed paths, so it can only

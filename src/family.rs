@@ -97,18 +97,26 @@ impl ImplicitFamily {
     /// assert_eq!(ImplicitFamily::parse("petersen"), None);
     /// ```
     pub fn parse(name: &str) -> Option<ImplicitFamily> {
-        let lower = name.to_ascii_lowercase();
-        let bare = lower.strip_prefix("implicit-").unwrap_or(&lower);
-        let family = match bare {
-            "gnp" => ImplicitFamily::Gnp,
-            "regular" => ImplicitFamily::Regular,
-            "chung-lu" | "chung_lu" | "chunglu" => ImplicitFamily::ChungLu,
-            "grid" => ImplicitFamily::Grid,
-            "torus" => ImplicitFamily::Torus,
-            "hypercube" => ImplicitFamily::Hypercube,
-            _ => return None,
+        const PREFIX: &str = "implicit-";
+        const ALIASES: &[(&str, ImplicitFamily)] = &[
+            ("gnp", ImplicitFamily::Gnp),
+            ("regular", ImplicitFamily::Regular),
+            ("chung-lu", ImplicitFamily::ChungLu),
+            ("chung_lu", ImplicitFamily::ChungLu),
+            ("chunglu", ImplicitFamily::ChungLu),
+            ("grid", ImplicitFamily::Grid),
+            ("torus", ImplicitFamily::Torus),
+            ("hypercube", ImplicitFamily::Hypercube),
+        ];
+        // Compared in place, without a lowercased copy of `name`.
+        let bare = match name.get(..PREFIX.len()) {
+            Some(prefix) if prefix.eq_ignore_ascii_case(PREFIX) => &name[PREFIX.len()..],
+            _ => name,
         };
-        Some(family)
+        ALIASES
+            .iter()
+            .find(|(alias, _)| alias.eq_ignore_ascii_case(bare))
+            .map(|&(_, family)| family)
     }
 
     /// Checks that [`ImplicitFamily::build_with`] can build `(n, knob)`:

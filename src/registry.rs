@@ -120,18 +120,31 @@ impl AlgorithmKind {
     /// assert!(AlgorithmKind::parse("nope").is_none());
     /// ```
     pub fn parse(name: &str) -> Option<AlgorithmKind> {
-        let lower = name.to_ascii_lowercase();
-        let kind = match lower.as_str() {
-            "three-spanner" | "spanner3" | "three" => AlgorithmKind::Spanner(SpannerKind::Three),
-            "five-spanner" | "spanner5" | "five" => AlgorithmKind::Spanner(SpannerKind::Five),
-            "k2-spanner" | "spanner-k2" | "k2" => AlgorithmKind::Spanner(SpannerKind::K2),
-            "mis" => AlgorithmKind::Classic(ClassicKind::Mis),
-            "maximal-matching" | "matching" => AlgorithmKind::Classic(ClassicKind::Matching),
-            "vertex-cover" | "vc" => AlgorithmKind::Classic(ClassicKind::VertexCover),
-            "greedy-coloring" | "coloring" => AlgorithmKind::Classic(ClassicKind::Coloring),
-            _ => return None,
-        };
-        Some(kind)
+        use AlgorithmKind::{Classic, Spanner};
+        const ALIASES: &[(&str, AlgorithmKind)] = &[
+            ("three-spanner", Spanner(SpannerKind::Three)),
+            ("spanner3", Spanner(SpannerKind::Three)),
+            ("three", Spanner(SpannerKind::Three)),
+            ("five-spanner", Spanner(SpannerKind::Five)),
+            ("spanner5", Spanner(SpannerKind::Five)),
+            ("five", Spanner(SpannerKind::Five)),
+            ("k2-spanner", Spanner(SpannerKind::K2)),
+            ("spanner-k2", Spanner(SpannerKind::K2)),
+            ("k2", Spanner(SpannerKind::K2)),
+            ("mis", Classic(ClassicKind::Mis)),
+            ("maximal-matching", Classic(ClassicKind::Matching)),
+            ("matching", Classic(ClassicKind::Matching)),
+            ("vertex-cover", Classic(ClassicKind::VertexCover)),
+            ("vc", Classic(ClassicKind::VertexCover)),
+            ("greedy-coloring", Classic(ClassicKind::Coloring)),
+            ("coloring", Classic(ClassicKind::Coloring)),
+        ];
+        // Compared in place: the serving daemon parses a kind per
+        // spec-bearing request and allocates nothing for it.
+        ALIASES
+            .iter()
+            .find(|(alias, _)| alias.eq_ignore_ascii_case(name))
+            .map(|&(_, kind)| kind)
     }
 
     /// The query shape the algorithm serves.
