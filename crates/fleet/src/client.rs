@@ -52,11 +52,11 @@ impl BackendConn {
         })
     }
 
-    /// Sends one request line and reads one response line. An EOF before
-    /// the response is an error (the backend went away mid-request).
+    /// Sends one `\n`-terminated request line in one write and reads one
+    /// response line, without its line ending. An EOF before the response
+    /// is an error (the backend went away mid-request).
     pub fn roundtrip(&mut self, line: &str) -> io::Result<String> {
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(io::Error::new(
@@ -64,7 +64,8 @@ impl BackendConn {
                 "backend closed the connection before responding",
             ));
         }
-        Ok(response.trim_end().to_owned())
+        response.truncate(response.trim_end().len());
+        Ok(response)
     }
 }
 
@@ -148,8 +149,8 @@ mod tests {
             }
         });
         let pool = BackendPool::new(&addr);
-        assert_eq!(pool.roundtrip("a").unwrap(), "echo:a");
-        assert_eq!(pool.roundtrip("b").unwrap(), "echo:b");
+        assert_eq!(pool.roundtrip("a\n").unwrap(), "echo:a");
+        assert_eq!(pool.roundtrip("b\n").unwrap(), "echo:b");
         server.join().unwrap();
     }
 
@@ -161,6 +162,6 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         drop(listener);
         let pool = BackendPool::new(&addr);
-        assert!(pool.roundtrip("x").is_err());
+        assert!(pool.roundtrip("x\n").is_err());
     }
 }

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use lca_serve::metrics::ReactorMetrics;
 use lca_serve::pool::{RejectReason, WorkerPool};
+use lca_serve::proto::{ErrorCode, Response};
 use lca_serve::reactor::{Codec, Deliver, Framed, Outcome};
 
 use crate::http::{self, HttpRequest, ParseOutcome};
@@ -119,21 +120,20 @@ impl Gateway {
         let admitted = self.pool.try_execute(move || {
             // A panicking round trip still owes its connection a response.
             let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&gateway)))
-                .unwrap_or_else(|_| FleetReply {
-                    status: 500,
-                    body: r#"{"error":"internal","message":"gateway worker panicked"}"#.to_owned(),
+                .unwrap_or_else(|_| {
+                    FleetReply::error(ErrorCode::Internal, "gateway worker panicked", None)
                 });
             deliver.send(http::render_response(reply.status, &reply.body));
         });
         match admitted {
             Ok(()) => Outcome::Deferred,
             Err(reject) => {
-                let (status, code) = match reject {
-                    RejectReason::Full => (429, "overloaded"),
-                    RejectReason::ShuttingDown => (503, "draining"),
+                let code = match reject {
+                    RejectReason::Full => ErrorCode::Overloaded,
+                    RejectReason::ShuttingDown => ErrorCode::Draining,
                 };
-                let body = format!(r#"{{"error":"{code}","message":"gateway admission queue"}}"#);
-                Outcome::Inline(http::render_response(status, &body))
+                let reply = FleetReply::error(code, "gateway admission queue", None);
+                Outcome::Inline(http::render_response(reply.status, &reply.body))
             }
         }
     }
@@ -183,22 +183,20 @@ impl Codec for Gateway {
         request: Self::Request,
         deliver: Deliver,
     ) -> Outcome {
+        let bad_request = |msg| FleetReply::error(ErrorCode::BadRequest, msg, None).body;
         let request = match request {
             Ok(request) => request,
             Err(msg) => {
                 // This connection is dropped after the flush: the response
                 // must say so, not keep-alive.
-                let body = format!(r#"{{"error":"bad-request","message":"{msg}"}}"#);
+                let body = bad_request(msg);
                 return Outcome::InlineThenClose(http::render_close_response(400, &body));
             }
         };
         let (status, body) = match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/v1/query") => match String::from_utf8(request.body) {
                 Ok(body) => return self.defer(deliver, move |gw| gw.fleet.query(&body)),
-                Err(_) => (
-                    400,
-                    r#"{"error":"bad-request","message":"body is not UTF-8"}"#,
-                ),
+                Err(_) => (400, bad_request("body is not UTF-8")),
             },
             ("GET", "/v1/stats") => {
                 return self.defer(deliver, |gw| {
@@ -209,14 +207,13 @@ impl Codec for Gateway {
             ("GET", "/v1/sessions") => return self.defer(deliver, |gw| gw.fleet.sessions()),
             ("POST", "/v1/shutdown") => {
                 self.draining.store(true, Ordering::SeqCst);
-                (200, r#"{"ok":true,"draining":true}"#)
+                (200, Response::Ok { draining: true }.render())
             }
-            (_, "/v1/query" | "/v1/stats" | "/v1/sessions" | "/v1/shutdown") => (
-                405,
-                r#"{"error":"bad-request","message":"method not allowed"}"#,
-            ),
-            _ => (404, r#"{"error":"bad-request","message":"unknown path"}"#),
+            (_, "/v1/query" | "/v1/stats" | "/v1/sessions" | "/v1/shutdown") => {
+                (405, bad_request("method not allowed"))
+            }
+            _ => (404, bad_request("unknown path")),
         };
-        Outcome::Inline(http::render_response(status, body))
+        Outcome::Inline(http::render_response(status, &body))
     }
 }

@@ -17,8 +17,8 @@
 //! * **Router** ([`router`]) — sessions land on
 //!   `shard_for_str(name, N)`, the same Fibonacci-hash sharding the
 //!   backends use internally, so any gateway (or restart of one) routes
-//!   identically with zero coordination; specs are cached on first sight
-//!   and injected into spec-less requests; connection failures retry
+//!   identically with zero coordination; specs a backend accepted are
+//!   cached and injected into spec-less requests; connection failures retry
 //!   once (queries are idempotent) then answer the typed
 //!   `backend-unavailable`; `stats` aggregates per-backend snapshots
 //!   into a fleet rollup.
@@ -44,4 +44,4 @@ pub mod mcp;
 pub mod router;
 
 pub use gateway::{Gateway, GatewayConfig};
-pub use router::{status_for_code, Fleet, FleetReply};
+pub use router::{Fleet, FleetReply};

@@ -8,8 +8,9 @@
 //!
 //! Replication is **spec exchange**: a session is rebuildable from its
 //! `(kind, family, n, seed, knob)` spec alone (state is a seed, not a
-//! tape), so the gateway caches each session's spec on first sight and
-//! injects it into every spec-less request it forwards. A backend that
+//! tape), so the gateway caches each spec a backend accepted and injects
+//! it into every spec-less request it forwards, read and written with the
+//! backends' own [`lca_serve::proto`]. A backend that
 //! restarts, or sees a session for the first time, lazily rebuilds the
 //! instance from the injected spec — no session migration, no state
 //! transfer, no `unknown-session` dance.
@@ -22,30 +23,16 @@
 
 #![warn(clippy::unwrap_used)]
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use lca_serve::budget::BudgetStats;
 use lca_serve::metrics::{count, hit_rate, num};
+use lca_serve::proto::{ErrorCode, Request, Response, SessionSpec};
 use serde::Json;
 
 use crate::client::BackendPool;
-
-/// The HTTP status the gateway pairs with a protocol error code (the
-/// mapping table in `docs/PROTOCOL.md`).
-pub fn status_for_code(code: &str) -> u16 {
-    match code {
-        "bad-request" | "unknown-spec" | "bad-query" => 400,
-        "unknown-session" => 404,
-        "session-mismatch" => 409,
-        "budget-exhausted" => 422,
-        "overloaded" => 429,
-        "internal" => 500,
-        "draining" | "backend-unavailable" => 503,
-        "deadline-exceeded" => 504,
-        _ => 500,
-    }
-}
 
 /// One gateway-level reply: the HTTP status plus a one-line JSON body
 /// (for successful queries, the backend's response line verbatim).
@@ -58,30 +45,15 @@ pub struct FleetReply {
 }
 
 impl FleetReply {
-    /// Classifies a backend response line: `error` codes map through
-    /// [`status_for_code`], everything else is 200.
-    fn from_backend_line(line: String) -> FleetReply {
-        let status = serde_json::from_str(&line)
-            .ok()
-            .as_ref()
-            .and_then(|v| v.get("error"))
-            .and_then(Json::as_str)
-            .map_or(200, status_for_code);
-        FleetReply { status, body: line }
-    }
-
-    /// A gateway-generated error body (echoing `id` when one was parsed,
-    /// like every backend error does).
-    fn error(status: u16, code: &str, message: &str, id: Option<u64>) -> FleetReply {
-        let mut fields = Vec::new();
-        if let Some(id) = id {
-            fields.push(("id".to_owned(), Json::Num(id as f64)));
+    /// A gateway-written error body, echoing `id` when one was read, with
+    /// the status [`ErrorCode::http_status`] pairs with `code`.
+    pub fn error(code: ErrorCode, message: impl Into<String>, id: Option<u64>) -> FleetReply {
+        let message = message.into();
+        let body = Response::Error { id, code, message }.render();
+        FleetReply {
+            status: code.http_status(),
+            body,
         }
-        fields.push(("error".to_owned(), Json::Str(code.to_owned())));
-        fields.push(("message".to_owned(), Json::Str(message.to_owned())));
-        let mut body = String::new();
-        Json::Obj(fields).render(&mut body);
-        FleetReply { status, body }
     }
 }
 
@@ -92,12 +64,12 @@ impl FleetReply {
 /// million-session namespace from growing gateway memory without limit.
 pub const DEFAULT_SPEC_CACHE_CAPACITY: usize = 65_536;
 
-/// A bounded LRU map from session name to its learned spec fields.
+/// A bounded LRU map from session name to its learned spec.
 /// Recency is a monotone tick stamped on insert and touch; eviction scans
 /// for the minimum tick — O(capacity), fine at the cache's size and only
 /// paid on insert past capacity.
 struct SpecCache {
-    map: HashMap<String, (Vec<(String, Json)>, u64)>,
+    map: HashMap<String, (SessionSpec, u64)>,
     tick: u64,
     cap: usize,
     evictions: u64,
@@ -113,10 +85,10 @@ impl SpecCache {
         }
     }
 
-    fn insert(&mut self, session: &str, spec: Vec<(String, Json)>) {
+    fn insert(&mut self, session: String, spec: SessionSpec) {
         self.tick += 1;
         let tick = self.tick;
-        if self.map.len() >= self.cap && !self.map.contains_key(session) {
+        if self.map.len() >= self.cap && !self.map.contains_key(&session) {
             if let Some(oldest) = self
                 .map
                 .iter()
@@ -127,17 +99,36 @@ impl SpecCache {
                 self.evictions += 1;
             }
         }
-        self.map.insert(session.to_owned(), (spec, tick));
+        self.map.insert(session, (spec, tick));
     }
 
-    fn get(&mut self, session: &str) -> Option<&Vec<(String, Json)>> {
+    fn get(&mut self, session: &str) -> Option<SessionSpec> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(session).map(|(spec, t)| {
             *t = tick;
-            &*spec
+            spec.clone()
         })
     }
+}
+
+/// The newline-terminated line that carries `request` to a backend.
+fn wire_line(request: &Request) -> String {
+    let mut line = String::with_capacity(request.len_hint() + 1);
+    request.write(&mut line);
+    line.push('\n');
+    line
+}
+
+/// A `POST /v1/query` body made ready to forward by [`Fleet::prepare`].
+#[derive(Debug)]
+pub struct Forward {
+    backend: usize,
+    /// The request line, `\n` included.
+    line: String,
+    /// The request as forwarded, with the cached spec of a spec-less body.
+    request: Request,
+    id: Option<u64>,
 }
 
 lca_serve::stats_object! {
@@ -174,6 +165,8 @@ lca_serve::stats_object! {
         ),
         /// List-store bytes, over every reactor loop.
         list_store_bytes: counter,
+        /// List-store generation turnovers, over every reactor loop.
+        list_store_turnovers: counter,
         routed => Json::Arr(fleet.routed.iter().map(count).collect()),
         retries => count(&fleet.retries),
         unavailable => count(&fleet.unavailable),
@@ -187,9 +180,8 @@ lca_serve::stats_object! {
 /// per-backend routing counters.
 pub struct Fleet {
     backends: Vec<BackendPool>,
-    /// Session name → the spec fields learned from the first spec-bearing
-    /// request that named it (`kind`/`family`/`n`/`seed`/`knob`, verbatim).
-    /// LRU-bounded: see [`DEFAULT_SPEC_CACHE_CAPACITY`].
+    /// Session name → the spec of the last spec-bearing request a backend
+    /// accepted for it. LRU-bounded: see [`DEFAULT_SPEC_CACHE_CAPACITY`].
     specs: Mutex<SpecCache>,
     /// Query requests routed to each backend (the per-shard routing-hit
     /// witness reported in fleet stats).
@@ -233,93 +225,99 @@ impl Fleet {
         lca_probe::shard_for_str(session, self.backends.len())
     }
 
-    /// Handles one `POST /v1/query` body: learn or inject the session
-    /// spec, route by session name, round trip with one idempotent retry.
+    /// Handles one `POST /v1/query` body: [`Fleet::prepare`], a round trip
+    /// with one idempotent retry, [`Fleet::settle`].
     pub fn query(&self, body: &str) -> FleetReply {
-        let parsed = match serde_json::from_str(body.trim()) {
-            Ok(v) => v,
-            Err(e) => {
-                return FleetReply::error(400, "bad-request", &e.to_string(), None);
-            }
+        let forward = match self.prepare(body) {
+            Ok(forward) => forward,
+            Err(refused) => return refused,
         };
-        let id = parsed.get("id").and_then(Json::as_u64);
-        let Some(session) = parsed
-            .get("session")
-            .and_then(Json::as_str)
-            .map(str::to_owned)
+        let reply = self.forward(forward.backend, &forward.line);
+        self.settle(forward, reply)
+    }
+
+    /// Reads a body as a backend would, refusing here, in the backend's
+    /// words, what it would refuse (and control requests, which have their
+    /// own endpoints). A spec-less query gets its session's cached spec.
+    /// Unknown fields are not forwarded.
+    pub fn prepare(&self, body: &str) -> Result<Forward, FleetReply> {
+        let mut request = Request::parse(body)
+            .map_err(|refused| FleetReply::error(refused.code, refused.message, refused.id))?;
+        let Request::Query {
+            session, spec, id, ..
+        } = &mut request
         else {
-            return FleetReply::error(
-                400,
-                "bad-request",
-                "missing string field `session` (control requests use /v1/stats and /v1/sessions)",
-                id,
-            );
+            return Err(FleetReply::error(
+                ErrorCode::BadRequest,
+                "control requests use /v1/stats and /v1/sessions, not /v1/query",
+                None,
+            ));
         };
-        let line = self.learn_or_inject_spec(&session, parsed);
-        let idx = self.route(&session);
-        if let Some(counter) = self.routed.get(idx) {
-            counter.fetch_add(1, Ordering::Relaxed);
+        if spec.is_none() {
+            *spec = self.specs().get(session);
         }
-        match self.forward(idx, &line) {
-            Ok(response) => FleetReply::from_backend_line(response),
+        let (backend, id) = (self.route(session), *id);
+        let line = wire_line(&request);
+        Ok(Forward {
+            backend,
+            line,
+            request,
+            id,
+        })
+    }
+
+    /// The gateway's reply to a forwarded request. A backend line without
+    /// an `error` member is a 200 and teaches the cache the spec it
+    /// accepted; an error line takes its code's status, 500 if unknown.
+    pub fn settle(&self, forward: Forward, reply: io::Result<String>) -> FleetReply {
+        let line = match reply {
+            Ok(line) => line,
             Err(e) => {
                 self.unavailable.fetch_add(1, Ordering::Relaxed);
+                let idx = forward.backend;
                 let addr = self.backends.get(idx).map_or("?", |b| b.addr());
-                FleetReply::error(
-                    503,
-                    "backend-unavailable",
-                    &format!("backend {idx} ({addr}) unreachable: {e}; other shards keep serving"),
-                    id,
-                )
+                return FleetReply::error(
+                    ErrorCode::BackendUnavailable,
+                    format!("backend {idx} ({addr}) unreachable: {e}; other shards keep serving"),
+                    forward.id,
+                );
             }
-        }
-    }
-
-    /// Spec exchange: a spec-bearing request (`kind` + `n` present) has
-    /// its spec fields cached for the session; a spec-less request gets
-    /// the cached fields injected so the backend can lazily (re)build the
-    /// instance. Returns the request line to forward.
-    fn learn_or_inject_spec(&self, session: &str, parsed: Json) -> String {
-        let has_spec = parsed.get("kind").is_some() && parsed.get("n").is_some();
-        let Json::Obj(mut fields) = parsed else {
-            // lint:allow(panic) — object-ness was checked by the session lookup
-            unreachable!("object-ness checked by the session lookup");
         };
-        if has_spec {
-            let spec: Vec<(String, Json)> = fields
-                .iter()
-                .filter(|(k, _)| matches!(k.as_str(), "kind" | "family" | "n" | "seed" | "knob"))
-                .cloned()
-                .collect();
-            self.specs
-                .lock()
-                // lint:allow(panic) — poison means a sibling worker panicked; propagate
-                .expect("spec cache poisoned")
-                .insert(session, spec);
-        // lint:allow(panic) — poison means a sibling worker panicked; propagate
-        } else if let Some(spec) = self.specs.lock().expect("spec cache poisoned").get(session) {
-            for (k, v) in spec {
-                if !fields.iter().any(|(name, _)| name == k) {
-                    fields.push((k.clone(), v.clone()));
+        let status = match Response::error_member(&line) {
+            Some(code) => ErrorCode::parse(code).map_or(500, ErrorCode::http_status),
+            None => {
+                if let Request::Query {
+                    session,
+                    spec: Some(spec),
+                    ..
+                } = forward.request
+                {
+                    self.specs().insert(session, spec);
                 }
+                200
             }
-        }
-        let mut line = String::new();
-        Json::Obj(fields).render(&mut line);
-        line
+        };
+        FleetReply { status, body: line }
     }
 
-    /// One round trip to backend `idx`, retried once on a fresh
+    /// The session spec cache.
+    fn specs(&self) -> MutexGuard<'_, SpecCache> {
+        // lint:allow(panic) — poison means a sibling worker panicked; propagate
+        self.specs.lock().expect("spec cache poisoned")
+    }
+
+    /// One query's round trip to backend `idx`, retried once on a fresh
     /// connection — queries are idempotent, so replaying a request whose
     /// connection died (backend restart, pooled connection gone stale)
     /// can only produce the same answer.
-    fn forward(&self, idx: usize, line: &str) -> std::io::Result<String> {
-        let Some(backend) = self.backends.get(idx) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
+    fn forward(&self, idx: usize, line: &str) -> io::Result<String> {
+        let (Some(backend), Some(routed)) = (self.backends.get(idx), self.routed.get(idx)) else {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
                 "backend index out of range",
             ));
         };
+        routed.fetch_add(1, Ordering::Relaxed);
         match backend.roundtrip(line) {
             Ok(response) => Ok(response),
             Err(_) => {
@@ -331,14 +329,14 @@ impl Fleet {
 
     /// Sends `request` to every backend, yielding each backend's parsed
     /// response (or the transport error).
-    fn fan_out(&self, request: &str) -> Vec<std::io::Result<Json>> {
+    fn fan_out(&self, request: &Request) -> Vec<io::Result<Json>> {
+        let line = wire_line(request);
         self.backends
             .iter()
             .map(|pool| {
-                pool.roundtrip(request).and_then(|line| {
-                    serde_json::from_str(line.trim()).map_err(|e| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                    })
+                pool.roundtrip(&line).and_then(|line| {
+                    serde_json::from_str(&line)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
                 })
             })
             .collect()
@@ -348,7 +346,7 @@ impl Fleet {
     /// the fleet rollup ([`FleetRollup`]), followed by the caller's `extra`
     /// top-level fields (the gateway's own counters).
     pub fn stats(&self, extra: Vec<(String, Json)>) -> FleetReply {
-        let results = self.fan_out("{\"op\":\"stats\"}");
+        let results = self.fan_out(&Request::Stats);
         let mut rollup = FleetRollup::default();
         let mut per_backend = Vec::new();
         for (idx, result) in results.into_iter().enumerate() {
@@ -403,8 +401,7 @@ impl Fleet {
 
     /// The spec cache's resident entries and evictions so far.
     fn spec_cache_counts(&self) -> (u64, u64) {
-        // lint:allow(panic) — poison means a sibling worker panicked; propagate
-        let cache = self.specs.lock().expect("spec cache poisoned");
+        let cache = self.specs();
         (cache.map.len() as u64, cache.evictions)
     }
 
@@ -412,7 +409,7 @@ impl Fleet {
     /// backend's resident sessions, each tagged with the backend that
     /// holds it.
     pub fn sessions(&self) -> FleetReply {
-        let results = self.fan_out("{\"op\":\"sessions\"}");
+        let results = self.fan_out(&Request::Sessions);
         let mut merged: Vec<(String, Json)> = Vec::new();
         let mut down: Vec<Json> = Vec::new();
         for (idx, result) in results.into_iter().enumerate() {
@@ -469,45 +466,57 @@ mod tests {
         assert_eq!(hit.len(), 2);
     }
 
+    /// The spec a forwarded line carries, read back as its backend reads it.
+    fn forwarded_spec(forward: &Forward) -> Option<SessionSpec> {
+        assert!(forward.line.ends_with('\n'), "{:?}", forward.line);
+        match Request::parse(&forward.line).unwrap() {
+            Request::Query { spec, .. } => spec,
+            other => panic!("forwarded {other:?}"),
+        }
+    }
+
+    const ANSWER: &str = r#"{"id":1,"session":"s","answer":true,"probes":3,"micros":9}"#;
+    const MISMATCH: &str = r#"{"id":1,"error":"session-mismatch","message":"pinned"}"#;
+
     #[test]
-    fn spec_exchange_learns_then_injects() {
+    fn spec_exchange_learns_after_success_then_injects() {
         let fleet = Fleet::new(vec!["127.0.0.1:1".into()]);
-        let spec_bearing = serde_json::from_str(
-            r#"{"session":"s","kind":"mis","family":"gnp","n":1000,"seed":7,"query":1}"#,
-        )
-        .unwrap();
-        let line = fleet.learn_or_inject_spec("s", spec_bearing);
-        assert!(line.contains("\"kind\":\"mis\""));
-        // A later spec-less request is forwarded with the cached spec
-        // injected — the backend can always rebuild the session.
-        let spec_less = serde_json::from_str(r#"{"session":"s","query":2}"#).unwrap();
-        let line = fleet.learn_or_inject_spec("s", spec_less);
-        let parsed = serde_json::from_str(&line).unwrap();
-        assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("mis"));
-        assert_eq!(parsed.get("n").and_then(Json::as_u64), Some(1000));
-        assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(7));
-        assert_eq!(parsed.get("query").and_then(Json::as_u64), Some(2));
-        // Unknown sessions pass through untouched.
-        let other = serde_json::from_str(r#"{"session":"t","query":3}"#).unwrap();
-        let line = fleet.learn_or_inject_spec("t", other);
-        assert!(serde_json::from_str(&line).unwrap().get("kind").is_none());
+        let spec_bearing =
+            r#"{"id":1,"session":"s","kind":"mis","family":"gnp","n":1000,"seed":7,"query":1}"#;
+        let forward = fleet.prepare(spec_bearing).unwrap();
+        let pinned = forwarded_spec(&forward).unwrap();
+        assert_eq!((pinned.n, pinned.seed), (1000, 7));
+        // Nothing is learned before the backend answers.
+        let spec_less = r#"{"id":2,"session":"s","query":2}"#;
+        assert_eq!(forwarded_spec(&fleet.prepare(spec_less).unwrap()), None);
+        assert_eq!(fleet.settle(forward, Ok(ANSWER.to_owned())).status, 200);
+        // A later spec-less request is forwarded with the accepted spec
+        // injected: the backend can always rebuild the session.
+        let forward = fleet.prepare(spec_less).unwrap();
+        assert_eq!(forwarded_spec(&forward), Some(pinned.clone()));
+        assert!(forward.line.contains(r#""query":2"#), "{}", forward.line);
+        // A spec the backend refuses is not learned: the accepted one stays.
+        let conflicting = r#"{"id":3,"session":"s","kind":"mis","n":1000,"seed":8,"query":1}"#;
+        let reply = fleet.settle(fleet.prepare(conflicting).unwrap(), Ok(MISMATCH.to_owned()));
+        assert_eq!((reply.status, reply.body.as_str()), (409, MISMATCH));
+        let forward = fleet.prepare(spec_less).unwrap();
+        assert_eq!(forwarded_spec(&forward), Some(pinned));
+        // Unknown sessions pass through spec-less.
+        let other = fleet.prepare(r#"{"session":"t","query":3}"#).unwrap();
+        assert_eq!(forwarded_spec(&other), None);
     }
 
     #[test]
     fn spec_cache_is_bounded_with_lru_eviction() {
         let fleet = Fleet::with_spec_capacity(vec!["127.0.0.1:1".into()], 2);
         let learn = |fleet: &Fleet, s: &str| {
-            let parsed = serde_json::from_str(&format!(
-                r#"{{"session":"{s}","kind":"mis","n":100,"query":1}}"#
-            ))
-            .unwrap();
-            fleet.learn_or_inject_spec(s, parsed);
+            let body = format!(r#"{{"session":"{s}","kind":"mis","n":100,"query":1}}"#);
+            let reply = fleet.settle(fleet.prepare(&body).unwrap(), Ok(ANSWER.to_owned()));
+            assert_eq!(reply.status, 200);
         };
         let knows = |fleet: &Fleet, s: &str| {
-            let parsed =
-                serde_json::from_str(&format!(r#"{{"session":"{s}","query":1}}"#)).unwrap();
-            let line = fleet.learn_or_inject_spec(s, parsed);
-            serde_json::from_str(&line).unwrap().get("kind").is_some()
+            let body = format!(r#"{{"session":"{s}","query":1}}"#);
+            forwarded_spec(&fleet.prepare(&body).unwrap()).is_some()
         };
         learn(&fleet, "a");
         learn(&fleet, "b");
@@ -517,13 +526,20 @@ mod tests {
         assert!(knows(&fleet, "a"), "recently touched entry survives");
         assert!(knows(&fleet, "c"), "new entry resident");
         assert!(!knows(&fleet, "b"), "LRU entry evicted at capacity");
-        let cache = fleet.specs.lock().unwrap();
+        // Relearning a resident session replaces its entry in place.
+        learn(&fleet, "c");
+        let cache = fleet.specs();
         assert_eq!(cache.map.len(), 2);
         assert_eq!(cache.evictions, 1);
     }
 
     #[test]
     fn error_codes_map_to_the_documented_statuses() {
+        let fleet = Fleet::new(vec!["127.0.0.1:1".into()]);
+        let status_of = |line: &str| {
+            let forward = fleet.prepare(r#"{"session":"s","query":1}"#).unwrap();
+            fleet.settle(forward, Ok(line.to_owned())).status
+        };
         for (code, status) in [
             ("bad-request", 400),
             ("unknown-spec", 400),
@@ -536,27 +552,71 @@ mod tests {
             ("draining", 503),
             ("backend-unavailable", 503),
             ("deadline-exceeded", 504),
-            ("never-heard-of-it", 500),
         ] {
-            assert_eq!(status_for_code(code), status, "{code}");
+            let code = ErrorCode::parse(code).unwrap();
+            assert_eq!(code.http_status(), status, "{code:?}");
+            for id in [None, Some(0), Some(9_000_000_000_000_000)] {
+                let line = Response::Error {
+                    id,
+                    code,
+                    message: "\"error\":\"x\"".to_owned(),
+                }
+                .render();
+                assert_eq!(status_of(&line), status, "{line}");
+            }
         }
-        let ok = FleetReply::from_backend_line(r#"{"answer":true,"probes":3}"#.to_owned());
-        assert_eq!(ok.status, 200);
-        let err =
-            FleetReply::from_backend_line(r#"{"error":"overloaded","message":"x"}"#.to_owned());
-        assert_eq!(err.status, 429);
+        assert_eq!(
+            status_of(r#"{"error":"never-heard-of-it","message":"x"}"#),
+            500
+        );
+        assert_eq!(status_of(ANSWER), 200);
+        // An answer whose session name spells an error member is an answer.
+        let tricky = r#"{"session":"\"error\":\"internal\"","answer":true,"probes":1,"micros":1}"#;
+        assert_eq!(status_of(tricky), 200);
     }
 
     #[test]
     fn unroutable_bodies_fail_typed_without_touching_a_backend() {
-        // The only backend is unreachable, but these never get that far.
+        // The only backend is unreachable, but these never get that far:
+        // each is refused with the body the backend itself would write.
         let fleet = Fleet::new(vec!["127.0.0.1:1".into()]);
-        let reply = fleet.query("not json");
-        assert_eq!(reply.status, 400);
-        assert!(reply.body.contains("bad-request"));
-        let reply = fleet.query(r#"{"id":9,"query":1}"#);
-        assert_eq!(reply.status, 400);
-        assert!(reply.body.contains("\"id\":9"), "{}", reply.body);
-        assert!(reply.body.contains("session"));
+        for (body, status) in [
+            ("not json", 400),
+            (r#"{"id":9,"query":1}"#, 400),
+            (
+                r#"{"id":4,"session":"s","kind":"nope","n":10,"query":1}"#,
+                400,
+            ),
+            (r#"{"id":5,"session":"s","query":1,"max_probes":-1}"#, 400),
+        ] {
+            let reply = fleet.query(body);
+            let refused = Request::parse(body).unwrap_err().into_response().render();
+            assert_eq!((reply.status, reply.body), (status, refused), "{body}");
+        }
+        for control in [r#"{"op":"ping"}"#, r#"{"id":2,"op":"stats"}"#] {
+            let reply = fleet.query(control);
+            assert_eq!(reply.status, 400, "{control}");
+            assert!(reply.body.contains("/v1/stats"), "{}", reply.body);
+        }
+        assert_eq!(fleet.routed[0].load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn an_unreachable_backend_is_backend_unavailable_with_the_id() {
+        let fleet = Fleet::new(vec!["127.0.0.1:1".into()]);
+        let forward = fleet
+            .prepare(r#"{"id":6,"session":"s","kind":"mis","n":100,"query":1}"#)
+            .unwrap();
+        let reply = fleet.settle(forward, Err(io::ErrorKind::ConnectionRefused.into()));
+        assert_eq!(reply.status, 503);
+        assert!(
+            reply
+                .body
+                .starts_with(r#"{"id":6,"error":"backend-unavailable""#),
+            "{}",
+            reply.body
+        );
+        // Nothing was learned from a request that never ran.
+        assert!(fleet.specs().map.is_empty());
     }
 }

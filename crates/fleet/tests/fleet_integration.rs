@@ -392,6 +392,7 @@ fn every_stats_object_keeps_its_key_order() {
             "cache_misses_total",
             "cache_hit_rate_total",
             "list_store_bytes",
+            "list_store_turnovers",
             "routed",
             "retries",
             "unavailable",

@@ -2,14 +2,16 @@
 //!
 //! One request per line, one response line per request — the full field
 //! reference with `nc` examples lives in `docs/PROTOCOL.md`. This module
-//! owns parsing ([`Request::parse`]) and rendering ([`Response::write`]);
-//! it knows nothing about sockets or sessions.
+//! owns both directions, reading and writing: [`Request::parse`] and
+//! [`Request::write`] for requests, [`Response::write`] and
+//! [`Response::error_member`] for responses. It knows nothing about
+//! sockets or sessions.
 //!
 //! Neither direction builds a JSON tree. The reader scans a line's bytes
 //! once, checking the whole line's JSON syntax as it goes, and keeps only
 //! the fields a request can carry, as borrowed slices and numbers; the
-//! request is built from those after the scan. The writer appends each
-//! response's fields straight to the output string. A warm single-query
+//! request is built from those after the scan. The writers append each
+//! message's fields straight to the output string. A warm single-query
 //! request therefore allocates its session name and its response line and
 //! nothing else.
 
@@ -187,23 +189,58 @@ pub enum ErrorCode {
     BudgetExhausted,
     /// The request ran past its `deadline_ms` allowance.
     DeadlineExceeded,
+    /// A fleet gateway could not reach the backend its session routes to;
+    /// the request was never executed. Only a gateway answers it.
+    BackendUnavailable,
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order.
+    const ALL: [ErrorCode; 11] = [
+        ErrorCode::BadRequest,
+        ErrorCode::UnknownSpec,
+        ErrorCode::UnknownSession,
+        ErrorCode::SessionMismatch,
+        ErrorCode::BadQuery,
+        ErrorCode::Overloaded,
+        ErrorCode::Draining,
+        ErrorCode::Internal,
+        ErrorCode::BudgetExhausted,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::BackendUnavailable,
+    ];
+
+    /// The code's wire spelling and the HTTP status a fleet gateway answers
+    /// it with: the one table of both (`docs/PROTOCOL.md` prints it).
+    fn row(self) -> (&'static str, u16) {
+        match self {
+            ErrorCode::BadRequest => ("bad-request", 400),
+            ErrorCode::UnknownSpec => ("unknown-spec", 400),
+            ErrorCode::UnknownSession => ("unknown-session", 404),
+            ErrorCode::SessionMismatch => ("session-mismatch", 409),
+            ErrorCode::BadQuery => ("bad-query", 400),
+            ErrorCode::Overloaded => ("overloaded", 429),
+            ErrorCode::Draining => ("draining", 503),
+            ErrorCode::Internal => ("internal", 500),
+            ErrorCode::BudgetExhausted => ("budget-exhausted", 422),
+            ErrorCode::DeadlineExceeded => ("deadline-exceeded", 504),
+            ErrorCode::BackendUnavailable => ("backend-unavailable", 503),
+        }
+    }
+
     /// The wire spelling of the code.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::UnknownSpec => "unknown-spec",
-            ErrorCode::UnknownSession => "unknown-session",
-            ErrorCode::SessionMismatch => "session-mismatch",
-            ErrorCode::BadQuery => "bad-query",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::Draining => "draining",
-            ErrorCode::Internal => "internal",
-            ErrorCode::BudgetExhausted => "budget-exhausted",
-            ErrorCode::DeadlineExceeded => "deadline-exceeded",
-        }
+        self.row().0
+    }
+
+    /// The HTTP status a fleet gateway pairs with the code.
+    pub fn http_status(self) -> u16 {
+        self.row().1
+    }
+
+    /// The code spelled `name` on the wire, if there is one.
+    pub fn parse(name: &str) -> Option<ErrorCode> {
+        Self::ALL.into_iter().find(|code| code.as_str() == name)
     }
 }
 
@@ -386,6 +423,128 @@ impl Response {
             id,
             code: ErrorCode::Overloaded,
             message: "admission queue full, retry later".to_owned(),
+        }
+    }
+
+    /// The `error` member of a line [`Response::write`] wrote, read in
+    /// place: an error object opens with it, after the `id` echo when there
+    /// is one. `None` for every other line, answers included.
+    pub fn error_member(line: &str) -> Option<&str> {
+        let rest = line.strip_prefix('{')?;
+        let rest = match rest.strip_prefix("\"id\":") {
+            // An `id` is a number: the first comma ends it.
+            Some(id) => id.split_once(',')?.1,
+            None => rest,
+        };
+        let code = rest.strip_prefix("\"error\":\"")?;
+        code.split_once('"').map(|(code, _)| code)
+    }
+}
+
+fn write_payload(out: &mut String, q: QueryPayload) {
+    match q {
+        QueryPayload::Vertex(v) => write_u64(out, v),
+        QueryPayload::Edge(u, v) => {
+            out.push('[');
+            write_u64(out, u);
+            out.push(',');
+            write_u64(out, v);
+            out.push(']');
+        }
+    }
+}
+
+impl Request {
+    /// Appends the request to `out` as one compact JSON object, with no
+    /// trailing newline: the line [`Request::parse`] reads back as this
+    /// request. Members come in a fixed order; a spec is written whole,
+    /// `seed` included, with `kind` and `family` by their registered names.
+    pub fn write(&self, out: &mut String) {
+        let op = match self {
+            Request::Query {
+                session,
+                spec,
+                queries,
+                id,
+                max_probes,
+                deadline_ms,
+                budget_policy,
+            } => {
+                open(out, *id);
+                key(out, "session");
+                serde::write_str(out, session);
+                if let Some(spec) = spec {
+                    key(out, "kind");
+                    serde::write_str(out, spec.kind.name());
+                    key(out, "family");
+                    serde::write_str(out, spec.family.name());
+                    key(out, "n");
+                    write_u64(out, spec.n as u64);
+                    key(out, "seed");
+                    write_u64(out, spec.seed);
+                    if let Some(knob) = spec.knob {
+                        key(out, "knob");
+                        serde::write_num(out, knob);
+                    }
+                }
+                match &**queries {
+                    [q] => {
+                        key(out, "query");
+                        write_payload(out, *q);
+                    }
+                    batch => {
+                        key(out, "queries");
+                        out.push('[');
+                        for (i, &q) in batch.iter().enumerate() {
+                            if i > 0 {
+                                out.push(',');
+                            }
+                            write_payload(out, q);
+                        }
+                        out.push(']');
+                    }
+                }
+                for (name, value) in [("max_probes", max_probes), ("deadline_ms", deadline_ms)] {
+                    if let Some(value) = value {
+                        key(out, name);
+                        write_u64(out, *value);
+                    }
+                }
+                if let Some(policy) = budget_policy {
+                    key(out, "budget_policy");
+                    match policy {
+                        BudgetPolicy::Off => serde::write_str(out, "off"),
+                        BudgetPolicy::Adaptive(None) => serde::write_str(out, "adaptive"),
+                        BudgetPolicy::Adaptive(Some(pct)) => {
+                            out.push_str("\"p");
+                            serde::write_num(out, *pct);
+                            out.push('"');
+                        }
+                    }
+                }
+                out.push('}');
+                return;
+            }
+            Request::Stats => "stats",
+            Request::Sessions => "sessions",
+            Request::Ping => "ping",
+            Request::Shutdown => "shutdown",
+        };
+        open(out, None);
+        key(out, "op");
+        serde::write_str(out, op);
+        out.push('}');
+    }
+
+    /// Bytes [`Request::write`] needs for this request with a plain
+    /// session name and the largest numbers: a capacity that holds the
+    /// line in one allocation.
+    pub fn len_hint(&self) -> usize {
+        match self {
+            Request::Query {
+                session, queries, ..
+            } => 256 + session.len() + 40 * queries.len(),
+            _ => 32,
         }
     }
 }

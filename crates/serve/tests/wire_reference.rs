@@ -8,10 +8,15 @@
 //! and seeded byte flips of them. The writer must give the reference
 //! render's bytes for every [`Response`] variant, with and without `id`,
 //! at the edges of the numbers and with every character a string escapes.
+//! The request writer must write a line both readers read back as the
+//! request it wrote, for every request the corpus parses to and every
+//! query shape at the edges of its fields.
 
 use lca::prelude::{AlgorithmKind, ImplicitFamily};
 use lca_serve::budget::BudgetPolicy;
-use lca_serve::proto::{ErrorCode, ParseError, QueryPayload, Request, Response, SessionSpec};
+use lca_serve::proto::{
+    ErrorCode, ParseError, Queries, QueryPayload, Request, Response, SessionSpec,
+};
 use serde::Json;
 
 // ---------------------------------------------------------------------------
@@ -519,6 +524,7 @@ fn every_response_writes_the_reference_bytes() {
                 ErrorCode::Internal,
                 ErrorCode::BudgetExhausted,
                 ErrorCode::DeadlineExceeded,
+                ErrorCode::BackendUnavailable,
             ] {
                 responses.push(Response::Error {
                     id,
@@ -547,4 +553,145 @@ fn every_response_writes_the_reference_bytes() {
         answer.render(),
         r#"{"id":9000000000000000,"session":"s","answer":true,"probes":0,"micros":9007199254740992}"#
     );
+}
+
+// ---------------------------------------------------------------------------
+// The request writer.
+
+/// `request` written after a prefix, which the writer must keep.
+fn written(request: &Request) -> String {
+    let mut out = String::from("prefix");
+    request.write(&mut out);
+    out.split_off("prefix".len())
+}
+
+/// Query requests of every shape: vertex and edge queries, single and
+/// batched; ids and vertices at 0 and 9e15; every kind over every family,
+/// with fractional knobs; every `budget_policy` form; hostile session names.
+fn query_requests() -> Vec<Request> {
+    let nine_e15 = 9_000_000_000_000_000;
+    let shapes = [
+        Queries::One(QueryPayload::Vertex(0)),
+        Queries::One(QueryPayload::Vertex(nine_e15)),
+        Queries::One(QueryPayload::Edge(3, 17)),
+        Queries::Batch(vec![QueryPayload::Vertex(1), QueryPayload::Vertex(2)]),
+        Queries::Batch(vec![
+            QueryPayload::Edge(0, 1),
+            QueryPayload::Edge(nine_e15, 5),
+            QueryPayload::Edge(7, 7),
+        ]),
+        Queries::Batch(vec![QueryPayload::Vertex(4)]),
+    ];
+    let policies = [
+        None,
+        Some(BudgetPolicy::Off),
+        Some(BudgetPolicy::Adaptive(None)),
+        Some(BudgetPolicy::Adaptive(Some(95.0))),
+        Some(BudgetPolicy::Adaptive(Some(99.5))),
+        Some(BudgetPolicy::Adaptive(Some(0.001))),
+        Some(BudgetPolicy::Adaptive(Some(100.0))),
+    ];
+    let limits = [None, Some(0), Some(250), Some(nine_e15)];
+    let mut specs = vec![None];
+    for (i, kind) in AlgorithmKind::all().into_iter().enumerate() {
+        for (j, family) in ImplicitFamily::all().into_iter().enumerate() {
+            let knob = match family {
+                ImplicitFamily::Gnp => [Some(0.5), Some(4.0), None][(i + j) % 3],
+                ImplicitFamily::Regular => Some(6.0),
+                ImplicitFamily::ChungLu => [Some(2.5), Some(1.0 / 3.0)][(i + j) % 2],
+                ImplicitFamily::Grid | ImplicitFamily::Torus => Some(-1.25),
+                ImplicitFamily::Hypercube => None,
+            };
+            specs.push(Some(SessionSpec {
+                kind,
+                family,
+                // The largest `n` each family builds is the third.
+                n: match family {
+                    ImplicitFamily::Hypercube => [2, 1024, (1 << 31) - 1][(i + j) % 3],
+                    _ => [9, 1_000_000, 1 << 32][(i + j) % 3],
+                },
+                seed: [0, 7, nine_e15][(i + 2 * j) % 3],
+                knob,
+            }));
+        }
+    }
+    let mut requests = Vec::new();
+    let mut k = 0usize;
+    for session in hostile_strings() {
+        for id in [None, Some(0), Some(nine_e15)] {
+            for queries in &shapes {
+                for spec in &specs {
+                    k += 1;
+                    requests.push(Request::Query {
+                        session: session.clone(),
+                        spec: spec.clone(),
+                        queries: queries.clone(),
+                        id,
+                        max_probes: limits[k % limits.len()],
+                        deadline_ms: limits[k / 3 % limits.len()],
+                        budget_policy: policies[k % policies.len()],
+                    });
+                }
+            }
+        }
+    }
+    requests
+}
+
+#[test]
+fn every_request_reads_back_from_its_written_line() {
+    let nesting = nesting_lines();
+    let corpus: Vec<Request> = TORTURE_SAMPLES
+        .iter()
+        .chain(EDGE_LINES)
+        .copied()
+        .chain(nesting.iter().map(String::as_str))
+        .filter_map(|line| Request::parse(line).ok())
+        .collect();
+    assert!(corpus.len() > 20, "{}", corpus.len());
+    let requests = query_requests();
+    assert!(requests.len() > 5000, "{}", requests.len());
+    for request in corpus.iter().chain(&requests) {
+        let line = written(request);
+        assert!(same_outcome(&line), "{line}");
+        assert_eq!(Request::parse(&line).as_ref(), Ok(request), "{line}");
+        // Written lines are the canonical spelling: writing again is a
+        // fixed point.
+        assert_eq!(written(&Request::parse(&line).unwrap()), line);
+    }
+    // The documented shapes, spelled out once.
+    let spelled = [
+        (Request::Ping, r#"{"op":"ping"}"#),
+        (Request::Stats, r#"{"op":"stats"}"#),
+        (
+            Request::parse(r#"{"query":[1,2],"session":"s","id":3,"kind":"spanner3","n":1e3,"knob":2.5,"budget_policy":"p99.5","extra":[]}"#)
+                .unwrap(),
+            r#"{"id":3,"session":"s","kind":"three-spanner","family":"implicit-gnp","n":1000,"seed":0,"knob":2.5,"query":[1,2],"budget_policy":"p99.5"}"#,
+        ),
+    ];
+    for (request, line) in spelled {
+        assert_eq!(written(&request), line);
+    }
+}
+
+#[test]
+fn a_written_id_past_9e15_is_refused_as_a_sent_one_is() {
+    // The reader refuses numbers past 9e15 rather than round them; the
+    // writer spells them exactly, so the refusal is the same either way.
+    let over = 9_000_000_000_000_001;
+    let request = Request::Query {
+        session: "s".to_owned(),
+        spec: None,
+        queries: Queries::One(QueryPayload::Vertex(1)),
+        id: Some(over),
+        max_probes: None,
+        deadline_ms: None,
+        budget_policy: None,
+    };
+    let line = written(&request);
+    assert_eq!(line, r#"{"id":9000000000000001,"session":"s","query":1}"#);
+    assert!(!same_outcome(&line));
+    let refused = Request::parse(&line).unwrap_err();
+    assert_eq!((refused.id, refused.code), (None, ErrorCode::BadRequest));
+    assert!(refused.message.contains("`id`"), "{refused:?}");
 }
